@@ -16,11 +16,17 @@ RationalLike = Union[Fraction, int, str]
 
 
 def rat(x: RationalLike) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact Fraction."""
+    """Coerce an int, Fraction or 'p/q' string to an exact Fraction.
+
+    Floats are refused with TypeError and a zero denominator with ValueError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

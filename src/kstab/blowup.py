@@ -96,12 +96,6 @@ class BlowupResult:
         ) / n
         return ClassVector(list(v) + [e_coeff])
 
-    def strict_transform(self, v: ClassVector, multiplicity: RationalLike) -> ClassVector:
-        """pullback(v) - multiplicity * E, for classes vanishing at the center."""
-        pb = self.pullback(v)
-        m = rat(multiplicity)
-        return ClassVector(list(pb)[:-1] + [pb[-1] - m])
-
 
 def transform_config(config: CurveConfig, spec: BlowupSpec) -> BlowupResult:
     """Blow up the center and append the exceptional curve to the basis.

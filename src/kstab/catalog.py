@@ -214,13 +214,17 @@ def load_catalog(path: Optional[str | Path] = None) -> Catalog:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"catalog at {source} is not valid JSON: {exc}") from exc
-    families = tuple(FamilyEntry(int(f["id"]), f) for f in doc["families"])
-    return Catalog(
-        version=int(doc["version"]),
-        families=families,
-        non_ke_quintuples=tuple(doc.get("non_ke_quintuples", [])),
-        source=source,
-    )
+    try:
+        return Catalog(
+            version=int(doc["version"]),
+            families=tuple(FamilyEntry(int(f["id"]), f) for f in doc["families"]),
+            non_ke_quintuples=tuple(doc.get("non_ke_quintuples", [])),
+            source=source,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CatalogError(
+            f"catalog at {source} is malformed: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 # -- instantiation -------------------------------------------------------------
@@ -440,7 +444,7 @@ def verify(catalog: Catalog, family_id: int, n: Optional[int] = None) -> Verific
     for check in entry.data.get("checks", []):
         try:
             items.extend(_run_check(instance, check, rays))
-        except Exception as exc:  # surface pipeline errors with the check named
+        except (ValueError, KeyError) as exc:  # name the check that failed to run
             raise CatalogError(
                 f"family {family_id} check {check.get('name')!r} failed to run: {exc}"
             ) from exc

@@ -37,6 +37,12 @@ class SchemaError(ValueError):
     """Fixture input does not match the expected JSON shape."""
 
 
+class _BadInput(click.ClickException):
+    """Malformed catalog or fixture: a one-line message and exit code 2."""
+
+    exit_code = 2
+
+
 @click.group()
 def main():
     """Exact K-stability invariants for index-2 del Pezzo hypersurfaces."""
@@ -137,7 +143,7 @@ def cmd_verify(family, all_families, n_text, fmt, output, catalog_path):
             except ParameterError as exc:
                 raise click.UsageError(str(exc))
             except CatalogError as exc:
-                raise click.ClickException(str(exc))
+                raise _BadInput(str(exc))
     _emit(_render_reports(reports, fmt), output)
     bad = [(r, item) for r in reports for item in r.mismatches]
     for r, item in bad:
@@ -217,11 +223,11 @@ def cmd_analyze(input_path, fmt, output):
     try:
         doc = json.loads(Path(input_path).read_text())
     except json.JSONDecodeError as exc:
-        raise click.UsageError(f"{input_path}: not valid JSON: {exc}")
+        raise _BadInput(f"{input_path}: not valid JSON: {exc}")
     try:
         result = _analyze(doc)
     except SchemaError as exc:
-        raise click.UsageError(f"{input_path}: {exc}")
+        raise _BadInput(f"{input_path}: {exc}")
     except (ValueError, KeyError) as exc:
         click.echo(f"analysis failed: {exc}", err=True)
         sys.exit(1)
@@ -276,27 +282,31 @@ def _analyze(doc) -> dict:
             raise SchemaError("ray.curve is missing")
         if ray_spec["curve"] not in config.basis:
             raise SchemaError(f"ray.curve {ray_spec['curve']!r} is not a basis curve")
-        ample = (
-            config.vector({k: rat(v) for k, v in ray_spec["ample"].items()})
-            if "ample" in ray_spec
-            else config.anticanonical
-        )
+        point = doc.get("point")
+        if point and "a_value" not in point:
+            raise SchemaError("point.a_value is missing")
+        try:
+            ample = (
+                config.vector({k: rat(v) for k, v in ray_spec["ample"].items()})
+                if "ample" in ray_spec
+                else config.anticanonical
+            )
+            log_discrepancy = rat(doc["log_discrepancy"]) if "log_discrepancy" in doc else None
+            if point:
+                a_value = rat(point["a_value"])
+                mults = {k: rat(v) for k, v in point.get("multiplicities", {}).items()}
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+            raise SchemaError(f"ray, log_discrepancy or point: {exc}")
         rd = decompose_ray(config, ample, config.basis_vector(ray_spec["curve"]))
         ray_out = rd.to_json_dict()
         ray_out["s"] = str(s_invariant(rd))
         ray_out["k_bound"] = str(k_basis_bound(rd))
         ray_out["volume_display"] = rd.volume.format()
-        if "log_discrepancy" in doc:
-            ray_out["beta"] = str(beta(rd, rat(doc["log_discrepancy"])))
-        point = doc.get("point")
+        if log_discrepancy is not None:
+            ray_out["beta"] = str(beta(rd, log_discrepancy))
         if point:
-            if "a_value" not in point:
-                raise SchemaError("point.a_value is missing")
-            mults = {k: rat(v) for k, v in point.get("multiplicities", {}).items()}
             s_w = az_s_w(rd, ray_spec["curve"], mults)
-            report = delta_lower_bound(
-                s_invariant(rd), rat(point["a_value"]), s_w, point.get("label", "")
-            )
+            report = delta_lower_bound(s_invariant(rd), a_value, s_w, point.get("label", ""))
             ray_out["s_w"] = str(s_w)
             ray_out["delta_lower"] = report.to_json_dict()
         results["ray"] = ray_out
@@ -331,7 +341,7 @@ def _load(catalog_path) -> Catalog:
     try:
         return load_catalog(catalog_path)
     except (CatalogError, OSError) as exc:
-        raise click.ClickException(str(exc))
+        raise _BadInput(str(exc))
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .arith import PiecewisePoly, Poly, RationalLike, rat
+from .arith import Poly, RationalLike, rat
 from .surface import QuotientSingularity
-from .zariski import RayDecomposition
+from .zariski import RayDecomposition, _pair_poly
 
 
 class FlagSupportError(ValueError):
@@ -42,19 +42,6 @@ def different_log_discrepancy(point: Optional[QuotientSingularity]) -> Fraction:
     return Fraction(1, point.order)
 
 
-def flag_degree(rd: RayDecomposition, y_index: int) -> PiecewisePoly:
-    """P(u).Y as a piecewise-linear function of u."""
-    pieces = []
-    for iv in rd.intervals:
-        deg = Poly()
-        for i, p in enumerate(iv.positive_part):
-            g = rd.config.gram[i][y_index]
-            if g != 0 and not p.is_zero():
-                deg = deg + Poly.constant(g) * p
-        pieces.append((iv.left, iv.right, deg))
-    return PiecewisePoly(pieces)
-
-
 def az_s_w(
     rd: RayDecomposition,
     y: int | str,
@@ -81,11 +68,7 @@ def az_s_w(
             raise FlagSupportError(
                 f"flag curve {config.basis[y_index]} lies in its own negative support"
             )
-        deg = Poly()
-        for i, p in enumerate(iv.positive_part):
-            g = config.gram[i][y_index]
-            if g != 0 and not p.is_zero():
-                deg = deg + Poly.constant(g) * p
+        deg = _pair_poly(config, iv.positive_part, y_index)
         ord_term = Poly()
         for idx, coeff in zip(iv.support, iv.negative_coeffs):
             m = mults.get(idx, Fraction(0))

@@ -255,15 +255,17 @@ class CurveConfig:
         return total
 
     def is_negative_definite(self, subset: Sequence[int]) -> bool:
-        """Leading principal minors of the principal submatrix alternate sign."""
+        """Every pivot of the principal submatrix, taken without row swaps, is negative.
+
+        Without swaps the k-th pivot is the ratio of the k-th to the (k-1)-th
+        leading principal minor, so this is the alternating-sign minor test.
+        """
         idx = list(subset)
         if any(i < 0 or i >= self.size for i in idx):
             raise IndexError(f"subset {idx} out of range for basis of size {self.size}")
-        for k in range(1, len(idx) + 1):
-            sub = [[self.gram[idx[i]][idx[j]] for j in range(k)] for i in range(k)]
-            if (-1) ** k * _det(sub) <= 0:
-                return False
-        return True
+        sub = [[self.gram[i][j] for j in idx] for i in idx]
+        pivots, _ = _eliminate(sub, [Fraction(0)] * len(idx), swap_rows=False)
+        return len(pivots) == len(idx) and all(p < 0 for p in pivots)
 
     def singular_point(self, label: str) -> SingularPointRecord:
         for rec in self.singular_points:
@@ -319,45 +321,37 @@ def is_negative_definite(c: CurveConfig, subset: Sequence[int]) -> bool:
     return c.is_negative_definite(subset)
 
 
-def _det(m: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination (tiny matrices)."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor == 0:
-                continue
-            for cc in range(col, n):
-                a[r][cc] -= factor * a[col][cc]
-    return det
-
-
 def solve_linear_system(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> list:
     """Solve M x = rhs exactly; rhs entries may be Fractions or Polys.
 
     Gaussian elimination with exact pivoting; raises ValueError on singular M.
     """
+    _, x = _eliminate(matrix, rhs, swap_rows=True)
+    if x is None:
+        raise ValueError("singular linear system")
+    return x
+
+
+def _eliminate(matrix: Sequence[Sequence[Fraction]], rhs: Sequence, swap_rows: bool):
+    """Gauss-Jordan elimination of M x = rhs; returns (pivots, x).
+
+    With ``swap_rows`` each column pivots on its first nonzero entry at or
+    below the diagonal; without it only the diagonal entry is tried.  A column
+    with no usable pivot stops the elimination: the pivots found so far are
+    returned with x = None.
+    """
     n = len(matrix)
     a = [list(row) for row in matrix]
     b = list(rhs)
+    pivots = []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        rows = range(col, n) if swap_rows else (col,)
+        pivot = next((r for r in rows if a[r][col] != 0), None)
         if pivot is None:
-            raise ValueError("singular linear system")
+            return pivots, None
         a[col], a[pivot] = a[pivot], a[col]
         b[col], b[pivot] = b[pivot], b[col]
+        pivots.append(a[col][col])
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
         b[col] = inv * b[col]
@@ -366,4 +360,4 @@ def solve_linear_system(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> 
                 factor = a[r][col]
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
                 b[r] = b[r] - factor * b[col]
-    return b
+    return pivots, b

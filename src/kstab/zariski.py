@@ -1,18 +1,20 @@
 """Exact Zariski decomposition of divisor classes and one-parameter rays.
 
 ``zariski_decompose_at`` splits a single pseudoeffective class D = P + N by
-iteratively enlarging the negative support.  ``decompose_ray`` decomposes the
-whole ray A - uE at once: every negative-definite subset of basis curves is
-solved symbolically (the negative-part coefficients are linear in u), each
-subset's validity interval is cut out by exact linear inequalities, and the
-intervals are stitched from u = 0 up to the pseudoeffective threshold.
+iteratively enlarging the negative support.  ``decompose_ray`` walks the ray
+A - uE through its Zariski chambers: along the ray the negative support only
+grows, so starting from u = 0 with an empty support it solves once on the
+current support (the negative-part coefficients are linear in u), adds every
+curve whose P(u).C turns negative just to the right, and steps to the next
+root of some P(u).C or to the volume's rational root tau.  That is O(k)
+linear solves for a basis of k curves; each chamber is cross-checked against
+the pointwise decomposition at its midpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .arith import PiecewisePoly, Poly, RationalLike, rat
@@ -24,7 +26,7 @@ class NotPseudoeffectiveError(ValueError):
 
 
 class InconsistentConfigError(ValueError):
-    """No negative-definite subset is valid where one is required."""
+    """The configuration admits no consistent decomposition where one is required."""
 
 
 class RayNeverEffectiveError(ValueError):
@@ -42,7 +44,7 @@ def zariski_decompose_at(
     k = config.size
     support: list[int] = []
     coeffs: list[Fraction] = []
-    for _ in range(2 ** k + 1):
+    for _ in range(k + 1):
         if support:
             m = [[config.gram[i][j] for j in support] for i in support]
             rhs = [config.pairing(d, config.basis_vector(config.basis[i])) for i in support]
@@ -189,81 +191,71 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
     if ray.is_zero():
         raise ValueError("ray class must be nonzero")
 
-    candidates = _subset_solutions(config, ample, ray)
-    if not any(_contains(s.interval, Fraction(0)) for s in candidates):
-        raise InconsistentConfigError("no valid decomposition at u = 0")
-
-    cuts = sorted(
-        {Fraction(0)}
-        | {s.interval[0] for s in candidates if s.interval}
-        | {s.interval[1] for s in candidates if s.interval and s.interval[1] is not None}
-    )
-    cuts = [c for c in cuts if c >= 0]
-
+    u = Poly.variable()
+    d_polys = [Poly.constant(a) - u * Poly.constant(e) for a, e in zip(ample, ray)]
+    d_dot = [_pair_poly(config, d_polys, j) for j in range(k)]
+    support: list[int] = []
     intervals: list[RayInterval] = []
     vol_pieces: list[tuple[Fraction, Fraction, Poly]] = []
-    tau: Optional[Fraction] = None
-    pos = 0
+    left, tau = Fraction(0), None
     while tau is None:
-        left = cuts[pos]
-        right = cuts[pos + 1] if pos + 1 < len(cuts) else None
-        probe = (left + right) / 2 if right is not None else left + 1
-        live = [s for s in candidates if _contains(s.interval, probe)]
-        if not live:
-            tau = left
-            break
-        best = min(live, key=lambda s: (len(s.subset), s.subset))
-        for other in live:
-            # decomposition uniqueness: every valid support yields the same P
-            if any(p(probe) != q(probe) for p, q in zip(other.positive_part, best.positive_part)):
+        # grow the support until P(u).C >= 0 just to the right of `left`
+        while True:
+            m = [[config.gram[i][j] for j in support] for i in support]
+            coeffs = solve_linear_system(m, [d_dot[i] for i in support])
+            p_polys = list(d_polys)
+            for idx, c in zip(support, coeffs):
+                p_polys[idx] = p_polys[idx] - c
+            p_dot = [_pair_poly(config, p_polys, j) for j in range(k)]
+            entering = [
+                j for j, q in enumerate(p_dot)
+                if j not in support and (q(left), q.coefficient(1)) < (0, 0)
+            ]
+            if not entering:
+                break
+            support = sorted(support + entering)
+            if not config.is_negative_definite(support):
                 raise InconsistentConfigError(
-                    f"supports {_names(config, best.subset)} and "
-                    f"{_names(config, other.subset)} disagree at u = {probe}"
+                    f"support {_names(config, support)} at u = {left} is not negative definite"
                 )
-        vol = _volume_quadratic(config, best.positive_part, ample, ray)
+        # support curves pair to 0 identically, so only outside curves have a slope
+        right = min(
+            (-q.coefficient(0) / q.coefficient(1) for q in p_dot if q.coefficient(1) < 0),
+            default=None,
+        )
+        vol = _volume_quadratic(p_polys, d_polys, p_dot)
         root = _smallest_rational_root_at_least(vol, left)
-        if right is None:
-            # unbounded validity: the volume quadratic must pin tau itself
-            if root is None:
-                raise RayNeverEffectiveError(
-                    "volume does not reach zero at a rational parameter"
-                )
-            right = root
-            tau = root
-        elif root is not None and root <= right:
-            right = root
-            tau = root
+        if root is not None and (right is None or root <= right):
+            right = tau = root
+        elif right is None:
+            raise RayNeverEffectiveError(
+                "volume does not reach zero at a rational parameter"
+            )
         elif _quadratic_negative_on(vol, left, right):
             raise RayNeverEffectiveError(
                 "volume crosses zero at an irrational parameter"
             )
-        if left < right:
-            intervals.append(
-                RayInterval(left, right, best.subset, best.coeffs, best.positive_part)
-            )
-            vol_pieces.append((left, right, vol))
-        pos += 1
-        if pos >= len(cuts) and tau is None:
-            raise InconsistentConfigError("ray stitching ran past all breakpoints")
-
-    if not intervals:
-        raise InconsistentConfigError("empty decomposition range")
-    volume = PiecewisePoly(vol_pieces)
-    if volume(tau) != 0:
-        raise InconsistentConfigError(
-            f"volume at tau = {tau} is {volume(tau)}, expected 0"
+        intervals.append(
+            RayInterval(left, right, tuple(support), tuple(coeffs), tuple(p_polys))
         )
-    nef_threshold = Fraction(0)
-    if intervals[0].support == ():
-        nef_threshold = intervals[0].right
+        vol_pieces.append((left, right, vol))
+        left = right
+
+    for iv in intervals:
+        mid = (iv.left + iv.right) / 2
+        if zariski_decompose_at(config, ample - mid * ray)[0] != iv.positive_part_at(mid):
+            raise InconsistentConfigError(
+                f"support {_names(config, iv.support)} disagrees with the "
+                f"pointwise decomposition at u = {mid}"
+            )
     rd = RayDecomposition(
         config=config,
         ample=ample,
         ray=ray,
         intervals=tuple(intervals),
-        nef_threshold=nef_threshold,
+        nef_threshold=intervals[0].right if not intervals[0].support else Fraction(0),
         tau=tau,
-        volume=volume,
+        volume=PiecewisePoly(vol_pieces),
     )
     _check_continuity(rd)
     return rd
@@ -277,90 +269,20 @@ def volume_profile(rd: RayDecomposition) -> PiecewisePoly:
 # -- internals ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SubsetSolution:
-    subset: tuple[int, ...]
-    coeffs: tuple[Poly, ...]          # negative-part coefficients, linear in u
-    positive_part: tuple[Poly, ...]   # P(u) coordinates, linear in u
-    interval: Optional[tuple[Fraction, Optional[Fraction]]]  # validity (lo, hi)
-
-
-def _subset_solutions(config: CurveConfig, ample: ClassVector, ray: ClassVector):
-    k = config.size
-    u = Poly.variable()
-    d_polys = [Poly.constant(a) - u * Poly.constant(e) for a, e in zip(ample, ray)]
-    d_dot = [_pair_poly(config, d_polys, j) for j in range(k)]
-    solutions = []
-    for size in range(k + 1):
-        for subset in combinations(range(k), size):
-            if not config.is_negative_definite(subset):
-                continue
-            if subset:
-                m = [[config.gram[i][j] for j in subset] for i in subset]
-                coeffs = solve_linear_system(m, [d_dot[j] for j in subset])
-                coeffs = [_as_linear(c) for c in coeffs]
-            else:
-                coeffs = []
-            p_polys = list(d_polys)
-            for idx, c in zip(subset, coeffs):
-                p_polys[idx] = p_polys[idx] - c
-            constraints = list(coeffs)
-            for j in range(k):
-                constraints.append(_pair_poly(config, p_polys, j))
-            interval = _linear_feasible_interval(constraints)
-            solutions.append(
-                _SubsetSolution(subset, tuple(coeffs), tuple(p_polys), interval)
-            )
-    return solutions
-
-
 def _pair_poly(config: CurveConfig, polys: Sequence[Poly], j: int) -> Poly:
+    """(sum_i polys[i] * C_i) . C_j for a class whose coordinates are polynomials."""
     total = Poly()
     for i, p in enumerate(polys):
         g = config.gram[i][j]
         if g != 0 and not p.is_zero():
-            total = total + Poly.constant(g) * p
+            total = total + g * p
     return total
 
 
-def _as_linear(p: Poly) -> Poly:
-    if p.degree > 1:
-        raise InconsistentConfigError("negative-part coefficient not linear in u")
-    return p
-
-
-def _linear_feasible_interval(constraints):
-    """Intersection of {u >= 0} with {c(u) >= 0} for linear polynomials c."""
-    lo, hi = Fraction(0), None
-    for c in constraints:
-        a0, a1 = c.coefficient(0), c.coefficient(1)
-        if a1 == 0:
-            if a0 < 0:
-                return None
-        elif a1 > 0:
-            lo = max(lo, -a0 / a1)
-        else:
-            bound = -a0 / a1
-            hi = bound if hi is None else min(hi, bound)
-    if hi is not None and lo > hi:
-        return None
-    return (lo, hi)
-
-
-def _contains(interval, x: Fraction) -> bool:
-    if interval is None:
-        return False
-    lo, hi = interval
-    return lo <= x and (hi is None or x <= hi)
-
-
-def _volume_quadratic(config, p_polys, ample, ray) -> Poly:
+def _volume_quadratic(p_polys, d_polys, p_dot) -> Poly:
     # P.P == P.D thanks to P.N = 0; computing both is a cheap self-check.
-    u = Poly.variable()
-    d_polys = [Poly.constant(a) - u * Poly.constant(e) for a, e in zip(ample, ray)]
-    pp = _gram_product(config, p_polys, p_polys)
-    pd = _gram_product(config, p_polys, d_polys)
-    if pp != pd:
+    pp = sum((p * q for p, q in zip(p_polys, p_dot)), Poly())
+    if pp != sum((d * q for d, q in zip(d_polys, p_dot)), Poly()):
         raise InconsistentConfigError("orthogonality failure: P.P != P.D")
     return pp
 
@@ -374,18 +296,6 @@ def _quadratic_negative_on(q: Poly, lo: Fraction, hi: Fraction) -> bool:
         if lo < vertex < hi and q(vertex) < 0:
             return True
     return False
-
-
-def _gram_product(config, left: Sequence[Poly], right: Sequence[Poly]) -> Poly:
-    total = Poly()
-    for i, p in enumerate(left):
-        if p.is_zero():
-            continue
-        for j, q in enumerate(right):
-            g = config.gram[i][j]
-            if g != 0 and not q.is_zero():
-                total = total + Poly.constant(g) * p * q
-    return total
 
 
 def _smallest_rational_root_at_least(q: Poly, lo: Fraction) -> Optional[Fraction]:

@@ -27,6 +27,8 @@ def test_rat_coercions():
     assert rat(F(1, 3)) == F(1, 3)
     with pytest.raises(TypeError):
         rat(0.5)
+    with pytest.raises(ValueError):
+        rat("1/0")
 
 
 def test_poly_eval_constant_term():

@@ -239,6 +239,17 @@ def test_pipeline_errors_name_the_failing_check():
     assert broken_name in str(err.value)
 
 
+def test_programming_errors_in_the_pipeline_propagate(monkeypatch):
+    import kstab.catalog
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the pipeline")
+
+    monkeypatch.setattr(kstab.catalog, "decompose_ray", broken)
+    with pytest.raises(TypeError, match="bug in the pipeline"):
+        verify(CATALOG, 4)
+
+
 def test_corrupted_expected_value_is_flagged(tmp_path):
     data = json.loads(json.dumps(CATALOG.family(10).data))
     for check in data["checks"]:

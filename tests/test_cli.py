@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from kstab.catalog import VerificationReport
@@ -222,3 +223,35 @@ def test_analyze_schema_errors(tmp_path):
     assert "ray.curve" in result.output
 
     assert invoke(["analyze", "--input", str(tmp_path / "absent.json")]).exit_code == 2
+
+
+def _catalog_without_families(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"version": 1}))
+    return ["verify", "--all", "--catalog", str(path)]
+
+
+def _fixture_with_float_ample(tmp_path):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(dict(FAMILY3_FIXTURE, ray={"curve": "L", "ample": {"L": 1.5}})))
+    return ["analyze", "--input", str(path)]
+
+
+def _fixture_with_zero_denominator(tmp_path):
+    doc = json.loads(json.dumps(FAMILY3_FIXTURE))
+    doc["config"]["gram"][0][1] = doc["config"]["gram"][1][0] = "1/0"
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    return ["analyze", "--input", str(path)]
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [_catalog_without_families, _fixture_with_float_ample, _fixture_with_zero_denominator],
+)
+def test_malformed_input_exits_2_with_one_line(tmp_path, make_args):
+    result = invoke(make_args(tmp_path))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("Error: ")

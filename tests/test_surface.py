@@ -1,6 +1,7 @@
 """Quintuple combinatorics and curve-configuration pairing arithmetic."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,8 @@ from kstab import (
     is_negative_definite,
     is_well_formed,
 )
-from kstab.surface import DimensionMismatchError
+from kstab.arith import Poly
+from kstab.surface import DimensionMismatchError, solve_linear_system
 from tests._oracles import assert_negative_definite_oracle
 
 F = Fraction
@@ -129,33 +131,72 @@ def test_negative_definite_examples():
     assert not is_negative_definite(blowup, [0, 1, 2])
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(
-        st.fractions(min_value=-3, max_value=3, max_denominator=6),
-        min_size=1,
-        max_size=6,
-    )
-)
-def test_negative_definite_matches_eigenvalue_oracle(entries):
-    size = 1 if len(entries) < 3 else (2 if len(entries) < 6 else 3)
+@st.composite
+def symmetric_matrices(draw, max_size=6):
+    """Symmetric rational matrices, shifted down the diagonal so that roughly
+    as many are negative definite as not."""
+    size = draw(st.integers(1, max_size))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    shift = draw(st.integers(0, 3 * size))
     gram = [[F(0)] * size for _ in range(size)]
-    it = iter(entries)
     for i in range(size):
         for j in range(i, size):
-            value = next(it, F(-1))
-            gram[i][j] = gram[j][i] = value
+            gram[i][j] = gram[j][i] = draw(entries) - (shift if i == j else 0)
+    return gram
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_negative_definite_matches_eigenvalue_oracle(gram):
     import numpy as np
 
+    size = len(gram)
     eigs = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in gram]))
     if max(abs(e) for e in eigs) < 1e-9 or min(abs(e) for e in eigs) < 1e-9:
-        return  # numerically borderline; the exact minor test is the authority
+        return  # numerically borderline; the exact pivot test is the authority
     config = CurveConfig.make(
         basis=[f"C{i}" for i in range(size + 1)],
         gram=[row + [F(0)] for row in gram] + [[F(0)] * size + [F(1)]],
         anticanonical=[0] * size + [1],
     )
     assert config.is_negative_definite(list(range(size))) == bool((eigs < 0).all())
+
+
+def _random_nonsingular_matrix(rng, n):
+    """L U with unit lower L and an upper U whose diagonal is nonzero, rows shuffled."""
+    def entry():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def diagonal():
+        return F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+    lower = [[entry() if j < i else F(int(i == j)) for j in range(n)] for i in range(n)]
+    upper = [[entry() if j > i else diagonal() if j == i else F(0) for j in range(n)]
+             for i in range(n)]
+    matrix = [[sum(lower[i][t] * upper[t][j] for t in range(n)) for j in range(n)]
+              for i in range(n)]
+    rng.shuffle(matrix)
+    return matrix
+
+
+def test_solve_linear_system_on_random_nonsingular_systems():
+    rng = random.Random(7)
+    u = Poly.variable()
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        matrix = _random_nonsingular_matrix(rng, n)
+        rhs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        x = solve_linear_system(matrix, rhs)
+        assert [sum(m * v for m, v in zip(row, x)) for row in matrix] == rhs
+        # polynomial right-hand sides, as in the ray decomposition
+        rhs_poly = [Poly.constant(b) - rng.randint(-3, 3) * u for b in rhs]
+        x_poly = solve_linear_system(matrix, rhs_poly)
+        assert [sum((m * v for m, v in zip(row, x_poly)), Poly()) for row in matrix] == rhs_poly
+
+
+def test_solve_linear_system_rejects_singular_systems():
+    with pytest.raises(ValueError):
+        solve_linear_system([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
 
 
 def test_vector_construction_and_basis_lookup():

@@ -5,10 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from kstab import CurveConfig, decompose_ray, volume_profile, zariski_decompose_at
+from kstab import (
+    CurveConfig,
+    decompose_ray,
+    instantiate,
+    load_catalog,
+    volume_profile,
+    zariski_decompose_at,
+)
 from kstab.arith import PiecewisePoly, Poly
+from kstab.catalog import default_n_values, eval_expr
 from kstab.surface import ClassVector
 from kstab.zariski import NotPseudoeffectiveError
+from tests._oracles import decompose_ray_by_subsets, random_chain_config
 
 F = Fraction
 
@@ -242,3 +251,62 @@ def test_ray_serializes_to_json():
     assert doc["intervals"][1]["support"] == ["R"]
     assert doc["intervals"][1]["negative_coeffs"]["R"] == ["-1", "3"]
     assert doc["volume"][0]["coeffs"] == ["2/3", "-4/3", "-2/3"]
+
+
+# -- the chamber walk against exhaustive subset enumeration -------------------
+
+
+def _outcome(decompose, config, ample, ray):
+    try:
+        return decompose(config, ample, ray).to_json_dict()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_walk_matches_enumeration(config, ample, ray):
+    walk = _outcome(decompose_ray, config, ample, ray)
+    assert walk == _outcome(decompose_ray_by_subsets, config, ample, ray)
+    return walk
+
+
+def catalog_ray_inputs():
+    """(config, ample, ray) of every ray and flag check, over each default n sweep and n = min + 1000."""
+    catalog = load_catalog()
+    out = {}
+    for entry in catalog.families:
+        n_values = default_n_values(entry)
+        if entry.parametric:
+            n_values.append(entry.minimum_n + 1000)
+        for n in n_values:
+            inst = instantiate(catalog, entry.family_id, n)
+            for check in entry.data.get("checks", []):
+                if check["kind"] not in ("ray", "flag"):
+                    continue
+                config = inst.config(check["config"])
+                curve = check.get("ray") or check.get("curve")
+                ample = (
+                    config.vector({k: eval_expr(v, n) for k, v in check["ample"].items()})
+                    if check.get("ample")
+                    else config.anticanonical
+                )
+                tag = f"family {entry.family_id} n={n} {check['config']} {curve} {ample}"
+                out[tag] = pytest.param(config, ample, config.basis_vector(curve), id=tag)
+    return list(out.values())
+
+
+@pytest.mark.parametrize("config, ample, ray", catalog_ray_inputs())
+def test_walk_matches_enumeration_on_catalog_rays(config, ample, ray):
+    assert isinstance(_assert_walk_matches_enumeration(config, ample, ray), dict)
+
+
+# enumeration costs 2^k subsets, so larger chains are sampled more sparsely
+CHAINS_PER_BASIS_SIZE = {1: 100, 2: 100, 3: 90, 4: 80, 5: 60, 6: 40, 7: 20, 8: 10}
+
+
+@pytest.mark.parametrize("k, count", sorted(CHAINS_PER_BASIS_SIZE.items()))
+def test_walk_matches_enumeration_on_random_chains(k, count):
+    rng = random.Random(f"walk-vs-subsets/{k}")
+    for _ in range(count):
+        config, ample, ray_name = random_chain_config(rng, stages=k - 1)
+        assert config.size == k
+        _assert_walk_matches_enumeration(config, ample, config.basis_vector(ray_name))
