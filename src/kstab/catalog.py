@@ -215,7 +215,7 @@ def load_catalog(path: Optional[str | Path] = None) -> Catalog:
     except json.JSONDecodeError as exc:
         raise CatalogError(f"catalog at {source} is not valid JSON: {exc}") from exc
     try:
-        return Catalog(
+        catalog = Catalog(
             version=int(doc["version"]),
             families=tuple(FamilyEntry(int(f["id"]), f) for f in doc["families"]),
             non_ke_quintuples=tuple(doc.get("non_ke_quintuples", [])),
@@ -225,6 +225,44 @@ def load_catalog(path: Optional[str | Path] = None) -> Catalog:
         raise CatalogError(
             f"catalog at {source} is malformed: {type(exc).__name__}: {exc}"
         ) from exc
+    for entry in catalog.families:
+        _validate_checks(f"catalog at {source} is malformed: family {entry.family_id}", entry)
+    return catalog
+
+
+# the fields of each check kind whose values must be JSON objects
+_CHECK_OBJECT_FIELDS = {
+    "ambient": (),
+    "pairing": ("v", "w"),
+    "negdef": (),
+    "log_discrepancy": (),
+    "proportional": (),
+    "ray": ("ample", "expect"),
+    "flag": ("ample", "mults", "expect"),
+    "identity": ("base", "pair_with", "params", "expect"),
+}
+
+
+def _validate_checks(where: str, entry: FamilyEntry) -> None:
+    """Raise CatalogError unless every check is an object of a known kind
+    whose mapping fields (and, for identities, each parameter) are objects."""
+    checks = entry.data.get("checks", [])
+    if not isinstance(checks, list):
+        raise CatalogError(f"{where}: checks must be a list")
+    for check in checks:
+        if not isinstance(check, dict):
+            raise CatalogError(f"{where}: check {check!r} is not an object")
+        name = f"{where} check {check.get('name')!r}"
+        kind = check.get("kind")
+        if kind not in _CHECK_OBJECT_FIELDS:
+            raise CatalogError(f"{name}: unknown check kind {kind!r}")
+        for field in _CHECK_OBJECT_FIELDS[kind]:
+            if field in check and not isinstance(check[field], dict):
+                raise CatalogError(f"{name}: {field} must be an object")
+        params = check.get("params", {}) if kind == "identity" else {}
+        for param, vec in params.items():
+            if not isinstance(vec, dict):
+                raise CatalogError(f"{name}: params.{param} must be an object")
 
 
 # -- instantiation -------------------------------------------------------------

@@ -239,12 +239,17 @@ def cmd_analyze(input_path, fmt, output):
 
 
 def _analyze(doc) -> dict:
-    if not isinstance(doc, dict) or "config" not in doc:
-        raise SchemaError("top-level object must contain a 'config' field")
+    if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
+        raise SchemaError("top-level object must contain a 'config' object")
+    for field_name in ("ray", "point"):
+        if doc.get(field_name) is not None and not isinstance(doc[field_name], dict):
+            raise SchemaError(f"{field_name} must be an object")
     cfg_data = doc["config"]
     for field_name in ("basis", "gram", "anticanonical"):
         if field_name not in cfg_data:
             raise SchemaError(f"config.{field_name} is missing")
+    if not isinstance(cfg_data["basis"], list):
+        raise SchemaError("config.basis must be a list of curve names")
     if not cfg_data["basis"]:
         raise SchemaError("config.basis must contain at least one curve")
     try:

@@ -3,6 +3,12 @@
 A ``Quintuple`` records the four ambient weights and the degree of a
 hypersurface; ``CurveConfig`` models a finite set of curve classes with an
 exact rational Gram matrix, on which all divisor arithmetic runs.
+
+Linear algebra on the Gram matrix goes through one fraction-free (Bareiss)
+elimination kernel: rows are cleared of denominators and eliminated on
+integers, where every division is exact by Sylvester's identity.  The same
+pass decides negative definiteness from the signs of the leading principal
+minors and solves linear systems, returning exact Fractions.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .arith import RationalLike, rat
+from .arith import Poly, RationalLike, rat
 
 
 class DimensionMismatchError(ValueError):
@@ -255,17 +261,20 @@ class CurveConfig:
         return total
 
     def is_negative_definite(self, subset: Sequence[int]) -> bool:
-        """Every pivot of the principal submatrix, taken without row swaps, is negative.
+        """The k-th leading principal minor of the submatrix has sign (-1)^k for every k.
 
-        Without swaps the k-th pivot is the ratio of the k-th to the (k-1)-th
-        leading principal minor, so this is the alternating-sign minor test.
+        The minors are the pivots of fraction-free elimination without row
+        swaps (see ``_eliminate``); this is the same test as every Gaussian
+        pivot, the ratio of consecutive minors, being negative.
         """
         idx = list(subset)
         if any(i < 0 or i >= self.size for i in idx):
             raise IndexError(f"subset {idx} out of range for basis of size {self.size}")
         sub = [[self.gram[i][j] for j in idx] for i in idx]
-        pivots, _ = _eliminate(sub, [Fraction(0)] * len(idx), swap_rows=False)
-        return len(pivots) == len(idx) and all(p < 0 for p in pivots)
+        minors, _ = _eliminate(sub, [], swap_rows=False)
+        return len(minors) == len(idx) and all(
+            (m < 0) == (k % 2 == 0) for k, m in enumerate(minors)
+        )
 
     def singular_point(self, label: str) -> SingularPointRecord:
         for rec in self.singular_points:
@@ -322,42 +331,73 @@ def is_negative_definite(c: CurveConfig, subset: Sequence[int]) -> bool:
 
 
 def solve_linear_system(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> list:
-    """Solve M x = rhs exactly; rhs entries may be Fractions or Polys.
+    """Solve M x = rhs exactly; rhs entries may be Fractions, ints or Polys.
 
-    Gaussian elimination with exact pivoting; raises ValueError on singular M.
+    A Poly right-hand side is split into one column per coefficient, so every
+    coefficient is solved in the same elimination; the solution is a list of
+    Polys if any rhs entry is a Poly, else of Fractions.  Raises ValueError on
+    singular M.
     """
-    _, x = _eliminate(matrix, rhs, swap_rows=True)
+    polys = any(isinstance(b, Poly) for b in rhs)
+    if polys:
+        rhs = [b if isinstance(b, Poly) else Poly.constant(b) for b in rhs]
+        width = max(len(b.coeffs) for b in rhs)
+        columns = [[b.coefficient(d) for b in rhs] for d in range(width)]
+    else:
+        columns = [rhs]
+    _, x = _eliminate(matrix, columns, swap_rows=True)
     if x is None:
         raise ValueError("singular linear system")
-    return x
+    return [Poly(col[i] for col in x) for i in range(len(rhs))] if polys else x[0]
 
 
-def _eliminate(matrix: Sequence[Sequence[Fraction]], rhs: Sequence, swap_rows: bool):
-    """Gauss-Jordan elimination of M x = rhs; returns (pivots, x).
+def _eliminate(matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence], swap_rows: bool):
+    """Fraction-free (Bareiss) elimination of M x = b for each column b.
+
+    Each row of [M | b...] is scaled by the lcm of its denominators, a positive
+    factor, so the elimination runs on Python ints.  Step c replaces each
+    entry a_rj (r, j > c) by (p a_rj - a_rc a_cj) / p', with p the current
+    pivot and p' the previous one; by Sylvester's identity the result is a
+    minor of the scaled matrix, so the division is exact.  Without row swaps
+    the c-th pivot is the c-th leading principal minor, whose sign the row
+    scaling leaves unchanged.  Back-substitution then solves for det * x,
+    which is integral by Cramer's rule, and only the final x become Fractions.
 
     With ``swap_rows`` each column pivots on its first nonzero entry at or
-    below the diagonal; without it only the diagonal entry is tried.  A column
-    with no usable pivot stops the elimination: the pivots found so far are
-    returned with x = None.
+    below the diagonal; without it only the diagonal entry is tried.  Returns
+    (pivots, x) with x[b][i] the i-th unknown for column b; a column of M with
+    no usable pivot stops the elimination, returning the pivots found so far
+    with x = None.
     """
     n = len(matrix)
-    a = [list(row) for row in matrix]
-    b = list(rhs)
+    rows = [_integer_row([*matrix[i], *(col[i] for col in columns)]) for i in range(n)]
     pivots = []
-    for col in range(n):
-        rows = range(col, n) if swap_rows else (col,)
-        pivot = next((r for r in rows if a[r][col] != 0), None)
+    prev = 1
+    for c in range(n):
+        candidates = range(c, n) if swap_rows else (c,)
+        pivot = next((r for r in candidates if rows[r][c]), None)
         if pivot is None:
             return pivots, None
-        a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        pivots.append(a[col][col])
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        b[col] = inv * b[col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                b[r] = b[r] - factor * b[col]
-    return pivots, b
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        top = rows[c]
+        p = top[c]
+        pivots.append(p)
+        for r in range(c + 1, n):
+            row = rows[r]
+            f = row[c]
+            row[c + 1:] = [(p * a - f * b) // prev for a, b in zip(row[c + 1:], top[c + 1:])]
+        prev = p
+    x = []
+    for j in range(n, n + len(columns)):
+        y = [0] * n
+        for i in reversed(range(n)):
+            row = rows[i]
+            acc = prev * row[j] - sum(row[t] * y[t] for t in range(i + 1, n))
+            y[i] = acc // row[i]
+        x.append([Fraction(v, prev) for v in y])
+    return pivots, x
+
+
+def _integer_row(values: Sequence[Fraction]) -> list[int]:
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]

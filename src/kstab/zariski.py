@@ -47,7 +47,7 @@ def zariski_decompose_at(
     for _ in range(k + 1):
         if support:
             m = [[config.gram[i][j] for j in support] for i in support]
-            rhs = [config.pairing(d, config.basis_vector(config.basis[i])) for i in support]
+            rhs = [_pair_poly(config, d, i) for i in support]
             try:
                 coeffs = solve_linear_system(m, rhs)
             except ValueError:
@@ -61,7 +61,7 @@ def zariski_decompose_at(
         violating = [
             j
             for j in range(k)
-            if j not in support and config.pairing(p_vec, _unit(k, j)) < 0
+            if j not in support and _pair_poly(config, p_vec, j) < 0
         ]
         if not violating:
             break
@@ -184,7 +184,7 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
     if config.pairing(ample, ample) <= 0:
         raise ValueError("ample class must have positive self-intersection")
     for j in range(k):
-        if config.pairing(ample, _unit(k, j)) < 0:
+        if _pair_poly(config, ample, j) < 0:
             raise ValueError(
                 f"ample class is not nef: negative against {config.basis[j]}"
             )
@@ -269,13 +269,17 @@ def volume_profile(rd: RayDecomposition) -> PiecewisePoly:
 # -- internals ----------------------------------------------------------------
 
 
-def _pair_poly(config: CurveConfig, polys: Sequence[Poly], j: int) -> Poly:
-    """(sum_i polys[i] * C_i) . C_j for a class whose coordinates are polynomials."""
-    total = Poly()
-    for i, p in enumerate(polys):
+def _pair_poly(config: CurveConfig, coords: Sequence, j: int):
+    """(sum_i coords[i] * C_i) . C_j, in one pass down Gram column j.
+
+    The coordinates are all Polys, giving a Poly, or all rationals (a
+    ``ClassVector``, say), giving a Fraction; zero terms are skipped.
+    """
+    total = Poly() if isinstance(coords[0], Poly) else Fraction(0)
+    for i, c in enumerate(coords):
         g = config.gram[i][j]
-        if g != 0 and not p.is_zero():
-            total = total + g * p
+        if g != 0 and c:
+            total = total + g * c
     return total
 
 
@@ -356,10 +360,6 @@ def _support_vector(config: CurveConfig, support: Sequence[int], coeffs) -> Clas
     for idx, c in zip(support, coeffs):
         out[idx] = c
     return ClassVector(out)
-
-
-def _unit(size: int, j: int) -> ClassVector:
-    return ClassVector(Fraction(int(i == j)) for i in range(size))
 
 
 def _names(config: CurveConfig, subset: Sequence[int]) -> str:

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the package's exact integration and
 decomposition paths: integrals are checked by floating-point Simpson
 quadrature, definiteness by numpy eigenvalues, ray decompositions by
-enumerating every negative-definite subset of the basis, and random
-configurations are built as blow-up chains over a positive base class.
+enumerating every negative-definite subset of the basis, linear algebra by a
+Gauss-Jordan kernel on Fractions (the package eliminates fraction-free on
+integers), and random configurations are built as blow-up chains over a
+positive base class.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from kstab import (
     transform_config,
 )
 from kstab.arith import PiecewisePoly, Poly
-from kstab.surface import solve_linear_system
 from kstab.zariski import (
     InconsistentConfigError,
     RayDecomposition,
@@ -75,6 +76,53 @@ def assert_negative_definite_oracle(gram, expected: bool):
         return
     eigs = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in gram]))
     assert (bool((eigs < -1e-12).all())) == expected, (gram, eigs, expected)
+
+
+def oracle_solve_linear_system(matrix, rhs) -> list:
+    """Solve M x = rhs by Gauss-Jordan on Fractions; ValueError if M is singular."""
+    _, x = _gauss_jordan(matrix, rhs, swap_rows=True)
+    if x is None:
+        raise ValueError("singular linear system")
+    return x
+
+
+def oracle_is_negative_definite(config, subset) -> bool:
+    """Every Gauss-Jordan pivot of the principal submatrix, without row swaps, is negative."""
+    idx = list(subset)
+    sub = [[config.gram[i][j] for j in idx] for i in idx]
+    pivots, _ = _gauss_jordan(sub, [Fraction(0)] * len(idx), swap_rows=False)
+    return len(pivots) == len(idx) and all(p < 0 for p in pivots)
+
+
+def _gauss_jordan(matrix, rhs, swap_rows: bool):
+    """Gauss-Jordan elimination of M x = rhs on Fractions; returns (pivots, x).
+
+    With ``swap_rows`` each column pivots on its first nonzero entry at or
+    below the diagonal; without it only the diagonal entry is tried.  A column
+    with no usable pivot stops the elimination: the pivots found so far are
+    returned with x = None.  rhs entries may be Fractions, ints or Polys.
+    """
+    n = len(matrix)
+    a = [list(row) for row in matrix]
+    b = list(rhs)
+    pivots = []
+    for col in range(n):
+        rows = range(col, n) if swap_rows else (col,)
+        pivot = next((r for r in rows if a[r][col] != 0), None)
+        if pivot is None:
+            return pivots, None
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        pivots.append(a[col][col])
+        inv = 1 / Fraction(a[col][col])
+        a[col] = [x * inv for x in a[col]]
+        b[col] = inv * b[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+                b[r] = b[r] - factor * b[col]
+    return pivots, b
 
 
 def decompose_ray_by_subsets(config, ample, ray) -> RayDecomposition:
@@ -159,10 +207,12 @@ def _subset_solutions(config, ample, ray):
     solutions = []
     for size in range(k + 1):
         for subset in combinations(range(k), size):
-            if not config.is_negative_definite(subset):
+            if not oracle_is_negative_definite(config, subset):
                 continue
             m = [[config.gram[i][j] for j in subset] for i in subset]
-            coeffs = solve_linear_system(m, [_pair_poly(config, d_polys, j) for j in subset])
+            coeffs = oracle_solve_linear_system(
+                m, [_pair_poly(config, d_polys, j) for j in subset]
+            )
             p_polys = list(d_polys)
             for idx, c in zip(subset, coeffs):
                 p_polys[idx] = p_polys[idx] - c

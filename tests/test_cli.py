@@ -245,9 +245,56 @@ def _fixture_with_zero_denominator(tmp_path):
     return ["analyze", "--input", str(path)]
 
 
+def _fixture_with_list_ray(tmp_path):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(dict(FAMILY3_FIXTURE, ray=["curve"])))
+    return ["analyze", "--input", str(path)]
+
+
+def _fixture_with_string_basis(tmp_path):
+    doc = json.loads(json.dumps(FAMILY3_FIXTURE))
+    doc["config"]["basis"] = "LR"
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    return ["analyze", "--input", str(path)]
+
+
+def _exported_catalog_with(tmp_path, corrupt):
+    """verify family 1 at n = 3 against an exported catalog with one check corrupted."""
+    path = tmp_path / "catalog.json"
+    invoke(["export", "--output", str(path)])
+    doc = json.loads(path.read_text())
+    corrupt(next(f for f in doc["families"] if f["id"] == 1)["checks"])
+    path.write_text(json.dumps(doc))
+    return ["verify", "--family", "1", "--n", "3", "--catalog", str(path)]
+
+
+def _catalog_with_list_pairing_vector(tmp_path):
+    def corrupt(checks):
+        check = next(c for c in checks if c["kind"] == "pairing")
+        check["v"] = list(check["v"])
+
+    return _exported_catalog_with(tmp_path, corrupt)
+
+
+def _catalog_with_string_check(tmp_path):
+    def corrupt(checks):
+        checks[0] = "pairing"
+
+    return _exported_catalog_with(tmp_path, corrupt)
+
+
 @pytest.mark.parametrize(
     "make_args",
-    [_catalog_without_families, _fixture_with_float_ample, _fixture_with_zero_denominator],
+    [
+        _catalog_without_families,
+        _catalog_with_list_pairing_vector,
+        _catalog_with_string_check,
+        _fixture_with_float_ample,
+        _fixture_with_zero_denominator,
+        _fixture_with_list_ray,
+        _fixture_with_string_basis,
+    ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, make_args):
     result = invoke(make_args(tmp_path))

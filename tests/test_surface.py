@@ -22,7 +22,11 @@ from kstab import (
 )
 from kstab.arith import Poly
 from kstab.surface import DimensionMismatchError, solve_linear_system
-from tests._oracles import assert_negative_definite_oracle
+from tests._oracles import (
+    assert_negative_definite_oracle,
+    oracle_is_negative_definite,
+    oracle_solve_linear_system,
+)
 
 F = Fraction
 
@@ -197,6 +201,95 @@ def test_solve_linear_system_on_random_nonsingular_systems():
 def test_solve_linear_system_rejects_singular_systems():
     with pytest.raises(ValueError):
         solve_linear_system([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
+    with pytest.raises(ValueError):
+        solve_linear_system([[F(-1), F(1)], [F(1), F(-1)]], [Poly.variable(), F(0)])
+
+
+# -- the fraction-free kernel against the Fraction Gauss-Jordan oracle --------
+
+MIXED_ENTRIES = st.one_of(
+    st.just(F(0)),
+    st.integers(-5, 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9),
+)
+
+
+@st.composite
+def square_matrices(draw, max_size=8):
+    """Square matrices of ints and Fractions with mixed denominators.
+
+    Zero entries are common, so leading minors vanish and row swaps are
+    needed; half the time one row is replaced by a combination of two others,
+    making the matrix singular.
+    """
+    n = draw(st.integers(1, max_size))
+    rows = [draw(st.lists(MIXED_ENTRIES, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j, t = (draw(st.integers(0, n - 1)) for _ in range(3))
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+        rows[t] = [c * a + b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def _rhs_entries(kind):
+    if kind == "int":
+        return st.integers(-9, 9)
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+    if kind == "fraction":
+        return fractions
+    return st.lists(fractions, max_size=2).map(Poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices(), st.sampled_from(["int", "fraction", "poly"]), st.data())
+def test_solve_matches_gauss_jordan_oracle(matrix, kind, data):
+    n = len(matrix)
+    rhs = data.draw(st.lists(_rhs_entries(kind), min_size=n, max_size=n))
+    try:
+        expected = oracle_solve_linear_system(matrix, rhs)
+    except ValueError:
+        with pytest.raises(ValueError):
+            solve_linear_system(matrix, rhs)
+        return
+    x = solve_linear_system(matrix, rhs)
+    assert x == expected
+    assert all(type(v) is (Poly if kind == "poly" else F) for v in x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices(), st.data())
+def test_negative_definite_matches_gauss_jordan_oracle(matrix, data):
+    size = len(matrix)
+    gram = [[matrix[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
+    if data.draw(st.booleans()):  # push toward definiteness
+        shift = data.draw(st.integers(1, 4 * size))
+        gram = [[x - shift * (i == j) for j, x in enumerate(row)] for i, row in enumerate(gram)]
+    config = CurveConfig.make(
+        basis=[f"C{i}" for i in range(size + 1)],
+        gram=[row + [F(0)] for row in gram] + [[F(0)] * size + [F(1)]],
+        anticanonical=[0] * size + [1],
+    )
+    subset = data.draw(st.permutations(range(size + 1)))[: data.draw(st.integers(0, size + 1))]
+    assert config.is_negative_definite(subset) == oracle_is_negative_definite(config, subset)
+
+
+def test_kernel_edge_cases():
+    # a zero leading entry: solving needs a row swap, definiteness fails at once
+    assert solve_linear_system([[0, 1], [1, 0]], [F(2), F(3)]) == [3, 2]
+    swap = CurveConfig.make(["A", "B", "C"], [[0, 1, 0], [1, -1, 0], [0, 0, 1]], [0, 0, 1])
+    assert not swap.is_negative_definite([0, 1])
+    assert not swap.is_negative_definite([1, 0])  # -1 then det = -1: second minor negative
+    # a nonzero leading entry but a zero second leading minor
+    flat = CurveConfig.make(["A", "B", "C"], [[-1, 1, 0], [1, -1, 0], [0, 0, 1]], [0, 0, 1])
+    assert not flat.is_negative_definite([0, 1])
+    # the empty system has the empty solution
+    assert solve_linear_system([], []) == []
+    # Poly right-hand sides are solved coefficient by coefficient
+    u = Poly.variable()
+    assert solve_linear_system([[F(1, 2), 0], [0, F(-3)]], [1 - u, u]) == [
+        2 - 2 * u,
+        F(-1, 3) * u,
+    ]
 
 
 def test_vector_construction_and_basis_lookup():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import kstab.zariski
 from kstab import (
     CurveConfig,
     decompose_ray,
@@ -17,7 +18,12 @@ from kstab.arith import PiecewisePoly, Poly
 from kstab.catalog import default_n_values, eval_expr
 from kstab.surface import ClassVector
 from kstab.zariski import NotPseudoeffectiveError
-from tests._oracles import decompose_ray_by_subsets, random_chain_config
+from tests._oracles import (
+    decompose_ray_by_subsets,
+    oracle_is_negative_definite,
+    oracle_solve_linear_system,
+    random_chain_config,
+)
 
 F = Fraction
 
@@ -310,3 +316,18 @@ def test_walk_matches_enumeration_on_random_chains(k, count):
         config, ample, ray_name = random_chain_config(rng, stages=k - 1)
         assert config.size == k
         _assert_walk_matches_enumeration(config, ample, config.basis_vector(ray_name))
+
+
+def test_walk_is_unchanged_with_the_gauss_jordan_oracle_kernel(monkeypatch):
+    """40 chains with k = 9..14 decompose identically with either elimination kernel."""
+    rng = random.Random("integer-kernel-vs-gauss-jordan")
+    rays = []
+    for i in range(40):
+        config, ample, ray_name = random_chain_config(rng, stages=8 + i % 6)
+        assert config.size == 9 + i % 6
+        rays.append((config, ample, config.basis_vector(ray_name)))
+    fraction_free = [_outcome(decompose_ray, *ray) for ray in rays]
+    monkeypatch.setattr(kstab.zariski, "solve_linear_system", oracle_solve_linear_system)
+    monkeypatch.setattr(CurveConfig, "is_negative_definite", oracle_is_negative_definite)
+    assert [_outcome(decompose_ray, *ray) for ray in rays] == fraction_free
+    assert sum(isinstance(out, dict) for out in fraction_free) >= 20
