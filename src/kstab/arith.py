@@ -49,10 +49,14 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _trimmed([rat(c) for c in coeffs]))
+
+    @classmethod
+    def _exact(cls, cs: list[Fraction]) -> "Poly":
+        """A Poly over a list that is already all Fractions, without coercing."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", _trimmed(cs))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -87,16 +91,13 @@ class Poly:
         return hash(("Poly", self.coeffs))
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._exact([-c for c in self.coeffs])
 
     def __add__(self, other) -> "Poly":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)
-        )
+        a, b = self.coeffs, _as_poly(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly._exact([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
@@ -114,7 +115,7 @@ class Poly:
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Poly(out)
+        return Poly._exact(out)
 
     __rmul__ = __mul__
 
@@ -129,10 +130,10 @@ class Poly:
         return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
 
     def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return Poly._exact([i * c for i, c in enumerate(self.coeffs) if i > 0])
 
     def antiderivative(self) -> "Poly":
-        return Poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        return Poly._exact([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
 
     def integrate(self, a: RationalLike, b: RationalLike) -> Fraction:
         anti = self.antiderivative()
@@ -159,6 +160,13 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.format()})"
+
+
+def _trimmed(cs: list[Fraction]) -> tuple[Fraction, ...]:
+    """cs without trailing zeros, as a tuple (cs itself is trimmed in place)."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
 
 def _as_poly(x) -> Poly:

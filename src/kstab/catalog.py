@@ -10,7 +10,9 @@ configurations through the decomposition pipeline and compares bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,86 +44,153 @@ class ParameterError(CatalogError):
 
 
 def eval_expr(expr, n: Optional[int] = None) -> Fraction:
-    """Evaluate an exact rational expression: integers, n, + - * / ( ), min()."""
+    """Evaluate an exact rational expression: integers, n, + - * / ( ), min().
+
+    Each text is compiled once per process and the compiled form evaluated at
+    n.  Malformed text is not cached: it is compiled again on every call, and
+    what the text completes before its first bad token is evaluated before
+    the syntax error is raised, so a missing n or a division by zero there
+    is reported instead.
+    """
     if isinstance(expr, (int, Fraction)):
         return rat(expr)
-    return _ExprParser(str(expr), n).parse()
+    try:
+        node = _compile(str(expr))
+    except _Malformed as bad:
+        for done in bad.evaluated:
+            if callable(done):
+                done(n)
+        raise bad.error from None
+    return node(n) if callable(node) else node
 
 
-class _ExprParser:
-    def __init__(self, text: str, n: Optional[int]):
+@functools.lru_cache(maxsize=1024)
+def _compile(text: str):
+    """Compile text to a node: a Fraction, or a function of n for the parts
+    that depend on n or must raise when evaluated."""
+    return _Compiler(text).parse()
+
+
+class _Malformed(Exception):
+    """A syntax error found while compiling, with the nodes completed before it.
+
+    ``evaluated`` is in the order a left-to-right evaluation reaches them.
+    """
+
+    def __init__(self, error: Exception, *evaluated):
+        super().__init__(error)
+        self.error = error
+        self.evaluated = list(evaluated)
+
+
+def _combine(op, left, right):
+    """The node for op(left, right), folded to a constant when both are."""
+    if callable(left):
+        if callable(right):
+            return lambda n: op(left(n), right(n))
+        return lambda n: op(left(n), right)
+    if callable(right):
+        return lambda n: op(left, right(n))
+    try:
+        return op(left, right)
+    except CatalogError:  # a constant division by zero raises when evaluated
+        return lambda n: op(left, right)
+
+
+class _Compiler:
+    """Recursive descent over one expression, building nodes instead of values."""
+
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.n = n
 
-    def parse(self) -> Fraction:
-        value = self._expr()
+        def divide(a: Fraction, b: Fraction) -> Fraction:
+            if b == 0:
+                raise CatalogError(f"division by zero in {text!r}")
+            return a / b
+
+        def param(n: Optional[int]) -> Fraction:
+            if n is None:
+                raise ParameterError(f"expression {text!r} needs the parameter n")
+            return Fraction(n)
+
+        self.divide, self.param = divide, param
+
+    def parse(self):
+        node = self._expr()
         self._skip_ws()
         if self.pos != len(self.text):
-            raise CatalogError(f"trailing input in expression {self.text!r}")
-        return value
+            raise _Malformed(CatalogError(f"trailing input in expression {self.text!r}"), node)
+        return node
 
-    def _expr(self) -> Fraction:
-        value = self._term()
+    def _then(self, done, parse):
+        """parse(); if what follows `done` is malformed, `done` is evaluated first."""
+        try:
+            return parse()
+        except _Malformed as bad:
+            bad.evaluated.insert(0, done)
+            raise
+
+    def _expr(self):
+        node = self._term()
         while True:
             op = self._peek()
             if op and op in "+-":
                 self.pos += 1
-                rhs = self._term()
-                value = value + rhs if op == "+" else value - rhs
+                rhs = self._then(node, self._term)
+                node = _combine(operator.add if op == "+" else operator.sub, node, rhs)
             else:
-                return value
+                return node
 
-    def _term(self) -> Fraction:
-        value = self._factor()
+    def _term(self):
+        node = self._factor()
         while True:
             op = self._peek()
             if op and op in "*/":
                 self.pos += 1
-                rhs = self._factor()
-                if op == "/":
-                    if rhs == 0:
-                        raise CatalogError(f"division by zero in {self.text!r}")
-                    value = value / rhs
-                else:
-                    value = value * rhs
+                rhs = self._then(node, self._factor)
+                node = _combine(self.divide if op == "/" else operator.mul, node, rhs)
             else:
-                return value
+                return node
 
-    def _factor(self) -> Fraction:
+    def _factor(self):
         ch = self._peek()
         if ch == "-":
             self.pos += 1
-            return -self._factor()
+            node = self._factor()
+            return (lambda n: -node(n)) if callable(node) else -node
         if ch == "(":
             self.pos += 1
-            value = self._expr()
+            node = self._expr()
             if self._peek() != ")":
-                raise CatalogError(f"unbalanced parentheses in {self.text!r}")
+                raise _Malformed(CatalogError(f"unbalanced parentheses in {self.text!r}"), node)
             self.pos += 1
-            return value
+            return node
         if ch.isdigit():
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
-            return Fraction(int(self.text[start : self.pos]))
+            try:
+                return Fraction(int(self.text[start : self.pos]))
+            except ValueError as exc:  # a superscript: isdigit() but not int()
+                raise _Malformed(exc) from None
         if self.text.startswith("min(", self.pos):
             self.pos += 4
             first = self._expr()
             if self._peek() != ",":
-                raise CatalogError(f"min() needs two arguments in {self.text!r}")
+                raise _Malformed(CatalogError(f"min() needs two arguments in {self.text!r}"), first)
             self.pos += 1
-            second = self._expr()
+            second = self._then(first, self._expr)
             if self._peek() != ")":
-                raise CatalogError(f"unbalanced min() in {self.text!r}")
+                raise _Malformed(CatalogError(f"unbalanced min() in {self.text!r}"), first, second)
             self.pos += 1
-            return min(first, second)
+            return _combine(min, first, second)
         if ch == "n":
             self.pos += 1
-            if self.n is None:
-                raise ParameterError(f"expression {self.text!r} needs the parameter n")
-            return Fraction(self.n)
-        raise CatalogError(f"cannot parse expression {self.text!r} at position {self.pos}")
+            return self.param
+        raise _Malformed(
+            CatalogError(f"cannot parse expression {self.text!r} at position {self.pos}")
+        )
 
     def _peek(self) -> str:
         self._skip_ws()
@@ -226,8 +295,89 @@ def load_catalog(path: Optional[str | Path] = None) -> Catalog:
             f"catalog at {source} is malformed: {type(exc).__name__}: {exc}"
         ) from exc
     for entry in catalog.families:
-        _validate_checks(f"catalog at {source} is malformed: family {entry.family_id}", entry)
+        where = f"catalog at {source} is malformed: family {entry.family_id}"
+        _validate_structures(where, entry)
+        _validate_checks(where, entry)
     return catalog
+
+
+def _is_expr(x) -> bool:
+    """A catalog expression: text or an integer (a JSON true or false is neither)."""
+    return isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool))
+
+
+def _is_expr_list(x) -> bool:
+    return isinstance(x, list) and all(_is_expr(e) for e in x)
+
+
+def _is_expr_map(x) -> bool:
+    return isinstance(x, dict) and all(_is_expr(e) for e in x.values())
+
+
+def _is_int_pair(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(
+        isinstance(w, int) and not isinstance(w, bool) for w in x
+    )
+
+
+def _require(ok: bool, where: str, what: str) -> None:
+    if not ok:
+        raise CatalogError(f"{where} must be {what}")
+
+
+def _validate_point(where: str, point) -> None:
+    _require(isinstance(point, dict), where, "an object")
+    _require(_is_expr(point.get("order")), f"{where} order", "an expression")
+    _require(_is_int_pair(point.get("weights")), f"{where} weights", "two integers")
+    _require(isinstance(point.get("label", ""), str), f"{where} label", "a string")
+
+
+def _validate_structures(where: str, entry: FamilyEntry) -> None:
+    """Raise CatalogError unless the family's configs and blow-ups have the
+    shapes ``instantiate`` reads, and each blow-up's base names a config or an
+    earlier blow-up.  Expressions are only type-checked here; they compile on
+    first use."""
+    configs = entry.data.get("configs", {})
+    _require(isinstance(configs, dict), f"{where}: configs", "an object")
+    for name, cfg in configs.items():
+        at = f"{where}: config {name!r}"
+        _require(isinstance(cfg, dict), at, "an object")
+        basis = cfg.get("basis")
+        _require(
+            isinstance(basis, list) and all(isinstance(c, str) for c in basis),
+            f"{at} basis", "a list of curve names",
+        )
+        gram = cfg.get("gram")
+        _require(
+            isinstance(gram, list) and all(_is_expr_list(row) for row in gram),
+            f"{at} gram", "a list of rows of expressions",
+        )
+        _require(_is_expr_list(cfg.get("anticanonical")), f"{at} anticanonical", "a list of expressions")
+        points = cfg.get("singular_points", [])
+        _require(isinstance(points, list), f"{at} singular_points", "a list")
+        for point in points:
+            _validate_point(f"{at} singular point", point)
+            _require(
+                _is_expr_map(point.get("multiplicities", {})),
+                f"{at} singular point multiplicities", "an object of expressions",
+            )
+    blowups = entry.data.get("blowups", [])
+    _require(isinstance(blowups, list), f"{where}: blowups", "a list")
+    bases = set(configs)
+    for spec in blowups:
+        _require(isinstance(spec, dict), f"{where}: each blow-up", "an object")
+        at = f"{where}: blow-up {spec.get('name')!r}"
+        _require(isinstance(spec.get("name"), str), f"{at} name", "a string")
+        base = spec.get("base")
+        _require(
+            isinstance(base, str) and base in bases,
+            f"{at} base", "a config or an earlier 'blowup:<name>'",
+        )
+        _validate_point(f"{at} center", spec.get("center"))
+        _require(_is_int_pair(spec.get("weights")), f"{at} weights", "two integers")
+        _require(_is_expr_map(spec.get("curve_orders")), f"{at} curve_orders", "an object of expressions")
+        _require(isinstance(spec.get("exceptional", ""), str), f"{at} exceptional", "a string")
+        bases.add(f"blowup:{spec['name']}")
 
 
 # the fields of each check kind whose values must be JSON objects
@@ -306,25 +456,30 @@ def instantiate(catalog: Catalog, family_id: int, n: Optional[int] = None) -> Fa
     if not quintuple.is_well_formed():
         raise CatalogError(f"family {family_id}: quintuple not well-formed")
 
-    configs = {
-        name: _build_config(cfg, n)
-        for name, cfg in entry.data.get("configs", {}).items()
-    }
-    blowups: dict[str, BlowupResult] = {}
-    for spec in entry.data.get("blowups", []):
-        base_ref = spec["base"]
-        if base_ref.startswith("blowup:"):
-            base = blowups[base_ref.split(":", 1)[1]].upstairs
-        else:
-            base = configs[base_ref]
-        center = _build_point(spec["center"], n)
-        bspec = BlowupSpec.make(
-            center=center,
-            weights=tuple(int(w) for w in spec["weights"]),
-            curve_orders={k: eval_expr(v, n) for k, v in spec["curve_orders"].items()},
-            exceptional=spec.get("exceptional", "E"),
-        )
-        blowups[spec["name"]] = transform_config(base, bspec)
+    try:
+        configs = {
+            name: _build_config(cfg, n)
+            for name, cfg in entry.data.get("configs", {}).items()
+        }
+        blowups: dict[str, BlowupResult] = {}
+        for spec in entry.data.get("blowups", []):
+            base_ref = spec["base"]
+            if base_ref.startswith("blowup:"):
+                base = blowups[base_ref.split(":", 1)[1]].upstairs
+            else:
+                base = configs[base_ref]
+            center = _build_point(spec["center"], n)
+            bspec = BlowupSpec.make(
+                center=center,
+                weights=tuple(int(w) for w in spec["weights"]),
+                curve_orders={k: eval_expr(v, n) for k, v in spec["curve_orders"].items()},
+                exceptional=spec.get("exceptional", "E"),
+            )
+            blowups[spec["name"]] = transform_config(base, bspec)
+    except CatalogError:
+        raise
+    except ValueError as exc:  # well-shaped data that is no valid configuration or blow-up
+        raise CatalogError(f"family {family_id}: {exc}") from exc
     return FamilyInstance(entry, n, quintuple, configs, blowups)
 
 
@@ -389,8 +544,13 @@ class CheckItem:
 
 
 def _approx(text: str) -> Optional[str]:
+    """Six decimals of a 'p/q' or 'p' text (as str(Fraction) writes them), else None.
+
+    Integer true division is correctly rounded, as float(Fraction) is.
+    """
+    p, _, q = text.partition("/")
     try:
-        return f"{float(Fraction(text)):.6f}"
+        return f"{int(p) / int(q or 1):.6f}"
     except (ValueError, ZeroDivisionError):
         return None
 
@@ -564,8 +724,7 @@ def _run_check(instance: FamilyInstance, check: Mapping, rays: dict):
         if "k_bound" in expect:
             out.append(item(f"{name}: k_bound", eval_expr(expect["k_bound"], n), k_basis_bound(rd)))
         if "integral" in expect:
-            computed = rd.volume.integrate(0, rd.tau)
-            out.append(item(f"{name}: integral", eval_expr(expect["integral"], n), computed))
+            out.append(item(f"{name}: integral", eval_expr(expect["integral"], n), rd.volume_integral))
         if "volume" in expect:
             expected_profile = PiecewisePoly(
                 [

@@ -23,7 +23,7 @@ class FlagSupportError(ValueError):
 def s_invariant(rd: RayDecomposition) -> Fraction:
     """Normalized expected vanishing order: (1/A^2) * integral of vol."""
     a2 = rd.config.pairing(rd.ample, rd.ample)
-    return rd.volume.integrate(0, rd.tau) / a2
+    return rd.volume_integral / a2
 
 
 def beta(rd: RayDecomposition, a_value: RationalLike) -> Fraction:

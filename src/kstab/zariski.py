@@ -14,6 +14,7 @@ the pointwise decomposition at its midpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -120,6 +121,11 @@ class RayDecomposition:
     nef_threshold: Fraction
     tau: Fraction
     volume: PiecewisePoly
+
+    @cached_property
+    def volume_integral(self) -> Fraction:
+        """The integral of the volume over [0, tau], computed once per ray."""
+        return self.volume.integrate(0, self.tau)
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:

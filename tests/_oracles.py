@@ -5,8 +5,9 @@ decomposition paths: integrals are checked by floating-point Simpson
 quadrature, definiteness by numpy eigenvalues, ray decompositions by
 enumerating every negative-definite subset of the basis, linear algebra by a
 Gauss-Jordan kernel on Fractions (the package eliminates fraction-free on
-integers), and random configurations are built as blow-up chains over a
-positive base class.
+integers), catalog expressions by a recursive-descent parser that evaluates
+as it parses (the package compiles each text once), and random
+configurations are built as blow-up chains over a positive base class.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 from kstab import (
     BlowupSpec,
@@ -21,7 +23,8 @@ from kstab import (
     QuotientSingularity,
     transform_config,
 )
-from kstab.arith import PiecewisePoly, Poly
+from kstab.arith import PiecewisePoly, Poly, rat
+from kstab.catalog import CatalogError, ParameterError
 from kstab.zariski import (
     InconsistentConfigError,
     RayDecomposition,
@@ -123,6 +126,97 @@ def _gauss_jordan(matrix, rhs, swap_rows: bool):
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
                 b[r] = b[r] - factor * b[col]
     return pivots, b
+
+
+def oracle_eval_expr(expr, n: Optional[int] = None) -> Fraction:
+    """Evaluate a catalog expression by recursive descent, parsing it every call."""
+    if isinstance(expr, (int, Fraction)):
+        return rat(expr)
+    return _ExprParser(str(expr), n).parse()
+
+
+class _ExprParser:
+    def __init__(self, text: str, n: Optional[int]):
+        self.text = text
+        self.pos = 0
+        self.n = n
+
+    def parse(self) -> Fraction:
+        value = self._expr()
+        self._skip_ws()
+        if self.pos != len(self.text):
+            raise CatalogError(f"trailing input in expression {self.text!r}")
+        return value
+
+    def _expr(self) -> Fraction:
+        value = self._term()
+        while True:
+            op = self._peek()
+            if op and op in "+-":
+                self.pos += 1
+                rhs = self._term()
+                value = value + rhs if op == "+" else value - rhs
+            else:
+                return value
+
+    def _term(self) -> Fraction:
+        value = self._factor()
+        while True:
+            op = self._peek()
+            if op and op in "*/":
+                self.pos += 1
+                rhs = self._factor()
+                if op == "/":
+                    if rhs == 0:
+                        raise CatalogError(f"division by zero in {self.text!r}")
+                    value = value / rhs
+                else:
+                    value = value * rhs
+            else:
+                return value
+
+    def _factor(self) -> Fraction:
+        ch = self._peek()
+        if ch == "-":
+            self.pos += 1
+            return -self._factor()
+        if ch == "(":
+            self.pos += 1
+            value = self._expr()
+            if self._peek() != ")":
+                raise CatalogError(f"unbalanced parentheses in {self.text!r}")
+            self.pos += 1
+            return value
+        if ch.isdigit():
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                self.pos += 1
+            return Fraction(int(self.text[start : self.pos]))
+        if self.text.startswith("min(", self.pos):
+            self.pos += 4
+            first = self._expr()
+            if self._peek() != ",":
+                raise CatalogError(f"min() needs two arguments in {self.text!r}")
+            self.pos += 1
+            second = self._expr()
+            if self._peek() != ")":
+                raise CatalogError(f"unbalanced min() in {self.text!r}")
+            self.pos += 1
+            return min(first, second)
+        if ch == "n":
+            self.pos += 1
+            if self.n is None:
+                raise ParameterError(f"expression {self.text!r} needs the parameter n")
+            return Fraction(self.n)
+        raise CatalogError(f"cannot parse expression {self.text!r} at position {self.pos}")
+
+    def _peek(self) -> str:
+        self._skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
 
 
 def decompose_ray_by_subsets(config, ample, ray) -> RayDecomposition:

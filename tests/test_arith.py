@@ -231,6 +231,38 @@ def test_antiderivative_inverts_derivative(p):
     assert p.integrate(0, 1) == p.antiderivative()(1) - p.antiderivative()(0)
 
 
+def _coercing(coeffs) -> Poly:
+    """A Poly built through the public, coercing constructor."""
+    return Poly(list(coeffs))
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys, polys, st.integers(-3, 3))
+def test_arithmetic_results_are_canonical_fraction_polys(p, q, c):
+    # p + c*q - p and p + q - q cancel leading (or all) terms
+    lead = Poly([0] * max(p.degree, 0) + [-p.coefficient(p.degree) if p.coeffs else 1])
+    length = max(len(p.coeffs), len(q.coeffs))
+    results = {
+        "p + q": (p + q, [p.coefficient(i) + q.coefficient(i) for i in range(length)]),
+        "p - q": (p - q, [p.coefficient(i) - q.coefficient(i) for i in range(length)]),
+        "p + c*q - p": ((p + c * q) - p, [c * x for x in q.coeffs]),
+        "p + lead": (p + lead, [p.coefficient(i) + lead.coefficient(i) for i in range(length + 1)]),
+        "-p": (-p, [-x for x in p.coeffs]),
+        "c + p": (c + p, [p.coefficient(0) + c] + list(p.coeffs[1:])),
+        "p * q": (p * q, [
+            sum((p.coefficient(i) * q.coefficient(k - i) for i in range(k + 1)), F(0))
+            for k in range(len(p.coeffs) + len(q.coeffs))
+        ]),
+        "c * p": (c * p, [c * x for x in p.coeffs]),
+        "p'": (p.derivative(), [i * x for i, x in enumerate(p.coeffs)][1:]),
+        "integral of p": (p.antiderivative(), [0] + [x / (i + 1) for i, x in enumerate(p.coeffs)]),
+    }
+    for name, (result, reference) in results.items():
+        assert result == _coercing(result.coeffs) == _coercing(reference), name
+        assert all(type(x) is Fraction for x in result.coeffs), name
+        assert not result.coeffs or result.coeffs[-1] != 0, name
+
+
 @settings(max_examples=40, deadline=None)
 @given(piecewise_polys())
 def test_exact_integral_matches_simpson(f):

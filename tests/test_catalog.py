@@ -4,15 +4,20 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstab import expected_invariants, instantiate, load_catalog, verify
 from kstab.catalog import (
     CatalogError,
     ParameterError,
     VerificationReport,
+    _approx,
+    _compile,
     default_n_values,
     eval_expr,
 )
+from tests._oracles import oracle_eval_expr
 
 F = Fraction
 
@@ -37,6 +42,85 @@ def test_expression_parser():
         eval_expr("2 +")
     with pytest.raises(CatalogError):
         eval_expr("foo")
+
+
+_blank = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+def _spaced(*parts):
+    """Join the drawn parts, with optional whitespace around each."""
+    return st.tuples(*[p for part in parts for p in (_blank, part)], _blank).map("".join)
+
+
+_atoms = st.one_of(st.integers(0, 10**9).map(str), st.just("n"))
+_well_formed = st.recursive(
+    _atoms,
+    lambda inner: st.one_of(
+        _spaced(inner, st.sampled_from("+-*/"), inner),
+        _spaced(st.just("-"), inner),
+        _spaced(st.just("("), inner, st.just(")")),
+        _spaced(st.just("min("), inner, st.just(","), inner, st.just(")")),
+    ),
+    max_leaves=10,
+)
+_token_soup = st.lists(
+    st.sampled_from(["n", "+", "-", "*", "/", "(", ")", "min(", ",", " ", "0", "3", "12", "x", ".", "min"]),
+    max_size=6,
+).map("".join)
+_expressions = st.one_of(
+    _well_formed,
+    st.tuples(_well_formed, _token_soup).map("".join),  # malformed tail
+    st.tuples(_well_formed, st.integers(0, 40)).map(lambda t: t[0][: t[1]]),  # cut short
+    _token_soup,
+)
+_n_values = st.one_of(st.none(), st.integers(-3, 12), st.integers(10**6, 10**12))
+
+
+def _evaluation(evaluate, text, n):
+    try:
+        value = evaluate(text, n)
+    except ValueError as exc:  # CatalogError and ParameterError included
+        return type(exc), str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+@settings(max_examples=600, deadline=None)
+@given(_expressions, _n_values, _n_values)
+def test_compiled_expressions_match_the_parsing_oracle(text, n1, n2):
+    for n in (n1, n2, n1):  # the later calls evaluate the cached compilation
+        assert _evaluation(eval_expr, text, n) == _evaluation(oracle_eval_expr, text, n)
+
+
+def test_expression_errors_are_not_cached():
+    _compile.cache_clear()
+    for text in ("2 + )", "min(1", "n + (", "3/x"):
+        for _ in range(2):
+            with pytest.raises(CatalogError):
+                eval_expr(text, 3)
+    assert _compile.cache_info().currsize == 0  # malformed text is compiled anew each call
+    for _ in range(2):
+        with pytest.raises(CatalogError, match="division by zero"):
+            eval_expr("1/(n-3)", 3)
+    assert eval_expr("1/(n-3)", 5) == F(1, 2)
+    assert eval_expr("7*n - 4/(n+9)", 3) == F(62, 3)
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="needs the parameter n"):
+            eval_expr("7*n - 4/(n+9)")
+    # a missing n or a division by zero before a syntax error is what is reported
+    with pytest.raises(ParameterError):
+        eval_expr("n + )")
+    with pytest.raises(CatalogError, match="division by zero"):
+        eval_expr("1/0 )")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(), st.integers(0, 10**300))
+def test_approximations_match_float_of_the_fraction(x, big):
+    for value in (x, F(big, 7), F(-big, 3 * big + 1)):
+        assert _approx(str(value)) == f"{float(value):.6f}"
+    for text in ("true", "false", "[0, 1]: 3 - u", "1/0", ""):
+        assert _approx(text) is None
 
 
 def test_instantiate_family2_at_zero():

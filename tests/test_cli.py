@@ -4,6 +4,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kstab.catalog import VerificationReport
 from kstab.cli import main
@@ -259,29 +261,45 @@ def _fixture_with_string_basis(tmp_path):
     return ["analyze", "--input", str(path)]
 
 
-def _exported_catalog_with(tmp_path, corrupt):
-    """verify family 1 at n = 3 against an exported catalog with one check corrupted."""
+def _exported_catalog_with(tmp_path, corrupt, family_id=1):
+    """verify one family (family 1 at n = 3) against an exported catalog with
+    that family corrupted."""
     path = tmp_path / "catalog.json"
     invoke(["export", "--output", str(path)])
     doc = json.loads(path.read_text())
-    corrupt(next(f for f in doc["families"] if f["id"] == 1)["checks"])
+    corrupt(next(f for f in doc["families"] if f["id"] == family_id))
     path.write_text(json.dumps(doc))
-    return ["verify", "--family", "1", "--n", "3", "--catalog", str(path)]
+    n = ["--n", "3"] if family_id == 1 else []
+    return ["verify", "--family", str(family_id), *n, "--catalog", str(path)]
 
 
 def _catalog_with_list_pairing_vector(tmp_path):
-    def corrupt(checks):
-        check = next(c for c in checks if c["kind"] == "pairing")
+    def corrupt(family):
+        check = next(c for c in family["checks"] if c["kind"] == "pairing")
         check["v"] = list(check["v"])
 
     return _exported_catalog_with(tmp_path, corrupt)
 
 
 def _catalog_with_string_check(tmp_path):
-    def corrupt(checks):
-        checks[0] = "pairing"
+    def corrupt(family):
+        family["checks"][0] = "pairing"
 
     return _exported_catalog_with(tmp_path, corrupt)
+
+
+def _catalog_with_string_config_basis(tmp_path):
+    def corrupt(family):
+        family["configs"]["lr"]["basis"] = "LR"
+
+    return _exported_catalog_with(tmp_path, corrupt, family_id=3)
+
+
+def _catalog_with_string_blowups(tmp_path):
+    def corrupt(family):
+        family["blowups"] = "x"
+
+    return _exported_catalog_with(tmp_path, corrupt, family_id=3)
 
 
 @pytest.mark.parametrize(
@@ -290,6 +308,8 @@ def _catalog_with_string_check(tmp_path):
         _catalog_without_families,
         _catalog_with_list_pairing_vector,
         _catalog_with_string_check,
+        _catalog_with_string_config_basis,
+        _catalog_with_string_blowups,
         _fixture_with_float_ample,
         _fixture_with_zero_denominator,
         _fixture_with_list_ray,
@@ -302,3 +322,60 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, make_args):
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("Error: ")
+
+
+# -- fuzzing the configs and blow-ups of an exported catalog -------------------
+
+EXPORTED = json.loads(invoke(["export"]).stdout)
+
+
+def _field_paths(value, path):
+    """path and the path of every value nested inside value."""
+    yield path
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield from _field_paths(inner, path + (key,))
+    elif isinstance(value, list):
+        for i, inner in enumerate(value):
+            yield from _field_paths(inner, path + (i,))
+
+
+FIELDS = [
+    (index, path)
+    for index, family in enumerate(EXPORTED["families"])
+    for key in ("configs", "blowups")
+    if key in family
+    for path in _field_paths(family[key], (key,))
+]
+
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 6),
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(["1", "n", "-1", "0", "1/0", "2/3", "(", "L", "C_x", "E", "blowup:py"]),
+        st.text(max_size=6),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(FIELDS), _json_values)
+def test_fuzzed_configs_and_blowups_never_give_a_traceback(tmp_path, field, value):
+    index, path = field
+    doc = json.loads(json.dumps(EXPORTED))
+    family = doc["families"][index]
+    target = family
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    catalog = tmp_path / "fuzzed.json"
+    catalog.write_text(json.dumps(doc))
+    n = ["--n", str(family["parameter"]["min"])] if "parameter" in family else []
+    result = invoke(["verify", "--family", str(family["id"]), *n, "--catalog", str(catalog)])
+    assert result.exit_code in (0, 1, 2)
+    assert "Traceback" not in result.stderr

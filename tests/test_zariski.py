@@ -331,3 +331,34 @@ def test_walk_is_unchanged_with_the_gauss_jordan_oracle_kernel(monkeypatch):
     monkeypatch.setattr(CurveConfig, "is_negative_definite", oracle_is_negative_definite)
     assert [_outcome(decompose_ray, *ray) for ray in rays] == fraction_free
     assert sum(isinstance(out, dict) for out in fraction_free) >= 20
+
+
+# -- the cached volume integral -------------------------------------------------
+
+
+def _assert_cached_integral(rd):
+    before_json, twin = rd.to_json_dict(), decompose_ray(rd.config, rd.ample, rd.ray)
+    assert "volume_integral" not in vars(rd)
+    assert rd.volume_integral == rd.volume.integrate(0, rd.tau)
+    assert rd.volume_integral is rd.volume_integral  # computed once, then read
+    assert "volume_integral" in vars(rd) and "volume_integral" not in vars(twin)
+    assert rd.to_json_dict() == before_json
+    assert rd == twin and hash(rd) == hash(twin)
+
+
+def test_volume_integral_is_cached_on_catalog_rays():
+    for param in catalog_ray_inputs():
+        _assert_cached_integral(decompose_ray(*param.values))
+
+
+def test_volume_integral_is_cached_on_random_chains():
+    rng = random.Random("cached-volume-integral")
+    decomposed = 0
+    while decomposed < 200:
+        config, ample, ray_name = random_chain_config(rng)
+        try:
+            rd = decompose_ray(config, ample, config.basis_vector(ray_name))
+        except kstab.zariski.RayNeverEffectiveError:
+            continue  # an irrational threshold: no ray to cache on
+        _assert_cached_integral(rd)
+        decomposed += 1
