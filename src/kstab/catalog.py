@@ -52,7 +52,7 @@ def eval_expr(expr, n: Optional[int] = None) -> Fraction:
     the syntax error is raised, so a missing n or a division by zero there
     is reported instead.
     """
-    if isinstance(expr, (int, Fraction)):
+    if isinstance(expr, (int, Fraction)) and not isinstance(expr, bool):
         return rat(expr)
     try:
         node = _compile(str(expr))
@@ -296,7 +296,7 @@ def load_catalog(path: Optional[str | Path] = None) -> Catalog:
         ) from exc
     for entry in catalog.families:
         where = f"catalog at {source} is malformed: family {entry.family_id}"
-        _validate_structures(where, entry)
+        _validate_structures(where, entry.data)
         _validate_checks(where, entry)
     return catalog
 
@@ -312,6 +312,10 @@ def _is_expr_list(x) -> bool:
 
 def _is_expr_map(x) -> bool:
     return isinstance(x, dict) and all(_is_expr(e) for e in x.values())
+
+
+def _is_name_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(c, str) for c in x)
 
 
 def _is_int_pair(x) -> bool:
@@ -332,21 +336,17 @@ def _validate_point(where: str, point) -> None:
     _require(isinstance(point.get("label", ""), str), f"{where} label", "a string")
 
 
-def _validate_structures(where: str, entry: FamilyEntry) -> None:
-    """Raise CatalogError unless the family's configs and blow-ups have the
-    shapes ``instantiate`` reads, and each blow-up's base names a config or an
-    earlier blow-up.  Expressions are only type-checked here; they compile on
-    first use."""
-    configs = entry.data.get("configs", {})
+def _validate_structures(where: str, data: Mapping) -> None:
+    """Raise CatalogError unless a family's (or a fixture's) configs and
+    blow-ups have the shapes ``_build_structures`` reads, and each blow-up's
+    base names a config or an earlier blow-up.  Expressions are only
+    type-checked here; they compile on first use."""
+    configs = data.get("configs", {})
     _require(isinstance(configs, dict), f"{where}: configs", "an object")
     for name, cfg in configs.items():
         at = f"{where}: config {name!r}"
         _require(isinstance(cfg, dict), at, "an object")
-        basis = cfg.get("basis")
-        _require(
-            isinstance(basis, list) and all(isinstance(c, str) for c in basis),
-            f"{at} basis", "a list of curve names",
-        )
+        _require(_is_name_list(cfg.get("basis")), f"{at} basis", "a list of curve names")
         gram = cfg.get("gram")
         _require(
             isinstance(gram, list) and all(_is_expr_list(row) for row in gram),
@@ -361,7 +361,7 @@ def _validate_structures(where: str, entry: FamilyEntry) -> None:
                 _is_expr_map(point.get("multiplicities", {})),
                 f"{at} singular point multiplicities", "an object of expressions",
             )
-    blowups = entry.data.get("blowups", [])
+    blowups = data.get("blowups", [])
     _require(isinstance(blowups, list), f"{where}: blowups", "a list")
     bases = set(configs)
     for spec in blowups:
@@ -375,44 +375,54 @@ def _validate_structures(where: str, entry: FamilyEntry) -> None:
         )
         _validate_point(f"{at} center", spec.get("center"))
         _require(_is_int_pair(spec.get("weights")), f"{at} weights", "two integers")
-        _require(_is_expr_map(spec.get("curve_orders")), f"{at} curve_orders", "an object of expressions")
+        _require(_is_expr_map(spec.get("curve_orders", {})), f"{at} curve_orders", "an object of expressions")
         _require(isinstance(spec.get("exceptional", ""), str), f"{at} exceptional", "a string")
         bases.add(f"blowup:{spec['name']}")
 
 
-# the fields of each check kind whose values must be JSON objects
-_CHECK_OBJECT_FIELDS = {
-    "ambient": (),
-    "pairing": ("v", "w"),
-    "negdef": (),
-    "log_discrepancy": (),
-    "proportional": (),
-    "ray": ("ample", "expect"),
-    "flag": ("ample", "mults", "expect"),
-    "identity": ("base", "pair_with", "params", "expect"),
+# the check fields whose values must be strings where present
+_CHECK_STRING_FIELDS = ("kind", "name", "config", "ray", "curve", "blowup", "point", "anchor")
+
+# the fields of each check kind whose values must be objects of expressions
+_CHECK_EXPR_MAPS = {
+    "ambient": (), "pairing": ("v", "w"), "negdef": (), "log_discrepancy": (), "proportional": (),
+    "ray": ("ample",), "flag": ("ample", "mults"), "identity": ("base", "pair_with", "expect"),
 }
+
+
+def _is_volume(x) -> bool:
+    """A stored volume profile: a list of pieces with expression ends and coefficients."""
+    return isinstance(x, list) and all(
+        isinstance(p, dict) and _is_expr_list([p.get("left"), p.get("right")]) and _is_expr_list(p.get("coeffs"))
+        for p in x
+    )
 
 
 def _validate_checks(where: str, entry: FamilyEntry) -> None:
     """Raise CatalogError unless every check is an object of a known kind
-    whose mapping fields (and, for identities, each parameter) are objects."""
+    whose fields have the JSON types ``_run_check`` reads."""
     checks = entry.data.get("checks", [])
-    if not isinstance(checks, list):
-        raise CatalogError(f"{where}: checks must be a list")
+    _require(isinstance(checks, list), f"{where}: checks", "a list")
     for check in checks:
         if not isinstance(check, dict):
             raise CatalogError(f"{where}: check {check!r} is not an object")
         name = f"{where} check {check.get('name')!r}"
+        for field in _CHECK_STRING_FIELDS:
+            _require(isinstance(check.get(field, ""), str), f"{name}: {field}", "a string")
         kind = check.get("kind")
-        if kind not in _CHECK_OBJECT_FIELDS:
+        if kind not in _CHECK_EXPR_MAPS:
             raise CatalogError(f"{name}: unknown check kind {kind!r}")
-        for field in _CHECK_OBJECT_FIELDS[kind]:
-            if field in check and not isinstance(check[field], dict):
-                raise CatalogError(f"{name}: {field} must be an object")
+        for field in _CHECK_EXPR_MAPS[kind]:
+            _require(_is_expr_map(check.get(field, {})), f"{name}: {field}", "an object of expressions")
+        _require(_is_name_list(check.get("subset", [])), f"{name}: subset", "a list of curve names")
+        if kind in ("ray", "flag"):
+            expect = check.get("expect", {})
+            _require(isinstance(expect, dict), f"{name}: expect", "an object")
+            _require(_is_volume(expect.get("volume", [])), f"{name}: expect.volume", "a list of pieces")
         params = check.get("params", {}) if kind == "identity" else {}
+        _require(isinstance(params, dict), f"{name}: params", "an object")
         for param, vec in params.items():
-            if not isinstance(vec, dict):
-                raise CatalogError(f"{name}: params.{param} must be an object")
+            _require(_is_expr_map(vec), f"{name}: params.{param}", "an object of expressions")
 
 
 # -- instantiation -------------------------------------------------------------
@@ -456,37 +466,56 @@ def instantiate(catalog: Catalog, family_id: int, n: Optional[int] = None) -> Fa
     if not quintuple.is_well_formed():
         raise CatalogError(f"family {family_id}: quintuple not well-formed")
 
+    configs, blowups = _build_structures(f"family {family_id}", entry.data, n)
+    return FamilyInstance(entry, n, quintuple, configs, blowups)
+
+
+def _build_structures(where: str, data: Mapping, n: Optional[int]) -> tuple[dict, dict]:
+    """The configs and blow-ups of data that ``_validate_structures`` accepted,
+    evaluated at n; well-shaped data that is no valid configuration or
+    blow-up (a non-symmetric Gram matrix, a bad center, ...) is a CatalogError."""
     try:
-        configs = {
-            name: _build_config(cfg, n)
-            for name, cfg in entry.data.get("configs", {}).items()
-        }
+        configs = {name: _build_config(cfg, n) for name, cfg in data.get("configs", {}).items()}
+        stages = dict(configs)  # what a blow-up's base may name
         blowups: dict[str, BlowupResult] = {}
-        for spec in entry.data.get("blowups", []):
-            base_ref = spec["base"]
-            if base_ref.startswith("blowup:"):
-                base = blowups[base_ref.split(":", 1)[1]].upstairs
-            else:
-                base = configs[base_ref]
-            center = _build_point(spec["center"], n)
+        for spec in data.get("blowups", []):
             bspec = BlowupSpec.make(
-                center=center,
-                weights=tuple(int(w) for w in spec["weights"]),
-                curve_orders={k: eval_expr(v, n) for k, v in spec["curve_orders"].items()},
+                center=_build_point(spec["center"], n),
+                weights=tuple(spec["weights"]),
+                curve_orders={k: eval_expr(v, n) for k, v in spec.get("curve_orders", {}).items()},
                 exceptional=spec.get("exceptional", "E"),
             )
-            blowups[spec["name"]] = transform_config(base, bspec)
+            blowups[spec["name"]] = transform_config(stages[spec["base"]], bspec)
+            stages[f"blowup:{spec['name']}"] = blowups[spec["name"]].upstairs
     except CatalogError:
         raise
-    except ValueError as exc:  # well-shaped data that is no valid configuration or blow-up
-        raise CatalogError(f"family {family_id}: {exc}") from exc
-    return FamilyInstance(entry, n, quintuple, configs, blowups)
+    except ValueError as exc:
+        raise CatalogError(f"{where}: {exc}") from exc
+    return configs, blowups
+
+
+def load_fixture(where: str, doc) -> tuple[CurveConfig, list[BlowupResult]]:
+    """The config of an ``analyze`` fixture and its blow-ups, read as a
+    one-family document at n = None where blow-up i, named i, is based on
+    blow-up i - 1 and the first on the config."""
+    _require(isinstance(doc, dict), where, "a JSON object")
+    blowups = doc.get("blowups", [])
+    if isinstance(blowups, list):
+        blowups = [
+            dict(spec, name=str(i), base=f"blowup:{i - 1}" if i else "config")
+            if isinstance(spec, dict) else spec
+            for i, spec in enumerate(blowups)
+        ]
+    data = {"configs": {"config": doc.get("config")}, "blowups": blowups}
+    _validate_structures(where, data)
+    configs, results = _build_structures(where, data, None)
+    return configs["config"], list(results.values())
 
 
 def _build_point(data: Mapping, n: Optional[int]) -> QuotientSingularity:
     return QuotientSingularity(
         order=_eval_int(data["order"], n),
-        local_weights=tuple(int(w) for w in data["weights"]),
+        local_weights=tuple(data["weights"]),
         label=data.get("label", ""),
     )
 

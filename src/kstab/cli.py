@@ -17,24 +17,23 @@ from typing import Optional
 
 import click
 
-from .arith import format_rational, rat
-from .blowup import BlowupSpec, transform_config
+from .arith import format_rational
 from .catalog import (
     Catalog,
     CatalogError,
     ParameterError,
     VerificationReport,
+    _is_expr,
+    _is_expr_map,
+    _require,
     default_n_values,
+    eval_expr,
     load_catalog,
+    load_fixture,
     verify,
 )
 from .invariants import az_s_w, beta, delta_lower_bound, k_basis_bound, s_invariant
-from .surface import CurveConfig, QuotientSingularity
 from .zariski import decompose_ray
-
-
-class SchemaError(ValueError):
-    """Fixture input does not match the expected JSON shape."""
 
 
 class _BadInput(click.ClickException):
@@ -225,96 +224,60 @@ def cmd_analyze(input_path, fmt, output):
     except json.JSONDecodeError as exc:
         raise _BadInput(f"{input_path}: not valid JSON: {exc}")
     try:
-        result = _analyze(doc)
-    except SchemaError as exc:
-        raise _BadInput(f"{input_path}: {exc}")
+        result = _analyze(input_path, doc)
+    except CatalogError as exc:
+        raise _BadInput(str(exc))
     except (ValueError, KeyError) as exc:
         click.echo(f"analysis failed: {exc}", err=True)
         sys.exit(1)
-    if fmt == "json":
-        _emit(json.dumps(result, indent=1) + "\n", output)
-    else:
-        _emit(_render_analysis(result), output)
+    _emit(json.dumps(result, indent=1) + "\n" if fmt == "json" else _render_analysis(result), output)
     sys.exit(0)
 
 
-def _analyze(doc) -> dict:
-    if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
-        raise SchemaError("top-level object must contain a 'config' object")
-    for field_name in ("ray", "point"):
-        if doc.get(field_name) is not None and not isinstance(doc[field_name], dict):
-            raise SchemaError(f"{field_name} must be an object")
-    cfg_data = doc["config"]
-    for field_name in ("basis", "gram", "anticanonical"):
-        if field_name not in cfg_data:
-            raise SchemaError(f"config.{field_name} is missing")
-    if not isinstance(cfg_data["basis"], list):
-        raise SchemaError("config.basis must be a list of curve names")
-    if not cfg_data["basis"]:
-        raise SchemaError("config.basis must contain at least one curve")
-    try:
-        config = CurveConfig.from_json_dict(cfg_data)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise SchemaError(f"config: {exc}")
+def _analyze(where: str, doc) -> dict:
+    """Read a fixture (a CatalogError if it is malformed), then decompose its ray."""
+    base, blowups = load_fixture(where, doc)
+    config = blowups[-1].upstairs if blowups else base
+    results: dict = {"config": base.to_json_dict(), "blowups": [
+        {"exceptional": b.spec.exceptional, "log_discrepancy": str(b.log_discrepancy_e),
+         "upstairs": b.upstairs.to_json_dict()}
+        for b in blowups
+    ]}
+    ray, point, log_discrepancy = doc.get("ray"), doc.get("point"), doc.get("log_discrepancy")
+    _require(ray is None or isinstance(ray, dict), f"{where}: ray", "an object")
+    _require(point is None or isinstance(point, dict), f"{where}: point", "an object")
+    if not ray:
+        return results
+    curve, ample = ray.get("curve"), ray.get("ample", {})
+    mults = point.get("multiplicities", {}) if point else {}
+    _require(curve in config.basis, f"{where}: ray.curve {curve!r}", "a basis curve")
+    for field, vec in (("ray.ample", ample), ("point.multiplicities", mults)):
+        _require(
+            _is_expr_map(vec) and set(vec) <= set(config.basis),
+            f"{where}: {field}", "an object of expressions over basis curves",
+        )
+    _require(log_discrepancy is None or _is_expr(log_discrepancy), f"{where}: log_discrepancy", "an expression")
+    if point:
+        _require(_is_expr(point.get("a_value")), f"{where}: point.a_value", "an expression")
+        _require(isinstance(point.get("label", ""), str), f"{where}: point.label", "a string")
+        a_value, mults = eval_expr(point["a_value"]), {k: eval_expr(v) for k, v in mults.items()}
+    if log_discrepancy is not None:
+        log_discrepancy = eval_expr(log_discrepancy)
+    ample = config.vector({k: eval_expr(v) for k, v in ample.items()}) if "ample" in ray else config.anticanonical
 
-    results: dict = {"config": config.to_json_dict(), "blowups": []}
-    for i, spec_data in enumerate(doc.get("blowups", [])):
-        try:
-            center = QuotientSingularity(
-                order=int(spec_data["center"]["order"]),
-                local_weights=tuple(int(w) for w in spec_data["center"]["weights"]),
-                label=spec_data["center"].get("label", ""),
-            )
-            spec = BlowupSpec.make(
-                center=center,
-                weights=tuple(int(w) for w in spec_data["weights"]),
-                curve_orders={k: rat(v) for k, v in spec_data.get("curve_orders", {}).items()},
-                exceptional=spec_data.get("exceptional", "E"),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise SchemaError(f"blowups[{i}]: {exc}")
-        result = transform_config(config, spec)
-        config = result.upstairs
-        results["blowups"].append({
-            "exceptional": spec.exceptional,
-            "log_discrepancy": str(result.log_discrepancy_e),
-            "upstairs": config.to_json_dict(),
-        })
-
-    ray_spec = doc.get("ray")
-    if ray_spec:
-        if "curve" not in ray_spec:
-            raise SchemaError("ray.curve is missing")
-        if ray_spec["curve"] not in config.basis:
-            raise SchemaError(f"ray.curve {ray_spec['curve']!r} is not a basis curve")
-        point = doc.get("point")
-        if point and "a_value" not in point:
-            raise SchemaError("point.a_value is missing")
-        try:
-            ample = (
-                config.vector({k: rat(v) for k, v in ray_spec["ample"].items()})
-                if "ample" in ray_spec
-                else config.anticanonical
-            )
-            log_discrepancy = rat(doc["log_discrepancy"]) if "log_discrepancy" in doc else None
-            if point:
-                a_value = rat(point["a_value"])
-                mults = {k: rat(v) for k, v in point.get("multiplicities", {}).items()}
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
-            raise SchemaError(f"ray, log_discrepancy or point: {exc}")
-        rd = decompose_ray(config, ample, config.basis_vector(ray_spec["curve"]))
-        ray_out = rd.to_json_dict()
-        ray_out["s"] = str(s_invariant(rd))
-        ray_out["k_bound"] = str(k_basis_bound(rd))
-        ray_out["volume_display"] = rd.volume.format()
-        if log_discrepancy is not None:
-            ray_out["beta"] = str(beta(rd, log_discrepancy))
-        if point:
-            s_w = az_s_w(rd, ray_spec["curve"], mults)
-            report = delta_lower_bound(s_invariant(rd), a_value, s_w, point.get("label", ""))
-            ray_out["s_w"] = str(s_w)
-            ray_out["delta_lower"] = report.to_json_dict()
-        results["ray"] = ray_out
+    rd = decompose_ray(config, ample, config.basis_vector(curve))
+    ray_out = rd.to_json_dict()
+    ray_out["s"] = str(s_invariant(rd))
+    ray_out["k_bound"] = str(k_basis_bound(rd))
+    ray_out["volume_display"] = rd.volume.format()
+    if log_discrepancy is not None:
+        ray_out["beta"] = str(beta(rd, log_discrepancy))
+    if point:
+        s_w = az_s_w(rd, curve, mults)
+        report = delta_lower_bound(s_invariant(rd), a_value, s_w, point.get("label", ""))
+        ray_out["s_w"] = str(s_w)
+        ray_out["delta_lower"] = report.to_json_dict()
+    results["ray"] = ray_out
     return results
 
 

@@ -22,8 +22,7 @@ class FlagSupportError(ValueError):
 
 def s_invariant(rd: RayDecomposition) -> Fraction:
     """Normalized expected vanishing order: (1/A^2) * integral of vol."""
-    a2 = rd.config.pairing(rd.ample, rd.ample)
-    return rd.volume_integral / a2
+    return rd.volume_integral / rd.ample_square
 
 
 def beta(rd: RayDecomposition, a_value: RationalLike) -> Fraction:
@@ -61,7 +60,6 @@ def az_s_w(
         for name, m in (point_multiplicities or {}).items()
     }
 
-    a2 = config.pairing(rd.ample, rd.ample)
     total = Fraction(0)
     for iv in rd.intervals:
         if y_index in iv.support:
@@ -76,7 +74,7 @@ def az_s_w(
                 ord_term = ord_term + Poly.constant(m) * coeff
         h = deg * ord_term + Poly.constant(Fraction(1, 2)) * deg * deg
         total += h.integrate(iv.left, iv.right)
-    return 2 * total / a2
+    return 2 * total / rd.ample_square
 
 
 @dataclass(frozen=True)

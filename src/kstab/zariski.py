@@ -127,6 +127,11 @@ class RayDecomposition:
         """The integral of the volume over [0, tau], computed once per ray."""
         return self.volume.integrate(0, self.tau)
 
+    @cached_property
+    def ample_square(self) -> Fraction:
+        """The self-intersection A.A of the ample class, computed once per ray."""
+        return self.config.pairing(self.ample, self.ample)
+
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         return tuple([iv.left for iv in self.intervals] + [self.tau])
@@ -356,8 +361,7 @@ def _check_continuity(rd: RayDecomposition) -> None:
     for (l1, r1, p1), (l2, r2, p2) in zip(pieces, pieces[1:]):
         if p1(r1) != p2(l2):
             raise InconsistentConfigError(f"volume discontinuous at u = {r1}")
-    a2 = rd.config.pairing(rd.ample, rd.ample)
-    if rd.volume(Fraction(0)) != a2:
+    if rd.volume(Fraction(0)) != rd.ample_square:
         raise InconsistentConfigError("volume at 0 does not equal ample self-intersection")
 
 

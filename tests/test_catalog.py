@@ -42,6 +42,9 @@ def test_expression_parser():
         eval_expr("2 +")
     with pytest.raises(CatalogError):
         eval_expr("foo")
+    for not_an_expression in (True, False, 1.5, [1]):  # JSON true is not the integer 1
+        with pytest.raises(CatalogError):
+            eval_expr(not_an_expression)
 
 
 _blank = st.sampled_from(["", "", " ", "  ", "\t"])
@@ -345,6 +348,16 @@ def test_corrupted_expected_value_is_flagged(tmp_path):
     report = verify(load_catalog(path), 10)
     assert not report.overall
     assert [i.name for i in report.mismatches] == ["exceptional ray: k_bound"]
+
+
+def test_blowup_without_curve_orders_misses_every_curve(tmp_path):
+    data = json.loads(json.dumps(CATALOG.family(1).data))
+    del next(b for b in data["blowups"] if b["name"] == "node")["curve_orders"]
+    path = tmp_path / "smooth_blowup.json"
+    path.write_text(json.dumps({"version": 1, "families": [data], "non_ke_quintuples": []}))
+    up = instantiate(load_catalog(path), 1, 4).blowups["node"].upstairs
+    assert up.basis[-1] == "F"
+    assert [up.pairing(up.basis_vector(c), up.basis_vector("F")) for c in up.basis] == [0] * (up.size - 1) + [-1]
 
 
 def test_family1_blowup_gram_matches_stored_expectations():

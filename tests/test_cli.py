@@ -1,6 +1,8 @@
 """Command-line interface contract: verify, table, analyze, export."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -160,31 +162,45 @@ def test_analyze_single_curve_fixture(tmp_path):
     assert "beta: 1/3" in result.output
 
 
+# the example fixture in the README's analyze section
+README_FIXTURE = json.loads(
+    re.search(r"```json\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(), re.S).group(1)
+)
+
+
 def test_analyze_with_blowup_and_point(tmp_path):
-    fixture = {
-        "config": {
-            "basis": ["C_x"],
-            "gram": [["1/52"]],
-            "anticanonical": ["2"],
-            "singular_points": [
-                {"label": "p_z", "order": 13, "weights": [2, 5],
-                 "multiplicities": {"C_x": "10"}}
-            ],
-        },
-        "blowups": [
-            {"center": {"label": "p_z", "order": 13, "weights": [2, 5]},
-             "weights": [2, 5], "curve_orders": {"C_x": "10"}, "exceptional": "E"}
-        ],
-        "ray": {"curve": "E"},
-    }
     path = tmp_path / "blow.json"
-    path.write_text(json.dumps(fixture))
+    path.write_text(json.dumps(README_FIXTURE))
     result = invoke(["analyze", "--input", str(path), "--format", "json"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["ray"]["tau"] == "20/13"
     assert doc["ray"]["k_bound"] == "41/78"
     assert doc["blowups"][0]["log_discrepancy"] == "7/13"
+
+
+def test_fixture_rationals_are_catalog_expressions(tmp_path):
+    doc = json.loads(json.dumps(README_FIXTURE))
+    doc["config"]["gram"] = [["1/(4*13)"]]
+    doc["blowups"][0]["curve_orders"] = {"C_x": "min(10, 2*6)"}
+    expressions, plain = tmp_path / "expr.json", tmp_path / "plain.json"
+    expressions.write_text(json.dumps(doc))
+    plain.write_text(json.dumps(README_FIXTURE))
+    result = invoke(["analyze", "--input", str(expressions), "--format", "json"])
+    assert result.exit_code == 0
+    assert result.stdout == invoke(["analyze", "--input", str(plain), "--format", "json"]).stdout
+
+
+def test_blowup_without_curve_orders_misses_every_curve(tmp_path):
+    fixture = {
+        "config": {"basis": ["C"], "gram": [["1/2"]], "anticanonical": ["2"]},
+        "blowups": [{"center": {"order": 1, "weights": [1, 1]}, "weights": [1, 1]}],
+    }
+    path = tmp_path / "smooth.json"
+    path.write_text(json.dumps(fixture))
+    result = invoke(["analyze", "--input", str(path), "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["blowups"][0]["upstairs"]["gram"] == [["1/2", "0"], ["0", "-1"]]
 
 
 def test_analyze_flag_point_reports_delta(tmp_path):
@@ -261,6 +277,45 @@ def _fixture_with_string_basis(tmp_path):
     return ["analyze", "--input", str(path)]
 
 
+def _readme_fixture_with(tmp_path, corrupt):
+    """analyze the README's example fixture with one field corrupted."""
+    doc = json.loads(json.dumps(README_FIXTURE))
+    corrupt(doc)
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    return ["analyze", "--input", str(path)]
+
+
+def _fixture_with_int_blowups(tmp_path):
+    return _readme_fixture_with(tmp_path, lambda doc: doc.update(blowups=5))
+
+
+def _fixture_with_list_curve_orders(tmp_path):
+    return _readme_fixture_with(tmp_path, lambda doc: doc["blowups"][0].update(curve_orders=[]))
+
+
+def _fixture_with_list_exceptional(tmp_path):
+    return _readme_fixture_with(tmp_path, lambda doc: doc["blowups"][0].update(exceptional=[]))
+
+
+def _fixture_with_string_multiplicities(tmp_path):
+    return _readme_fixture_with(
+        tmp_path, lambda doc: doc["config"]["singular_points"][0].update(multiplicities="x")
+    )
+
+
+def _fixture_with_decimal_text(tmp_path):
+    return _readme_fixture_with(tmp_path, lambda doc: doc["config"].update(gram=[["0.5"]]))
+
+
+def _fixture_with_unknown_curve_order(tmp_path):
+    return _readme_fixture_with(tmp_path, lambda doc: doc["blowups"][0].update(curve_orders={"Z": "1"}))
+
+
+def _fixture_with_float_blowup_weight(tmp_path):
+    return _readme_fixture_with(tmp_path, lambda doc: doc["blowups"][0].update(weights=[1.5, 5]))
+
+
 def _exported_catalog_with(tmp_path, corrupt, family_id=1):
     """verify one family (family 1 at n = 3) against an exported catalog with
     that family corrupted."""
@@ -302,6 +357,19 @@ def _catalog_with_string_blowups(tmp_path):
     return _exported_catalog_with(tmp_path, corrupt, family_id=3)
 
 
+def _catalog_with_check_field(kind, field, value):
+    """Arguments for a family-1 catalog whose first check of kind has field set to value."""
+
+    def make_args(tmp_path):
+        def corrupt(family):
+            next(c for c in family["checks"] if c["kind"] == kind)[field] = value
+
+        return _exported_catalog_with(tmp_path, corrupt)
+
+    make_args.__name__ = f"_catalog_with_{kind}_{field}_{type(value).__name__}"
+    return make_args
+
+
 @pytest.mark.parametrize(
     "make_args",
     [
@@ -314,7 +382,20 @@ def _catalog_with_string_blowups(tmp_path):
         _fixture_with_zero_denominator,
         _fixture_with_list_ray,
         _fixture_with_string_basis,
+        _fixture_with_int_blowups,
+        _fixture_with_list_curve_orders,
+        _fixture_with_list_exceptional,
+        _fixture_with_string_multiplicities,
+        _fixture_with_float_blowup_weight,
+        _fixture_with_decimal_text,
+        _fixture_with_unknown_curve_order,
+        _catalog_with_check_field("pairing", "kind", ["pairing"]),
+        _catalog_with_check_field("pairing", "name", 3),
+        _catalog_with_check_field("pairing", "config", 3),
+        _catalog_with_check_field("ray", "ray", ["C"]),
+        _catalog_with_check_field("negdef", "subset", 5),
     ],
+    ids=lambda make_args: make_args.__name__,
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, make_args):
     result = invoke(make_args(tmp_path))
@@ -324,7 +405,7 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, make_args):
     assert result.stderr.startswith("Error: ")
 
 
-# -- fuzzing the configs and blow-ups of an exported catalog -------------------
+# -- fuzzing an exported catalog and a fixture ---------------------------------
 
 EXPORTED = json.loads(invoke(["export"]).stdout)
 
@@ -343,7 +424,7 @@ def _field_paths(value, path):
 FIELDS = [
     (index, path)
     for index, family in enumerate(EXPORTED["families"])
-    for key in ("configs", "blowups")
+    for key in ("configs", "blowups", "checks")
     if key in family
     for path in _field_paths(family[key], (key,))
 ]
@@ -363,7 +444,8 @@ _json_values = st.recursive(
 )
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# about as many examples per field as before checks were fuzzed too
+@settings(max_examples=525, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(FIELDS), _json_values)
 def test_fuzzed_configs_and_blowups_never_give_a_traceback(tmp_path, field, value):
     index, path = field
@@ -379,3 +461,32 @@ def test_fuzzed_configs_and_blowups_never_give_a_traceback(tmp_path, field, valu
     result = invoke(["verify", "--family", str(family["id"]), *n, "--catalog", str(catalog)])
     assert result.exit_code in (0, 1, 2)
     assert "Traceback" not in result.stderr
+
+
+# the README fixture with every optional field present (it exits 0)
+FULL_FIXTURE = dict(
+    README_FIXTURE,
+    ray={"curve": "E", "ample": {"C_x": "2", "E": "20/13"}},
+    log_discrepancy="7/13",
+    point={"a_value": "1/2", "label": "q", "multiplicities": {"C_x": "1"}},
+)
+FIXTURE_FIELDS = list(_field_paths(FULL_FIXTURE, ()))[1:]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(FIXTURE_FIELDS), _json_values)
+def test_fuzzed_fixture_never_gives_a_traceback(tmp_path, path, value):
+    doc = json.loads(json.dumps(FULL_FIXTURE))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    fixture = tmp_path / "fuzzed.json"
+    fixture.write_text(json.dumps(doc))
+    result = invoke(["analyze", "--input", str(fixture)])
+    assert result.exit_code in (0, 1, 2)
+    assert "Traceback" not in result.stderr
+    if result.exit_code:
+        prefix = "Error: " if result.exit_code == 2 else "analysis failed: "
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(prefix)

@@ -16,6 +16,7 @@ from kstab import (
 )
 from kstab.arith import PiecewisePoly, Poly
 from kstab.catalog import default_n_values, eval_expr
+from kstab.invariants import FlagSupportError, az_s_w, beta, k_basis_bound, s_invariant
 from kstab.surface import ClassVector
 from kstab.zariski import NotPseudoeffectiveError
 from tests._oracles import (
@@ -342,6 +343,8 @@ def _assert_cached_integral(rd):
     assert rd.volume_integral == rd.volume.integrate(0, rd.tau)
     assert rd.volume_integral is rd.volume_integral  # computed once, then read
     assert "volume_integral" in vars(rd) and "volume_integral" not in vars(twin)
+    assert "ample_square" in vars(rd)  # the walk's continuity check reads it first
+    assert rd.ample_square == rd.config.pairing(rd.ample, rd.ample)
     assert rd.to_json_dict() == before_json
     assert rd == twin and hash(rd) == hash(twin)
 
@@ -362,3 +365,22 @@ def test_volume_integral_is_cached_on_random_chains():
             continue  # an irrational threshold: no ray to cache on
         _assert_cached_integral(rd)
         decomposed += 1
+
+
+def test_invariants_read_the_cached_ample_square(monkeypatch):
+    """s, beta, the basis bound and the flag invariant pair nothing once a ray is decomposed."""
+    flags = 0
+    for param in catalog_ray_inputs():
+        config, ample, ray = param.values
+        rd = decompose_ray(config, ample, ray)
+        curve = config.basis[list(ray).index(1)]
+        with monkeypatch.context() as patched:
+            patched.setattr(CurveConfig, "pairing", lambda *args: pytest.fail("A.A paired again"))
+            assert s_invariant(rd) == k_basis_bound(rd) == rd.volume_integral / rd.ample_square
+            assert beta(rd, 1) == 1 - s_invariant(rd)
+            try:
+                az_s_w(rd, curve)
+                flags += 1
+            except FlagSupportError:
+                pass
+    assert flags > 0
