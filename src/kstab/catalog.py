@@ -497,7 +497,7 @@ def _build_structures(where: str, data: Mapping, n: Optional[int]) -> tuple[dict
 def load_fixture(where: str, doc) -> tuple[CurveConfig, list[BlowupResult]]:
     """The config of an ``analyze`` fixture and its blow-ups, read as a
     one-family document at n = None where blow-up i, named i, is based on
-    blow-up i - 1 and the first on the config."""
+    blow-up i - 1 and the first on the config.  where names the fixture in errors."""
     _require(isinstance(doc, dict), where, "a JSON object")
     blowups = doc.get("blowups", [])
     if isinstance(blowups, list):
