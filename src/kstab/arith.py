@@ -283,10 +283,6 @@ class PiecewisePoly:
             out.append((lo, hi, p + q if op == "add" else p * q))
         return PiecewisePoly(out)
 
-    def scaled(self, c: RationalLike) -> "PiecewisePoly":
-        c = rat(c)
-        return PiecewisePoly([(l, r, Poly.constant(c) * p) for l, r, p in self.pieces])
-
     def format(self, var: str = "u") -> str:
         return "; ".join(
             f"[{l}, {r}]: {p.format(var)}" for l, r, p in self.pieces

@@ -81,10 +81,6 @@ class BlowupResult:
     spec: BlowupSpec
     log_discrepancy_e: Fraction
 
-    @property
-    def exceptional_index(self) -> int:
-        return self.upstairs.size - 1
-
     def pullback(self, v: ClassVector) -> ClassVector:
         """pullback(v) = sum v_i (strict transform of C_i + (w_i/n) E)."""
         if len(v) != self.downstairs.size:

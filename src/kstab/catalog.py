@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .arith import PiecewisePoly, Poly, rat
 from .blowup import BlowupResult, BlowupSpec, transform_config
 from .invariants import az_s_w, beta, delta_lower_bound, k_basis_bound, proportional_bound, s_invariant
 from .surface import (
+    ClassVector,
     CurveConfig,
     QuotientSingularity,
     Quintuple,
@@ -383,24 +384,20 @@ def _validate_structures(where: str, data: Mapping) -> None:
 # the check fields whose values must be strings where present
 _CHECK_STRING_FIELDS = ("kind", "name", "config", "ray", "curve", "blowup", "point", "anchor")
 
-# the fields of each check kind whose values must be objects of expressions
-_CHECK_EXPR_MAPS = {
-    "ambient": (), "pairing": ("v", "w"), "negdef": (), "log_discrepancy": (), "proportional": (),
-    "ray": ("ample",), "flag": ("ample", "mults"), "identity": ("base", "pair_with", "expect"),
-}
 
-
-def _is_volume(x) -> bool:
-    """A stored volume profile: a list of pieces with expression ends and coefficients."""
-    return isinstance(x, list) and all(
+def _is_profile(x) -> bool:
+    """A ray or flag expect: expressions by item, and optionally a volume
+    profile, a list of pieces with expression ends and coefficients."""
+    pieces = x.get("volume", []) if isinstance(x, dict) else None
+    return isinstance(pieces, list) and all(_is_expr(v) for k, v in x.items() if k != "volume") and all(
         isinstance(p, dict) and _is_expr_list([p.get("left"), p.get("right")]) and _is_expr_list(p.get("coeffs"))
-        for p in x
+        for p in pieces
     )
 
 
 def _validate_checks(where: str, entry: FamilyEntry) -> None:
     """Raise CatalogError unless every check is an object of a known kind
-    whose fields have the JSON types ``_run_check`` reads."""
+    whose fields have the JSON types its entry in ``_CHECK_KINDS`` reads."""
     checks = entry.data.get("checks", [])
     _require(isinstance(checks, list), f"{where}: checks", "a list")
     for check in checks:
@@ -409,17 +406,15 @@ def _validate_checks(where: str, entry: FamilyEntry) -> None:
         name = f"{where} check {check.get('name')!r}"
         for field in _CHECK_STRING_FIELDS:
             _require(isinstance(check.get(field, ""), str), f"{name}: {field}", "a string")
-        kind = check.get("kind")
-        if kind not in _CHECK_EXPR_MAPS:
-            raise CatalogError(f"{name}: unknown check kind {kind!r}")
-        for field in _CHECK_EXPR_MAPS[kind]:
+        kind = _CHECK_KINDS.get(check.get("kind"))
+        if kind is None:
+            raise CatalogError(f"{name}: unknown check kind {check.get('kind')!r}")
+        for field in kind.vectors:
             _require(_is_expr_map(check.get(field, {})), f"{name}: {field}", "an object of expressions")
+        is_expect, expect = kind.expect
+        _require(is_expect(check.get("expect")), f"{name}: expect", expect)
         _require(_is_name_list(check.get("subset", [])), f"{name}: subset", "a list of curve names")
-        if kind in ("ray", "flag"):
-            expect = check.get("expect", {})
-            _require(isinstance(expect, dict), f"{name}: expect", "an object")
-            _require(_is_volume(expect.get("volume", [])), f"{name}: expect.volume", "a list of pieces")
-        params = check.get("params", {}) if kind == "identity" else {}
+        params = check.get("params", {})
         _require(isinstance(params, dict), f"{name}: params", "an object")
         for param, vec in params.items():
             _require(_is_expr_map(vec), f"{name}: params.{param}", "an object of expressions")
@@ -430,20 +425,19 @@ def _validate_checks(where: str, entry: FamilyEntry) -> None:
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    """A family with every parametric expression evaluated at a concrete n."""
+    """A family with every parametric expression evaluated at a concrete n.
+    ``stages`` maps each config a check may name (``blowup:<name>`` is a blow-up's upstairs)."""
 
     entry: FamilyEntry
     n: Optional[int]
     quintuple: Quintuple
-    configs: Mapping[str, CurveConfig]
+    stages: Mapping[str, CurveConfig]
     blowups: Mapping[str, BlowupResult]
 
     def config(self, ref: str) -> CurveConfig:
-        if ref.startswith("blowup:"):
-            return self.blowups[ref.split(":", 1)[1]].upstairs
-        if ref not in self.configs:
+        if ref not in self.stages:
             raise CatalogError(f"family {self.entry.family_id} has no config {ref!r}")
-        return self.configs[ref]
+        return self.stages[ref]
 
 
 def instantiate(catalog: Catalog, family_id: int, n: Optional[int] = None) -> FamilyInstance:
@@ -466,23 +460,35 @@ def instantiate(catalog: Catalog, family_id: int, n: Optional[int] = None) -> Fa
     if not quintuple.is_well_formed():
         raise CatalogError(f"family {family_id}: quintuple not well-formed")
 
-    configs, blowups = _build_structures(f"family {family_id}", entry.data, n)
-    return FamilyInstance(entry, n, quintuple, configs, blowups)
+    stages, blowups = _build_structures(f"family {family_id}", entry.data, n)
+    return FamilyInstance(entry, n, quintuple, stages, blowups)
+
+
+def _located(at: str, evaluate, expr, n: Optional[int] = None):
+    """evaluate(expr, n), with at (where expr is) before the message of its
+    CatalogError, which keeps its type."""
+    try:
+        return evaluate(expr, n)
+    except CatalogError as exc:
+        raise type(exc)(f"{at}: {exc}") from exc
 
 
 def _build_structures(where: str, data: Mapping, n: Optional[int]) -> tuple[dict, dict]:
-    """The configs and blow-ups of data that ``_validate_structures`` accepted,
-    evaluated at n; well-shaped data that is no valid configuration or
-    blow-up (a non-symmetric Gram matrix, a bad center, ...) is a CatalogError."""
+    """The stages (each config, and each blow-up's upstairs as ``blowup:<name>``) and blow-ups
+    of data that ``_validate_structures`` accepted, evaluated at n.  An expression error names
+    where and its field; data that is no valid configuration or blow-up is a CatalogError."""
+    stages: dict[str, CurveConfig] = {}
+    blowups: dict[str, BlowupResult] = {}
     try:
-        configs = {name: _build_config(cfg, n) for name, cfg in data.get("configs", {}).items()}
-        stages = dict(configs)  # what a blow-up's base may name
-        blowups: dict[str, BlowupResult] = {}
+        for name, cfg in data.get("configs", {}).items():
+            stages[name] = _build_config(f"{where}: config {name!r}", cfg, n)
         for spec in data.get("blowups", []):
+            at = f"{where}: blow-up {spec['name']!r}"
+            orders = spec.get("curve_orders", {})
             bspec = BlowupSpec.make(
-                center=_build_point(spec["center"], n),
+                center=_build_point(f"{at} center", spec["center"], n),
                 weights=tuple(spec["weights"]),
-                curve_orders={k: eval_expr(v, n) for k, v in spec.get("curve_orders", {}).items()},
+                curve_orders={k: _located(f"{at} curve_orders", eval_expr, v, n) for k, v in orders.items()},
                 exceptional=spec.get("exceptional", "E"),
             )
             blowups[spec["name"]] = transform_config(stages[spec["base"]], bspec)
@@ -491,7 +497,7 @@ def _build_structures(where: str, data: Mapping, n: Optional[int]) -> tuple[dict
         raise
     except ValueError as exc:
         raise CatalogError(f"{where}: {exc}") from exc
-    return configs, blowups
+    return stages, blowups
 
 
 def load_fixture(where: str, doc) -> tuple[CurveConfig, list[BlowupResult]]:
@@ -508,28 +514,29 @@ def load_fixture(where: str, doc) -> tuple[CurveConfig, list[BlowupResult]]:
         ]
     data = {"configs": {"config": doc.get("config")}, "blowups": blowups}
     _validate_structures(where, data)
-    configs, results = _build_structures(where, data, None)
-    return configs["config"], list(results.values())
+    stages, results = _build_structures(where, data, None)
+    return stages["config"], list(results.values())
 
 
-def _build_point(data: Mapping, n: Optional[int]) -> QuotientSingularity:
+def _build_point(at: str, data: Mapping, n: Optional[int]) -> QuotientSingularity:
     return QuotientSingularity(
-        order=_eval_int(data["order"], n),
+        order=_located(f"{at} order", _eval_int, data["order"], n),
         local_weights=tuple(data["weights"]),
         label=data.get("label", ""),
     )
 
 
-def _build_config(data: Mapping, n: Optional[int]) -> CurveConfig:
+def _build_config(at: str, data: Mapping, n: Optional[int]) -> CurveConfig:
     points = []
     for rec in data.get("singular_points", []):
-        point = _build_point(rec, n)
-        mults = {k: eval_expr(v, n) for k, v in rec.get("multiplicities", {}).items()}
+        point = _build_point(f"{at} singular point", rec, n)
+        at_mults = f"{at} singular point multiplicities"
+        mults = {k: _located(at_mults, eval_expr, v, n) for k, v in rec.get("multiplicities", {}).items()}
         points.append(SingularPointRecord.make(point, mults))
     return CurveConfig.make(
         basis=data["basis"],
-        gram=[[eval_expr(x, n) for x in row] for row in data["gram"]],
-        anticanonical=[eval_expr(x, n) for x in data["anticanonical"]],
+        gram=[[_located(f"{at} gram", eval_expr, x, n) for x in row] for row in data["gram"]],
+        anticanonical=[_located(f"{at} anticanonical", eval_expr, x, n) for x in data["anticanonical"]],
         singular_points=points,
     )
 
@@ -618,59 +625,30 @@ class VerificationReport:
 def expected_invariants(
     catalog: Catalog, family_id: int, n: Optional[int] = None
 ) -> list[tuple[str, Fraction]]:
-    """Closed-form expected values evaluated exactly at n (scalars only)."""
-    entry = catalog.family(family_id)
-    instantiate(catalog, family_id, n)  # validates the parameter
-    out: list[tuple[str, Fraction]] = []
-    for check in entry.data.get("checks", []):
-        for name, expr in _scalar_expectations(check):
-            out.append((name, eval_expr(expr, n)))
-    return out
-
-
-def _scalar_expectations(check: Mapping):
-    kind = check["kind"]
-    name = check["name"]
-    if kind in ("pairing", "ambient", "log_discrepancy", "proportional"):
-        yield name, check["expect"]
-    elif kind == "ray":
-        for key in ("nef_threshold", "tau", "s", "beta", "k_bound", "integral"):
-            if key in check["expect"]:
-                yield f"{name}: {key}", check["expect"][key]
-    elif kind == "flag":
-        for key in ("s_w", "delta"):
-            if key in check["expect"]:
-                yield f"{name}: {key}", check["expect"][key]
-    elif kind == "identity":
-        for key, expr in check["expect"].items():
-            label = "constant term" if key == "const" else f"coefficient of {key}"
-            yield f"{name}: {label}", expr
+    """The checks' expression-valued expectations at n, in report order; nothing is computed."""
+    instance = instantiate(catalog, family_id, n)
+    return [
+        (label, expected)
+        for check in instance.entry.data.get("checks", [])
+        for label, expected, _ in _CHECK_KINDS[check["kind"]].items(instance, check, {})
+        if isinstance(expected, Fraction)
+    ]
 
 
 def verify(catalog: Catalog, family_id: int, n: Optional[int] = None) -> VerificationReport:
     """Recompute every expected invariant through the pipeline and compare."""
     instance = instantiate(catalog, family_id, n)
-    entry = instance.entry
+    quintuple = instance.quintuple
     items: list[CheckItem] = [
-        CheckItem(
-            name="quintuple index",
-            expected="2",
-            computed=str(instance.quintuple.index),
-            match=instance.quintuple.index == 2,
-            anchor="index-2 catalog invariant",
-        ),
-        CheckItem(
-            name="quintuple well-formed",
-            expected="true",
-            computed=str(instance.quintuple.is_well_formed()).lower(),
-            match=instance.quintuple.is_well_formed(),
-            anchor="well-formedness catalog invariant",
-        ),
+        _item("quintuple index", 2, quintuple.index, "index-2 catalog invariant"),
+        _item("quintuple well-formed", True, quintuple.is_well_formed(), "well-formedness catalog invariant"),
     ]
     rays: dict[tuple, RayDecomposition] = {}
-    for check in entry.data.get("checks", []):
+    for check in instance.entry.data.get("checks", []):
+        anchor = check.get("anchor", "")
         try:
-            items.extend(_run_check(instance, check, rays))
+            for label, expected, compute in _CHECK_KINDS[check["kind"]].items(instance, check, rays):
+                items.append(_item(label, expected, compute(), anchor))
         except (ValueError, KeyError) as exc:  # name the check that failed to run
             raise CatalogError(
                 f"family {family_id} check {check.get('name')!r} failed to run: {exc}"
@@ -678,147 +656,155 @@ def verify(catalog: Catalog, family_id: int, n: Optional[int] = None) -> Verific
     return VerificationReport(family_id, instance.n, tuple(items))
 
 
+# how an item prints, by the type of its stored expectation; a number prints as str
+_SHOW = {bool: lambda value: str(value).lower(), PiecewisePoly: PiecewisePoly.format}
+
+
+def _item(label: str, expected, computed, anchor: str) -> CheckItem:
+    show = _SHOW.get(type(expected), str)
+    return CheckItem(label, show(expected), show(computed), expected == computed, anchor)
+
+
+def ample_class(
+    config: CurveConfig, ample: Optional[Mapping], n: Optional[int] = None, at: str = "ample"
+) -> ClassVector:
+    """The class a ray starts from, for catalog checks and ``analyze``: ample, an object of
+    expressions at n that at names in errors, or the reference class when ample is None."""
+    if ample is None:
+        return config.anticanonical
+    return config.vector({k: _located(at, eval_expr, v, n) for k, v in ample.items()})
+
+
 def _get_ray(instance: FamilyInstance, check: Mapping, rays: dict) -> RayDecomposition:
-    config_ref = check["config"]
-    curve = check.get("ray") or check.get("curve")
-    ample_key = tuple(sorted(check.get("ample", {}).items()))
-    key = (config_ref, curve, ample_key)
+    """The check's ray, decomposed once per (config, curve, ample) in rays."""
+    curve, ample = check.get("ray") or check.get("curve"), check.get("ample")
+    key = (check["config"], curve, None if ample is None else tuple(sorted(ample.items())))
     if key not in rays:
-        config = instance.config(config_ref)
-        if check.get("ample"):
-            ample = config.vector(
-                {k: eval_expr(v, instance.n) for k, v in check["ample"].items()}
-            )
-        else:
-            ample = config.anticanonical
-        rays[key] = decompose_ray(config, ample, config.basis_vector(curve))
+        config = instance.config(check["config"])
+        rays[key] = decompose_ray(config, ample_class(config, ample, instance.n), config.basis_vector(curve))
     return rays[key]
 
 
-def _run_check(instance: FamilyInstance, check: Mapping, rays: dict):
-    kind = check["kind"]
-    name = check["name"]
-    anchor = check.get("anchor", "")
+def _class(instance: FamilyInstance, check: Mapping, coords: Mapping):
+    """coords, an object of expressions, as a class on the check's config."""
+    return instance.config(check["config"]).vector({k: eval_expr(x, instance.n) for k, x in coords.items()})
+
+
+def _one_item(compute, expected=lambda check, n: eval_expr(check["expect"], n)):
+    """Items of a check that reports one item under its own name; compute(instance, check) recomputes it."""
+    return lambda instance, check, rays: [
+        (check["name"], expected(check, instance.n), functools.partial(compute, instance, check))
+    ]
+
+
+def _ambient(instance: FamilyInstance, check: Mapping) -> Fraction:
     n = instance.n
+    return instance.quintuple.ambient_pairing(_eval_int(check["m"], n), _eval_int(check["k"], n))
 
-    def item(label: str, expected: Fraction, computed: Fraction) -> CheckItem:
-        return CheckItem(label, str(expected), str(computed), expected == computed, anchor)
 
-    if kind == "ambient":
-        expected = eval_expr(check["expect"], n)
-        computed = instance.quintuple.ambient_pairing(
-            _eval_int(check["m"], n), _eval_int(check["k"], n)
+def _pairing(instance: FamilyInstance, check: Mapping) -> Fraction:
+    config = instance.config(check["config"])
+    return config.pairing(_class(instance, check, check["v"]), _class(instance, check, check["w"]))
+
+
+def _negdef(instance: FamilyInstance, check: Mapping) -> bool:
+    config = instance.config(check["config"])
+    return config.is_negative_definite([config.index_of(c) for c in check["subset"]])
+
+
+# a ray check's scalar items, in report order: key -> computation from the ray
+_RAY_SCALARS = {
+    "nef_threshold": lambda ray, check, n: ray().nef_threshold,
+    "tau": lambda ray, check, n: ray().tau,
+    "s": lambda ray, check, n: s_invariant(ray()),
+    "beta": lambda ray, check, n: beta(ray(), eval_expr(check["a_value"], n)),
+    "k_bound": lambda ray, check, n: k_basis_bound(ray()),
+    "integral": lambda ray, check, n: ray().volume_integral,
+}
+
+
+def _once(compute):
+    """A thunk that calls compute the first time and returns that value every time."""
+    value = []
+    return lambda: value[0] if value else value.append(compute()) or value[0]
+
+
+def _ray_items(instance, check, rays):
+    n, name, expect = instance.n, check["name"], check["expect"]
+    ray = _once(functools.partial(_get_ray, instance, check, rays))
+    for key, scalar in _RAY_SCALARS.items():
+        if key in expect:
+            yield f"{name}: {key}", eval_expr(expect[key], n), functools.partial(scalar, ray, check, n)
+    if "volume" in expect:
+        profile = PiecewisePoly(
+            (eval_expr(p["left"], n), eval_expr(p["right"], n), Poly(eval_expr(c, n) for c in p["coeffs"]))
+            for p in expect["volume"]
         )
-        return [item(name, expected, computed)]
+        yield f"{name}: volume profile", profile, lambda: ray().volume
 
-    if kind == "pairing":
-        config = instance.config(check["config"])
-        v = config.vector({k: eval_expr(x, n) for k, x in check["v"].items()})
-        w = config.vector({k: eval_expr(x, n) for k, x in check["w"].items()})
-        expected = eval_expr(check["expect"], n)
-        return [item(name, expected, config.pairing(v, w))]
 
-    if kind == "negdef":
-        config = instance.config(check["config"])
-        subset = [config.index_of(c) for c in check["subset"]]
-        computed = config.is_negative_definite(subset)
-        expected = bool(check["expect"])
-        return [
-            CheckItem(name, str(expected).lower(), str(computed).lower(), expected == computed, anchor)
-        ]
+def _flag_items(instance, check, rays):
+    n, name, expect = instance.n, check["name"], check["expect"]
+    ray = _once(functools.partial(_get_ray, instance, check, rays))
 
-    if kind == "log_discrepancy":
-        result = instance.blowups[check["blowup"]]
-        expected = eval_expr(check["expect"], n)
-        return [item(name, expected, result.log_discrepancy_e)]
-
-    if kind == "proportional":
-        expected = eval_expr(check["expect"], n)
-        computed = proportional_bound(eval_expr(check["mu"], n))
-        return [item(name, expected, computed)]
-
-    if kind == "ray":
-        rd = _get_ray(instance, check, rays)
-        expect = check["expect"]
-        out = []
-        if "nef_threshold" in expect:
-            out.append(item(f"{name}: nef_threshold", eval_expr(expect["nef_threshold"], n), rd.nef_threshold))
-        if "tau" in expect:
-            out.append(item(f"{name}: tau", eval_expr(expect["tau"], n), rd.tau))
-        if "s" in expect:
-            out.append(item(f"{name}: s", eval_expr(expect["s"], n), s_invariant(rd)))
-        if "beta" in expect:
-            a_value = eval_expr(check["a_value"], n)
-            out.append(item(f"{name}: beta", eval_expr(expect["beta"], n), beta(rd, a_value)))
-        if "k_bound" in expect:
-            out.append(item(f"{name}: k_bound", eval_expr(expect["k_bound"], n), k_basis_bound(rd)))
-        if "integral" in expect:
-            out.append(item(f"{name}: integral", eval_expr(expect["integral"], n), rd.volume_integral))
-        if "volume" in expect:
-            expected_profile = PiecewisePoly(
-                [
-                    (
-                        eval_expr(piece["left"], n),
-                        eval_expr(piece["right"], n),
-                        Poly(eval_expr(c, n) for c in piece["coeffs"]),
-                    )
-                    for piece in expect["volume"]
-                ]
-            )
-            out.append(
-                CheckItem(
-                    f"{name}: volume profile",
-                    expected_profile.format(),
-                    rd.volume.format(),
-                    expected_profile == rd.volume,
-                    anchor,
-                )
-            )
-        return out
-
-    if kind == "flag":
-        rd = _get_ray(instance, check, rays)
+    @_once
+    def s_w():
         mults = {k: eval_expr(v, n) for k, v in check.get("mults", {}).items()}
-        s_w = az_s_w(rd, check["curve"], mults)
-        out = []
-        expect = check["expect"]
-        if "s_w" in expect:
-            out.append(item(f"{name}: s_w", eval_expr(expect["s_w"], n), s_w))
-        if "delta" in expect:
-            report = delta_lower_bound(
-                s_invariant(rd), eval_expr(check["a_value"], n), s_w, check.get("point", "")
-            )
-            out.append(item(f"{name}: delta", eval_expr(expect["delta"], n), report.delta_lower))
-        return out
+        return az_s_w(ray(), check["curve"], mults)
 
-    if kind == "identity":
-        config = instance.config(check["config"])
-        base = config.vector({k: eval_expr(x, n) for k, x in check["base"].items()})
-        pair_with = config.vector({k: eval_expr(x, n) for k, x in check["pair_with"].items()})
-        out = []
-        expect = dict(check["expect"])
-        if "const" in expect:
-            out.append(
-                item(
-                    f"{name}: constant term",
-                    eval_expr(expect.pop("const"), n),
-                    config.pairing(base, pair_with),
-                )
-            )
-        for param, expr in expect.items():
-            vec = config.vector(
-                {k: eval_expr(x, n) for k, x in check["params"][param].items()}
-            )
-            out.append(
-                item(
-                    f"{name}: coefficient of {param}",
-                    eval_expr(expr, n),
-                    config.pairing(vec, pair_with),
-                )
-            )
-        return out
+    def delta():
+        s = s_invariant(ray())
+        return delta_lower_bound(s, eval_expr(check["a_value"], n), s_w(), check.get("point", "")).delta_lower
 
-    raise CatalogError(f"unknown check kind {kind!r}")
+    for key, compute in (("s_w", s_w), ("delta", delta)):
+        if key in expect:
+            yield f"{name}: {key}", eval_expr(expect[key], n), compute
+
+
+def _identity_items(instance, check, rays):
+    name, expect = check["name"], check["expect"]
+    pair_with = _once(lambda: _class(instance, check, check["pair_with"]))
+
+    def coefficient(key):
+        coords = check["base"] if key == "const" else check["params"][key]
+        return instance.config(check["config"]).pairing(_class(instance, check, coords), pair_with())
+
+    for key in sorted(expect, key="const".__ne__):  # the constant term first
+        label = "constant term" if key == "const" else f"coefficient of {key}"
+        yield f"{name}: {label}", eval_expr(expect[key], instance.n), functools.partial(coefficient, key)
+
+
+class _Kind(NamedTuple):
+    """How a check kind is read.  ``items(instance, check, rays)`` gives
+    ``(label, expected, compute)`` for each item the check reports, in report
+    order: ``expected`` is the stored expectation, evaluated (a Fraction, a
+    bool or a volume profile), and ``compute()`` recomputes it.  Work that
+    several items share (a ray, a flag's s_w, an identity's pair_with) runs
+    once per check."""
+
+    vectors: tuple[str, ...]  # the fields that hold objects of expressions
+    expect: tuple  # (predicate, what it must be) for the JSON value of expect
+    items: Callable
+
+
+_EXPRESSION = (_is_expr, "an expression")
+_BOOLEAN = (lambda x: isinstance(x, bool), "true or false")
+_PROFILE = (_is_profile, "an object of expressions with an optional volume (a list of pieces)")
+
+_CHECK_KINDS = {
+    "ambient": _Kind((), _EXPRESSION, _one_item(_ambient)),
+    "pairing": _Kind(("v", "w"), _EXPRESSION, _one_item(_pairing)),
+    "negdef": _Kind((), _BOOLEAN, _one_item(_negdef, expected=lambda check, n: check["expect"])),
+    "log_discrepancy": _Kind((), _EXPRESSION, _one_item(
+        lambda instance, check: instance.blowups[check["blowup"]].log_discrepancy_e
+    )),
+    "proportional": _Kind((), _EXPRESSION, _one_item(
+        lambda instance, check: proportional_bound(eval_expr(check["mu"], instance.n))
+    )),
+    "ray": _Kind(("ample",), _PROFILE, _ray_items),
+    "flag": _Kind(("ample", "mults"), _PROFILE, _flag_items),
+    "identity": _Kind(("base", "pair_with"), (_is_expr_map, "an object of expressions"), _identity_items),
+}
 
 
 def default_n_values(entry: FamilyEntry, span: int = 10) -> list[Optional[int]]:

@@ -23,9 +23,11 @@ from .catalog import (
     CatalogError,
     ParameterError,
     VerificationReport,
+    _located,
     _is_expr,
     _is_expr_map,
     _require,
+    ample_class,
     default_n_values,
     eval_expr,
     load_catalog,
@@ -248,10 +250,10 @@ def _analyze(where: str, doc) -> dict:
     _require(point is None or isinstance(point, dict), f"{where}: point", "an object")
     if not ray:
         return results
-    curve, ample = ray.get("curve"), ray.get("ample", {})
+    curve = ray.get("curve")
     mults = point.get("multiplicities", {}) if point else {}
     _require(curve in config.basis, f"{where}: ray.curve {curve!r}", "a basis curve")
-    for field, vec in (("ray.ample", ample), ("point.multiplicities", mults)):
+    for field, vec in (("ray.ample", ray.get("ample", {})), ("point.multiplicities", mults)):
         _require(
             _is_expr_map(vec) and set(vec) <= set(config.basis),
             f"{where}: {field}", "an object of expressions over basis curves",
@@ -260,11 +262,11 @@ def _analyze(where: str, doc) -> dict:
     if point:
         _require(_is_expr(point.get("a_value")), f"{where}: point.a_value", "an expression")
         _require(isinstance(point.get("label", ""), str), f"{where}: point.label", "a string")
-        a_value, mults = eval_expr(point["a_value"]), {k: eval_expr(v) for k, v in mults.items()}
+        a_value = _located(f"{where}: point.a_value", eval_expr, point["a_value"])
+        mults = {k: _located(f"{where}: point.multiplicities", eval_expr, v) for k, v in mults.items()}
     if log_discrepancy is not None:
-        log_discrepancy = eval_expr(log_discrepancy)
-    ample = config.vector({k: eval_expr(v) for k, v in ample.items()}) if "ample" in ray else config.anticanonical
-
+        log_discrepancy = _located(f"{where}: log_discrepancy", eval_expr, log_discrepancy)
+    ample = ample_class(config, ray.get("ample"), None, f"{where}: ray.ample")
     rd = decompose_ray(config, ample, config.basis_vector(curve))
     ray_out = rd.to_json_dict()
     ray_out["s"] = str(s_invariant(rd))

@@ -282,10 +282,6 @@ class CurveConfig:
                 return rec
         raise KeyError(f"no singular point labelled {label!r}")
 
-    def format_vector(self, v: ClassVector) -> str:
-        parts = [f"{c}*{name}" for name, c in zip(self.basis, v) if c != 0]
-        return " + ".join(parts) if parts else "0"
-
     # -- JSON fixture format -------------------------------------------------
 
     def to_json_dict(self) -> dict:

@@ -169,6 +169,36 @@ def test_expected_invariants_samples():
     assert by_name["exceptional ray: k_bound"] == F(41, 78)
 
 
+def test_expected_invariants_are_the_expression_items_of_verify_without_any_ray(monkeypatch):
+    import kstab.catalog
+
+    reports = [verify(CATALOG, e.family_id, e.minimum_n) for e in CATALOG.families]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expected_invariants decomposed a ray")
+
+    monkeypatch.setattr(kstab.catalog, "decompose_ray", refuse)
+    for report in reports:
+        # items[:2] are the quintuple's; an expression-valued item prints as p/q
+        scalars = [(i.name, F(i.expected)) for i in report.items[2:] if "expected_approx" in i.to_json_dict()]
+        assert expected_invariants(CATALOG, report.family_id, report.n) == scalars
+
+
+def test_config_expression_errors_name_family_and_field_and_keep_their_type():
+    from kstab.catalog import Catalog, FamilyEntry
+
+    for value, error, message in (
+        ("n", ParameterError, "expression 'n' needs the parameter n"),
+        ("1/0", CatalogError, "division by zero in '1/0'"),
+    ):
+        data = json.loads(json.dumps(CATALOG.family(3).data))
+        data["configs"]["lr"]["anticanonical"][1] = value
+        with pytest.raises(error) as raised:
+            instantiate(Catalog(1, (FamilyEntry(3, data),), (), "in-memory"), 3)
+        assert type(raised.value) is error
+        assert str(raised.value) == f"family 3: config 'lr' anticanonical: {message}"
+
+
 def test_recorded_delta_bounds():
     expected = {
         3: F(6, 5), 4: F(11, 10), 5: F(40, 39), 6: F(4, 3),

@@ -1,5 +1,6 @@
 """Command-line interface contract: verify, table, analyze, export."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -203,6 +204,43 @@ def test_blowup_without_curve_orders_misses_every_curve(tmp_path):
     assert json.loads(result.stdout)["blowups"][0]["upstairs"]["gram"] == [["1/2", "0"], ["0", "-1"]]
 
 
+# sha256 of the output bytes, pinned so that a refactor that changes any byte fails
+PINNED_OUTPUT_SHA256 = {
+    ("verify", "--all", "--format", "json"): "2fbd0f8b77ce68c376c1fe24ed03b6e35defb506a180f7481751b67717c9895f",
+    ("verify", "--all", "--format", "csv"): "aaeb7363068dde51d376010cf9b1285fdc319a58c6f479d0812c6675e01e90c8",
+    ("verify", "--all", "--format", "text"): "4a55a7017b80400c045de283aa712509b761c19806808bd1d824ad923e968916",
+    ("analyze", "--input", "README_FIXTURE", "--format", "json"):
+        "cddbb74ea829cb6dffb5a1b70ddb5e9dc004c62ab8b08b017b459e15fe086d1e",
+}
+
+
+@pytest.mark.parametrize(
+    "args, digest", PINNED_OUTPUT_SHA256.items(), ids=[" ".join(args) for args in PINNED_OUTPUT_SHA256]
+)
+def test_output_bytes_are_pinned(tmp_path, args, digest):
+    fixture = tmp_path / "readme.json"
+    fixture.write_text(json.dumps(README_FIXTURE))
+    result = invoke([str(fixture) if arg == "README_FIXTURE" else arg for arg in args])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+def test_empty_ample_is_the_zero_class_on_both_paths(tmp_path):
+    # an absent ample means the reference class; a given one, even {}, is used as given
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(dict(README_FIXTURE, ray={"curve": "E", "ample": {}})))
+    result = invoke(["analyze", "--input", str(fixture)])
+    assert result.exit_code == 1
+    assert result.stderr == "analysis failed: ample class must have positive self-intersection\n"
+
+    def corrupt(family):
+        next(c for c in family["checks"] if c["kind"] == "ray")["ample"] = {}
+
+    result = invoke(_exported_catalog_with(tmp_path, corrupt))
+    assert result.exit_code == 2
+    assert result.stderr.endswith("failed to run: ample class must have positive self-intersection\n")
+
+
 def test_analyze_flag_point_reports_delta(tmp_path):
     fixture = {
         "config": {"basis": ["C_x"], "gram": [["1/4"]], "anticanonical": ["2"]},
@@ -357,17 +395,40 @@ def _catalog_with_string_blowups(tmp_path):
     return _exported_catalog_with(tmp_path, corrupt, family_id=3)
 
 
-def _catalog_with_check_field(kind, field, value):
-    """Arguments for a family-1 catalog whose first check of kind has field set to value."""
+def _catalog_with_check_field(kind, field, value, family_id=1):
+    """Arguments for a catalog whose first check of kind in family family_id has field set to value."""
 
     def make_args(tmp_path):
         def corrupt(family):
             next(c for c in family["checks"] if c["kind"] == kind)[field] = value
 
-        return _exported_catalog_with(tmp_path, corrupt)
+        return _exported_catalog_with(tmp_path, corrupt, family_id)
 
     make_args.__name__ = f"_catalog_with_{kind}_{field}_{type(value).__name__}"
     return make_args
+
+
+def _catalog_with_zero_denominator_in_config(tmp_path):
+    def corrupt(family):
+        family["configs"]["lr"]["gram"][0][1] = family["configs"]["lr"]["gram"][1][0] = "1/0"
+
+    return _exported_catalog_with(tmp_path, corrupt, family_id=3)
+
+
+def _catalog_with_zero_denominator_in_blowup(tmp_path):
+    def corrupt(family):
+        family["blowups"][0]["curve_orders"] = {curve: "1/0" for curve in family["blowups"][0]["curve_orders"]}
+
+    return _exported_catalog_with(tmp_path, corrupt)
+
+
+# what the one error line must say, where a case's message names a location
+NAMED_IN_ERROR = {
+    "_fixture_with_zero_denominator": "fixture.json: config 'config' gram: division by zero in '1/0'",
+    "_catalog_with_zero_denominator_in_config": "family 3: config 'lr' gram: division by zero in '1/0'",
+    "_catalog_with_zero_denominator_in_blowup": "family 1: blow-up 'node' curve_orders: division by zero in '1/0'",
+    "_catalog_with_negdef_expect_str": "expect must be true or false",
+}
 
 
 @pytest.mark.parametrize(
@@ -394,6 +455,13 @@ def _catalog_with_check_field(kind, field, value):
         _catalog_with_check_field("pairing", "config", 3),
         _catalog_with_check_field("ray", "ray", ["C"]),
         _catalog_with_check_field("negdef", "subset", 5),
+        _catalog_with_check_field("negdef", "expect", "false"),
+        _catalog_with_check_field("ambient", "expect", True),
+        _catalog_with_check_field("pairing", "expect", ["1"]),
+        _catalog_with_check_field("log_discrepancy", "expect", {"x": "1"}),
+        _catalog_with_check_field("proportional", "expect", 1.5, family_id=3),
+        _catalog_with_zero_denominator_in_config,
+        _catalog_with_zero_denominator_in_blowup,
     ],
     ids=lambda make_args: make_args.__name__,
 )
@@ -403,6 +471,17 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, make_args):
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("Error: ")
+    assert NAMED_IN_ERROR.get(make_args.__name__, "") in result.stderr
+
+
+def test_parameter_errors_in_a_config_stay_usage_errors(tmp_path):
+    def corrupt(family):
+        family["configs"]["lr"]["gram"][0][0] = "n"
+
+    result = invoke(_exported_catalog_with(tmp_path, corrupt, family_id=3))
+    assert result.exit_code == 2
+    assert result.stderr.startswith("Usage: ")
+    assert result.stderr.endswith("Error: family 3: config 'lr' gram: expression 'n' needs the parameter n\n")
 
 
 # -- fuzzing an exported catalog and a fixture ---------------------------------
