@@ -1,13 +1,15 @@
 """Exact rational arithmetic: univariate polynomials and piecewise polynomials.
 
 Rationals are ``fractions.Fraction`` throughout (arbitrary precision, always
-reduced, positive denominator).  Polynomials store coefficients lowest degree
-first with no trailing zeros; the zero polynomial has an empty coefficient
-tuple.  All operations are pure and all values immutable.
+reduced, positive denominator).  A polynomial is stored as integer numerators
+over one common denominator, lowest degree first with no trailing zeros, so
+its arithmetic runs on Python ints; its coefficients become Fractions only
+where they are read.  All operations are pure and all values immutable.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -44,18 +46,29 @@ class DomainMismatchError(ValueError):
 
 
 class Poly:
-    """Univariate polynomial with Fraction coefficients, lowest degree first."""
+    """Univariate polynomial with rational coefficients, lowest degree first.
 
-    __slots__ = ("coeffs",)
+    A Poly is stored as a tuple of int ``numerators`` over one positive int
+    ``denominator``: coefficient i is numerators[i] / denominator.  There is
+    no trailing zero numerator and gcd(denominator, *numerators) == 1, so each
+    polynomial has exactly one representation (zero is () over 1) and ``==``
+    compares ints.  Arithmetic runs on these ints and normalises each result
+    with one gcd; the coefficients as Fractions, ``coeffs``, are built the
+    first time they are read.
+    """
+
+    __slots__ = ("numerators", "denominator", "_coeffs")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        object.__setattr__(self, "coeffs", _trimmed([rat(c) for c in coeffs]))
+        cs = [rat(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        _normalise(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
-    def _exact(cls, cs: list[Fraction]) -> "Poly":
-        """A Poly over a list that is already all Fractions, without coercing."""
+    def from_integers(cls, numerators: Iterable[int], denominator: int) -> "Poly":
+        """The polynomial (sum of numerators[i] * u^i) / denominator, for a nonzero denominator."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "coeffs", _trimmed(cs))
+        _normalise(poly, list(numerators), denominator)
         return poly
 
     def __setattr__(self, name, value):
@@ -63,41 +76,59 @@ class Poly:
 
     @classmethod
     def constant(cls, c: RationalLike) -> "Poly":
-        return cls((rat(c),))
+        c = rat(c)
+        return cls.from_integers((c.numerator,), c.denominator)
 
     @classmethod
     def variable(cls) -> "Poly":
-        return cls((0, 1))
+        return cls.from_integers((0, 1), 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, lowest degree first, no trailing zeros."""
+        cs = self._coeffs
+        if cs is None:
+            den = self.denominator
+            cs = tuple(Fraction(x, den) for x in self.numerators)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.numerators)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.numerators == other.numerators and self.denominator == other.denominator
         if isinstance(other, (int, Fraction)):
             return self == Poly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.numerators, self.denominator))
 
     def __neg__(self) -> "Poly":
-        return Poly._exact([-c for c in self.coeffs])
+        return Poly.from_integers([-x for x in self.numerators], self.denominator)
 
     def __add__(self, other) -> "Poly":
-        a, b = self.coeffs, _as_poly(other).coeffs
+        other = _as_poly(other)
+        if not other.numerators:
+            return self
+        a, b, den = self.numerators, other.numerators, self.denominator
+        if den != other.denominator:
+            g = math.gcd(den, other.denominator)
+            fa, fb = other.denominator // g, den // g
+            a, b, den = [x * fa for x in a], [y * fb for y in b], den * fa
         if len(a) < len(b):
             a, b = b, a
-        return Poly._exact([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+        return Poly.from_integers([x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
 
     __radd__ = __add__
 
@@ -108,32 +139,45 @@ class Poly:
         return _as_poly(other) - self
 
     def __mul__(self, other) -> "Poly":
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            return Poly.from_integers([x * p for x in self.numerators], self.denominator * q)
         other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
+        a, b = self.numerators, other.numerators
+        if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly._exact(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return Poly.from_integers(out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        # Horner on p and q: acc = sum numerators[i] * p^i * q^(degree - i), scale = q^(degree + 1)
+        acc, scale = 0, 1
+        for c in reversed(self.numerators):
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc, self.denominator * scale // q) if acc else Fraction(0)
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if k < len(self.numerators) else Fraction(0)
 
     def derivative(self) -> "Poly":
-        return Poly._exact([i * c for i, c in enumerate(self.coeffs) if i > 0])
+        return Poly.from_integers([i * x for i, x in enumerate(self.numerators)][1:], self.denominator)
 
     def antiderivative(self) -> "Poly":
-        return Poly._exact([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        # over lcm(1..degree+1), every term x / (i + 1) is an integer multiple of 1/scale
+        scale = math.lcm(*range(1, len(self.numerators) + 1))
+        return Poly.from_integers(
+            [0] + [x * (scale // (i + 1)) for i, x in enumerate(self.numerators)],
+            self.denominator * scale,
+        )
 
     def integrate(self, a: RationalLike, b: RationalLike) -> Fraction:
         anti = self.antiderivative()
@@ -162,11 +206,19 @@ class Poly:
         return f"Poly({self.format()})"
 
 
-def _trimmed(cs: list[Fraction]) -> tuple[Fraction, ...]:
-    """cs without trailing zeros, as a tuple (cs itself is trimmed in place)."""
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+def _normalise(poly: Poly, nums: list[int], den: int) -> None:
+    """Set poly to nums / den without trailing zeros, over a positive denominator
+    coprime to the numerators (nums is trimmed in place)."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if den < 0:
+        nums, den = [-x for x in nums], -den
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums, den = [x // g for x in nums], den // g
+    object.__setattr__(poly, "numerators", tuple(nums))
+    object.__setattr__(poly, "denominator", den)
+    object.__setattr__(poly, "_coeffs", None)
 
 
 def _as_poly(x) -> Poly:

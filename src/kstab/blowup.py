@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .arith import RationalLike, rat
-from .surface import ClassVector, CurveConfig, QuotientSingularity
+from .surface import ClassVector, CurveConfig, QuotientSingularity, _over_common_denominator
 
 
 class BlowupSpecError(ValueError):
@@ -123,10 +123,12 @@ def transform_config(config: CurveConfig, spec: BlowupSpec) -> BlowupResult:
     ab = Fraction(a * b)
     orders = [spec.order_of(name) for name in config.basis]
     k = config.size
-    gram = [
-        [config.gram[i][j] - orders[i] * orders[j] / (n * ab) for j in range(k)]
-        for i in range(k)
-    ]
+    # g_ij - o_i o_j / (n a b) on ints: g = G / d and o = O / s give
+    # (G_ij q - d O_i O_j) / (d q) with q = s^2 n a b
+    den, g = config.integer_gram
+    o, s = _over_common_denominator(orders)
+    q = s * s * n * a * b
+    gram = [[Fraction(g[i][j] * q - den * o[i] * o[j], den * q) for j in range(k)] for i in range(k)]
     e_row = [w / ab for w in orders]
     for i in range(k):
         gram[i].append(e_row[i])

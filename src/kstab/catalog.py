@@ -385,14 +385,19 @@ def _validate_structures(where: str, data: Mapping) -> None:
 _CHECK_STRING_FIELDS = ("kind", "name", "config", "ray", "curve", "blowup", "point", "anchor")
 
 
-def _is_profile(x) -> bool:
-    """A ray or flag expect: expressions by item, and optionally a volume
-    profile, a list of pieces with expression ends and coefficients."""
+def _is_ray_expect(x, check) -> bool:
+    """A ray expect: expressions keyed by ray scalar names, and optionally a
+    volume profile, a list of pieces with expression ends and coefficients."""
     pieces = x.get("volume", []) if isinstance(x, dict) else None
-    return isinstance(pieces, list) and all(_is_expr(v) for k, v in x.items() if k != "volume") and all(
+    return isinstance(pieces, list) and _is_keyed_exprs(x, _RAY_SCALARS, but="volume") and all(
         isinstance(p, dict) and _is_expr_list([p.get("left"), p.get("right")]) and _is_expr_list(p.get("coeffs"))
         for p in pieces
     )
+
+
+def _is_keyed_exprs(x, keys, but=None) -> bool:
+    """An object of expressions whose every key is one of keys, apart from the key but."""
+    return isinstance(x, dict) and all(k in keys and _is_expr(v) for k, v in x.items() if k != but)
 
 
 def _validate_checks(where: str, entry: FamilyEntry) -> None:
@@ -411,13 +416,13 @@ def _validate_checks(where: str, entry: FamilyEntry) -> None:
             raise CatalogError(f"{name}: unknown check kind {check.get('kind')!r}")
         for field in kind.vectors:
             _require(_is_expr_map(check.get(field, {})), f"{name}: {field}", "an object of expressions")
-        is_expect, expect = kind.expect
-        _require(is_expect(check.get("expect")), f"{name}: expect", expect)
         _require(_is_name_list(check.get("subset", [])), f"{name}: subset", "a list of curve names")
         params = check.get("params", {})
         _require(isinstance(params, dict), f"{name}: params", "an object")
         for param, vec in params.items():
             _require(_is_expr_map(vec), f"{name}: params.{param}", "an object of expressions")
+        is_expect, expect = kind.expect
+        _require(is_expect(check.get("expect"), check), f"{name}: expect", expect)
 
 
 # -- instantiation -------------------------------------------------------------
@@ -440,8 +445,10 @@ class FamilyInstance:
         return self.stages[ref]
 
 
-def instantiate(catalog: Catalog, family_id: int, n: Optional[int] = None) -> FamilyInstance:
-    entry = catalog.family(family_id)
+def check_parameter(entry: FamilyEntry, n: Optional[int]) -> None:
+    """Raise ParameterError unless n suits the family: at least its minimum
+    for a parametric family, None for a fixed one."""
+    family_id = entry.family_id
     if entry.parametric:
         if n is None:
             raise ParameterError(f"family {family_id} needs the parameter n")
@@ -452,8 +459,13 @@ def instantiate(catalog: Catalog, family_id: int, n: Optional[int] = None) -> Fa
     elif n is not None:
         raise ParameterError(f"family {family_id} takes no parameter")
 
-    weights = tuple(_eval_int(w, n) for w in entry.data["weights"])
-    degree = _eval_int(entry.data["degree"], n)
+
+def instantiate(catalog: Catalog, family_id: int, n: Optional[int] = None) -> FamilyInstance:
+    entry = catalog.family(family_id)
+    check_parameter(entry, n)
+
+    weights = tuple(_located(f"family {family_id} weights", _eval_int, w, n) for w in entry.data["weights"])
+    degree = _located(f"family {family_id} degree", _eval_int, entry.data["degree"], n)
     quintuple = Quintuple(weights, degree)
     if quintuple.index != 2:
         raise CatalogError(f"family {family_id}: index {quintuple.index} != 2")
@@ -743,6 +755,10 @@ def _ray_items(instance, check, rays):
         yield f"{name}: volume profile", profile, lambda: ray().volume
 
 
+# a flag check's items, in report order
+_FLAG_SCALARS = ("s_w", "delta")
+
+
 def _flag_items(instance, check, rays):
     n, name, expect = instance.n, check["name"], check["expect"]
     ray = _once(functools.partial(_get_ray, instance, check, rays))
@@ -756,7 +772,7 @@ def _flag_items(instance, check, rays):
         s = s_invariant(ray())
         return delta_lower_bound(s, eval_expr(check["a_value"], n), s_w(), check.get("point", "")).delta_lower
 
-    for key, compute in (("s_w", s_w), ("delta", delta)):
+    for key, compute in zip(_FLAG_SCALARS, (s_w, delta)):
         if key in expect:
             yield f"{name}: {key}", eval_expr(expect[key], n), compute
 
@@ -765,7 +781,7 @@ def _identity_items(instance, check, rays):
     name, expect = check["name"], check["expect"]
     pair_with = _once(lambda: _class(instance, check, check["pair_with"]))
 
-    def coefficient(key):
+    def coefficient(key):  # load_catalog checked that each key is const or names a params entry
         coords = check["base"] if key == "const" else check["params"][key]
         return instance.config(check["config"]).pairing(_class(instance, check, coords), pair_with())
 
@@ -783,13 +799,24 @@ class _Kind(NamedTuple):
     once per check."""
 
     vectors: tuple[str, ...]  # the fields that hold objects of expressions
-    expect: tuple  # (predicate, what it must be) for the JSON value of expect
+    expect: tuple  # (predicate(expect, check), what it must be) for the JSON value of expect
     items: Callable
 
 
-_EXPRESSION = (_is_expr, "an expression")
-_BOOLEAN = (lambda x: isinstance(x, bool), "true or false")
-_PROFILE = (_is_profile, "an object of expressions with an optional volume (a list of pieces)")
+_EXPRESSION = (lambda x, check: _is_expr(x), "an expression")
+_BOOLEAN = (lambda x, check: isinstance(x, bool), "true or false")
+_RAY_EXPECT = (
+    _is_ray_expect,
+    f"an object of expressions keyed by {', '.join(_RAY_SCALARS)}, with an optional volume (a list of pieces)",
+)
+_FLAG_EXPECT = (
+    lambda x, check: _is_keyed_exprs(x, _FLAG_SCALARS),
+    f"an object of expressions keyed by {', '.join(_FLAG_SCALARS)}",
+)
+_IDENTITY_EXPECT = (
+    lambda x, check: _is_keyed_exprs(x, {"const", *check.get("params", {})}),
+    "an object of expressions keyed by const and the names in params",
+)
 
 _CHECK_KINDS = {
     "ambient": _Kind((), _EXPRESSION, _one_item(_ambient)),
@@ -801,9 +828,9 @@ _CHECK_KINDS = {
     "proportional": _Kind((), _EXPRESSION, _one_item(
         lambda instance, check: proportional_bound(eval_expr(check["mu"], instance.n))
     )),
-    "ray": _Kind(("ample",), _PROFILE, _ray_items),
-    "flag": _Kind(("ample", "mults"), _PROFILE, _flag_items),
-    "identity": _Kind(("base", "pair_with"), (_is_expr_map, "an object of expressions"), _identity_items),
+    "ray": _Kind(("ample",), _RAY_EXPECT, _ray_items),
+    "flag": _Kind(("ample", "mults"), _FLAG_EXPECT, _flag_items),
+    "identity": _Kind(("base", "pair_with"), _IDENTITY_EXPECT, _identity_items),
 }
 
 

@@ -28,6 +28,7 @@ from .catalog import (
     _is_expr_map,
     _require,
     ample_class,
+    check_parameter,
     default_n_values,
     eval_expr,
     load_catalog,
@@ -130,20 +131,17 @@ def cmd_verify(family, all_families, n_text, fmt, output, catalog_path):
             entry = catalog.family(fid)
         except CatalogError as exc:
             raise click.UsageError(str(exc))
-        if entry.parametric:
-            values = n_values if n_values is not None else default_n_values(entry)
-            if all_families and n_values is not None:
-                values = [v for v in n_values if v >= entry.minimum_n] or default_n_values(entry)
-        else:
-            if n_values is not None and not all_families:
-                raise click.UsageError(f"family {fid} takes no parameter")
-            values = [None]
+        values = n_values if n_values is not None else default_n_values(entry)
+        if all_families and n_values is not None:
+            values = [v for v in n_values if entry.parametric and v >= entry.minimum_n] or default_n_values(entry)
         for n in values:
             try:
-                reports.append(verify(catalog, fid, n))
+                check_parameter(entry, n)
             except ParameterError as exc:
                 raise click.UsageError(str(exc))
-            except CatalogError as exc:
+            try:
+                reports.append(verify(catalog, fid, n))
+            except CatalogError as exc:  # a ParameterError here is catalog data that needs n
                 raise _BadInput(str(exc))
     _emit(_render_reports(reports, fmt), output)
     bad = [(r, item) for r in reports for item in r.mismatches]

@@ -8,7 +8,10 @@ Linear algebra on the Gram matrix goes through one fraction-free (Bareiss)
 elimination kernel: rows are cleared of denominators and eliminated on
 integers, where every division is exact by Sylvester's identity.  The same
 pass decides negative definiteness from the signs of the leading principal
-minors and solves linear systems, returning exact Fractions.
+minors and solves linear systems, returning exact Fractions (or Polys).
+Pairings run on the same footing: each configuration keeps its Gram matrix
+as ints over one common denominator, and a pairing scales both vectors to
+ints and builds a single Fraction.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .arith import Poly, RationalLike, rat
@@ -195,10 +199,9 @@ class CurveConfig:
             raise ValueError("basis names must be nonempty and distinct")
         if len(self.gram) != k or any(len(row) != k for row in self.gram):
             raise ValueError("gram matrix must be square of basis size")
-        for i in range(k):
-            for j in range(k):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
+        _, gram = self.integer_gram
+        if gram != tuple(zip(*gram)):
+            raise ValueError("gram matrix must be symmetric")
         if len(self.anticanonical) != k:
             raise DimensionMismatchError("anticanonical length does not match basis")
         if self.pairing(self.anticanonical, self.anticanonical) <= 0:
@@ -243,6 +246,12 @@ class CurveConfig:
         i = self.index_of(name)
         return ClassVector(Fraction(int(j == i)) for j in range(self.size))
 
+    @cached_property
+    def integer_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(d, G): d > 0 the lcm of the Gram entries' denominators and G = d * gram, on ints."""
+        den = math.lcm(*(x.denominator for row in self.gram for x in row))
+        return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in self.gram)
+
     def pairing(self, v: ClassVector | Sequence[RationalLike], w: ClassVector | Sequence[RationalLike]) -> Fraction:
         v = v if isinstance(v, ClassVector) else ClassVector(v)
         w = w if isinstance(w, ClassVector) else ClassVector(w)
@@ -250,28 +259,30 @@ class CurveConfig:
             raise DimensionMismatchError(
                 f"vectors of length {len(v)}, {len(w)} against basis of size {self.size}"
             )
-        total = Fraction(0)
-        for i, a in enumerate(v):
-            if a == 0:
-                continue
-            row = self.gram[i]
-            for j, b in enumerate(w):
-                if b != 0:
-                    total += a * b * row[j]
-        return total
+        den, gram = self.integer_gram
+        a, scale_v = _over_common_denominator(v)
+        b, scale_w = _over_common_denominator(w)
+        b = [(j, y) for j, y in enumerate(b) if y]
+        total = 0
+        for x, row in zip(a, gram):
+            if x:
+                total += x * sum(row[j] * y for j, y in b)
+        return Fraction(total, den * scale_v * scale_w)
 
     def is_negative_definite(self, subset: Sequence[int]) -> bool:
         """The k-th leading principal minor of the submatrix has sign (-1)^k for every k.
 
         The minors are the pivots of fraction-free elimination without row
         swaps (see ``_eliminate``); this is the same test as every Gaussian
-        pivot, the ratio of consecutive minors, being negative.
+        pivot, the ratio of consecutive minors, being negative.  They are
+        taken on the integer Gram matrix d * gram, which scales the k-th
+        minor by d^k > 0 and so keeps its sign.
         """
         idx = list(subset)
         if any(i < 0 or i >= self.size for i in idx):
             raise IndexError(f"subset {idx} out of range for basis of size {self.size}")
-        sub = [[self.gram[i][j] for j in idx] for i in idx]
-        minors, _ = _eliminate(sub, [], swap_rows=False)
+        _, gram = self.integer_gram
+        minors, _ = _eliminate([[gram[i][j] for j in idx] for i in idx], swap_rows=False)
         return len(minors) == len(idx) and all(
             (m < 0) == (k % 2 == 0) for k, m in enumerate(minors)
         )
@@ -337,36 +348,44 @@ def solve_linear_system(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> 
     polys = any(isinstance(b, Poly) for b in rhs)
     if polys:
         rhs = [b if isinstance(b, Poly) else Poly.constant(b) for b in rhs]
-        width = max(len(b.coeffs) for b in rhs)
-        columns = [[b.coefficient(d) for b in rhs] for d in range(width)]
+        width = max(len(b.numerators) for b in rhs)
+        tails = [(b.numerators + (0,) * (width - len(b.numerators)), b.denominator) for b in rhs]
     else:
-        columns = [rhs]
-    _, x = _eliminate(matrix, columns, swap_rows=True)
-    if x is None:
+        tails = [((b.numerator,), b.denominator) for b in rhs]
+    rows = []
+    for row, (tail, tail_den) in zip(matrix, tails):
+        ints, scale = _over_common_denominator(row, tail_den)
+        rows.append(ints + [t * (scale // tail_den) for t in tail])
+    pivots, y = _eliminate(rows, swap_rows=True)
+    if y is None:
         raise ValueError("singular linear system")
-    return [Poly(col[i] for col in x) for i in range(len(rhs))] if polys else x[0]
+    det = pivots[-1] if pivots else 1
+    if polys:
+        return [Poly.from_integers([col[i] for col in y], det) for i in range(len(matrix))]
+    return [Fraction(v, det) for v in y[0]] if y else []
 
 
-def _eliminate(matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence], swap_rows: bool):
-    """Fraction-free (Bareiss) elimination of M x = b for each column b.
+def _eliminate(rows: list[list[int]], swap_rows: bool):
+    """Fraction-free (Bareiss) elimination of the integer rows [M | b...].
 
-    Each row of [M | b...] is scaled by the lcm of its denominators, a positive
-    factor, so the elimination runs on Python ints.  Step c replaces each
-    entry a_rj (r, j > c) by (p a_rj - a_rc a_cj) / p', with p the current
-    pivot and p' the previous one; by Sylvester's identity the result is a
-    minor of the scaled matrix, so the division is exact.  Without row swaps
-    the c-th pivot is the c-th leading principal minor, whose sign the row
-    scaling leaves unchanged.  Back-substitution then solves for det * x,
-    which is integral by Cramer's rule, and only the final x become Fractions.
+    M is the leading square block and each further column is a right-hand
+    side b; the rows are changed in place.  Step c replaces each entry a_rj
+    (r, j > c) by (p a_rj - a_rc a_cj) / p', with p the current pivot and p'
+    the previous one; by Sylvester's identity the result is a minor of M, so
+    the division is exact.  Without row swaps the c-th pivot is the c-th
+    leading principal minor.  Back-substitution then solves for det * x,
+    which is integral by Cramer's rule, det being the last pivot (1 for an
+    empty M).
 
     With ``swap_rows`` each column pivots on its first nonzero entry at or
     below the diagonal; without it only the diagonal entry is tried.  Returns
-    (pivots, x) with x[b][i] the i-th unknown for column b; a column of M with
-    no usable pivot stops the elimination, returning the pivots found so far
-    with x = None.
+    (pivots, y) with y[b][i] = det * (the i-th unknown for column b); a column
+    of M with no usable pivot stops the elimination, returning the pivots
+    found so far with y = None.  A linear system's rows are first scaled by
+    the lcm of their denominators (``_over_common_denominator``), a positive
+    factor that changes neither the solution nor the minors' signs.
     """
-    n = len(matrix)
-    rows = [_integer_row([*matrix[i], *(col[i] for col in columns)]) for i in range(n)]
+    n = len(rows)
     pivots = []
     prev = 1
     for c in range(n):
@@ -383,17 +402,18 @@ def _eliminate(matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence]
             f = row[c]
             row[c + 1:] = [(p * a - f * b) // prev for a, b in zip(row[c + 1:], top[c + 1:])]
         prev = p
-    x = []
-    for j in range(n, n + len(columns)):
-        y = [0] * n
+    y = []
+    for j in range(n, len(rows[0]) if rows else n):
+        col = [0] * n
         for i in reversed(range(n)):
             row = rows[i]
-            acc = prev * row[j] - sum(row[t] * y[t] for t in range(i + 1, n))
-            y[i] = acc // row[i]
-        x.append([Fraction(v, prev) for v in y])
-    return pivots, x
+            acc = prev * row[j] - sum(row[t] * col[t] for t in range(i + 1, n))
+            col[i] = acc // row[i]
+        y.append(col)
+    return pivots, y
 
 
-def _integer_row(values: Sequence[Fraction]) -> list[int]:
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
+def _over_common_denominator(values: Sequence[Fraction], den: int = 1) -> tuple[list[int], int]:
+    """(ints, s): s > 0 the lcm of den and the values' denominators, ints the values times s."""
+    scale = math.lcm(den, *(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale

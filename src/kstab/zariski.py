@@ -13,6 +13,7 @@ the pointwise decomposition at its midpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -281,17 +282,30 @@ def volume_profile(rd: RayDecomposition) -> PiecewisePoly:
 
 
 def _pair_poly(config: CurveConfig, coords: Sequence, j: int):
-    """(sum_i coords[i] * C_i) . C_j, in one pass down Gram column j.
+    """(sum_i coords[i] * C_i) . C_j, in one pass down column j of the integer Gram matrix.
 
     The coordinates are all Polys, giving a Poly, or all rationals (a
-    ``ClassVector``, say), giving a Fraction; zero terms are skipped.
+    ``ClassVector``, say), giving a Fraction.  Either way they are scaled to
+    ints over the lcm of their denominators, summed against the column on
+    ints, and only the result becomes a Poly or a Fraction; zero terms are
+    skipped.
     """
-    total = Poly() if isinstance(coords[0], Poly) else Fraction(0)
-    for i, c in enumerate(coords):
-        g = config.gram[i][j]
-        if g != 0 and c:
-            total = total + g * c
-    return total
+    den, gram = config.integer_gram
+    column = gram[j]  # the Gram matrix is symmetric
+    scale = math.lcm(*(c.denominator for c in coords))
+    if isinstance(coords[0], Poly):
+        acc: list[int] = []
+        for g, c in zip(column, coords):
+            nums = c.numerators
+            if g and nums:
+                f = g * (scale // c.denominator)
+                if len(acc) < len(nums):
+                    acc += [0] * (len(nums) - len(acc))
+                for d, x in enumerate(nums):
+                    acc[d] += f * x
+        return Poly.from_integers(acc, den * scale)
+    total = sum(g * c.numerator * (scale // c.denominator) for g, c in zip(column, coords) if g and c)
+    return Fraction(total, den * scale)
 
 
 def _volume_quadratic(p_polys, d_polys, p_dot) -> Poly:
@@ -350,8 +364,6 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
 
 
 def _isqrt_exact(n: int) -> Optional[int]:
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
 

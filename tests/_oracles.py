@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the package's exact integration and
 decomposition paths: integrals are checked by floating-point Simpson
-quadrature, definiteness by numpy eigenvalues, ray decompositions by
-enumerating every negative-definite subset of the basis, linear algebra by a
+quadrature, polynomial arithmetic by a Poly with Fraction coefficients (the
+package's runs on integer numerators over one denominator), definiteness by
+numpy eigenvalues, ray decompositions by enumerating every negative-definite
+subset of the basis, linear algebra by a
 Gauss-Jordan kernel on Fractions (the package eliminates fraction-free on
 integers), catalog expressions by a recursive-descent parser that evaluates
 as it parses (the package compiles each text once), and random
@@ -15,7 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 from kstab import (
     BlowupSpec,
@@ -23,7 +25,7 @@ from kstab import (
     QuotientSingularity,
     transform_config,
 )
-from kstab.arith import PiecewisePoly, Poly, rat
+from kstab.arith import PiecewisePoly, Poly, RationalLike, rat
 from kstab.catalog import CatalogError, ParameterError
 from kstab.zariski import (
     InconsistentConfigError,
@@ -68,6 +70,147 @@ def simpson_matches(pp: PiecewisePoly, exact: Fraction, rel: float = 1e-9) -> bo
     target = float(exact)
     scale = max(abs(target), 1.0)
     return abs(total - target) <= rel * scale
+
+
+# -- polynomial arithmetic on Fractions -------------------------------------------
+
+
+class FractionPoly:
+    """Univariate polynomial with Fraction coefficients, lowest degree first.
+
+    The package's Poly before it moved onto integer numerators over one
+    common denominator, kept unchanged as the oracle for that arithmetic.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[RationalLike] = ()):
+        object.__setattr__(self, "coeffs", _trimmed([rat(c) for c in coeffs]))
+
+    @classmethod
+    def _exact(cls, cs: list[Fraction]) -> "FractionPoly":
+        """A FractionPoly over a list that is already all Fractions, without coercing."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", _trimmed(cs))
+        return poly
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FractionPoly is immutable")
+
+    @classmethod
+    def constant(cls, c: RationalLike) -> "FractionPoly":
+        return cls((rat(c),))
+
+    @classmethod
+    def variable(cls) -> "FractionPoly":
+        return cls((0, 1))
+
+    @property
+    def degree(self) -> int:
+        """Degree of the polynomial; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FractionPoly):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self == FractionPoly.constant(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(("FractionPoly", self.coeffs))
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly._exact([-c for c in self.coeffs])
+
+    def __add__(self, other) -> "FractionPoly":
+        a, b = self.coeffs, _as_fraction_poly(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return FractionPoly._exact([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "FractionPoly":
+        return self + (-_as_fraction_poly(other))
+
+    def __rsub__(self, other) -> "FractionPoly":
+        return _as_fraction_poly(other) - self
+
+    def __mul__(self, other) -> "FractionPoly":
+        other = _as_fraction_poly(other)
+        if self.is_zero() or other.is_zero():
+            return FractionPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPoly._exact(out)
+
+    __rmul__ = __mul__
+
+    def __call__(self, x: RationalLike) -> Fraction:
+        x = rat(x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def coefficient(self, k: int) -> Fraction:
+        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+
+    def derivative(self) -> "FractionPoly":
+        return FractionPoly._exact([i * c for i, c in enumerate(self.coeffs) if i > 0])
+
+    def antiderivative(self) -> "FractionPoly":
+        return FractionPoly._exact([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+
+    def integrate(self, a: RationalLike, b: RationalLike) -> Fraction:
+        anti = self.antiderivative()
+        return anti(b) - anti(a)
+
+    def format(self, var: str = "u") -> str:
+        if self.is_zero():
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            mag = abs(c)
+            if i == 0:
+                body = str(mag)
+            else:
+                power = var if i == 1 else f"{var}^{i}"
+                body = power if mag == 1 else f"{mag}*{power}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"FractionPoly({self.format()})"
+
+
+def _trimmed(cs: list[Fraction]) -> tuple[Fraction, ...]:
+    """cs without trailing zeros, as a tuple (cs itself is trimmed in place)."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _as_fraction_poly(x) -> FractionPoly:
+    if isinstance(x, FractionPoly):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return FractionPoly.constant(x)
+    raise TypeError(f"cannot interpret {x!r} as a polynomial")
 
 
 def assert_negative_definite_oracle(gram, expected: bool):

@@ -1,5 +1,6 @@
 """Exact polynomial and piecewise-polynomial arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from kstab.arith import (
     poly_eval,
     rat,
 )
-from tests._oracles import simpson, simpson_matches
+from tests._oracles import FractionPoly, simpson, simpson_matches
 
 F = Fraction
 
@@ -271,3 +272,70 @@ def test_exact_integral_matches_simpson(f):
 
 def test_simpson_helper_on_a_known_integral():
     assert abs(simpson(lambda x: x * x, 0.0, 2.0) - 8 / 3) < 1e-12
+
+
+# zeros, small fractions with mixed denominators, and values near 10^12 as
+# in the 10^6 sweeps
+WIDE_RATIONALS = st.one_of(
+    st.just(F(0)),
+    st.integers(-10**12, 10**12).map(F),
+    st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+coefficient_lists = st.lists(WIDE_RATIONALS, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_lists, coefficient_lists, WIDE_RATIONALS, WIDE_RATIONALS, WIDE_RATIONALS)
+def test_every_poly_operation_matches_the_fraction_oracle(cs, ds, c, a, b):
+    p, q, op, oq = Poly(cs), Poly(ds), FractionPoly(cs), FractionPoly(ds)
+    results = {
+        "p": (p, op),
+        "constant": (Poly.constant(c), FractionPoly.constant(c)),
+        "variable": (Poly.variable(), FractionPoly.variable()),
+        "p + q": (p + q, op + oq),
+        "p - q": (p - q, op - oq),
+        "p + c": (p + c, op + c),
+        "c - p": (c - p, c - op),
+        "p * q": (p * q, op * oq),
+        "p * c": (p * c, op * c),
+        "c * p": (c * p, c * op),
+        "-p": (-p, -op),
+        "p'": (p.derivative(), op.derivative()),
+        "antiderivative": (p.antiderivative(), op.antiderivative()),
+    }
+    for name, (got, want) in results.items():
+        assert got.coeffs == want.coeffs, name
+        assert all(type(x) is F for x in got.coeffs), name
+        assert (got.degree, got.is_zero(), bool(got)) == (want.degree, want.is_zero(), bool(want)), name
+        assert [got.coefficient(k) for k in range(7)] == [want.coefficient(k) for k in range(7)], name
+        assert got.format() == want.format() and got.format("t") == want.format("t"), name
+        assert got(a) == want(a) and type(got(a)) is F, name
+        assert got.integrate(a, b) == want.integrate(a, b), name
+        # the integer form is canonical
+        assert got.denominator > 0 and math.gcd(got.denominator, *got.numerators) == 1, name
+        assert not got.numerators or got.numerators[-1] != 0, name
+        assert got == Poly(want.coeffs) and hash(got) == hash(Poly(want.coeffs)), name
+    assert (p == q) == (op == oq)
+    assert (p == c) == (op == c)
+
+
+def test_equal_polynomials_from_different_routes_compare_and_hash_equal():
+    u = Poly.variable()
+    half_plus_u = [
+        Poly([F(1, 2), 1]),
+        Poly(["1/2", "2/2"]),
+        u + F(1, 2),
+        F(1, 2) + u,
+        (2 * u + 1) * F(1, 2),
+        Poly([F(1, 2), 1, 3]) - 3 * u * u,
+        Poly([0, F(1, 2), F(1, 2)]).derivative(),
+        Poly.from_integers([3, 6], 6),
+        Poly.from_integers([-1, -2, 0], -2),
+    ]
+    zero = [Poly(), Poly([0, 0]), u - u, Poly.from_integers([0], 7), F(0) * u, u * Poly()]
+    for routes in (half_plus_u, zero):
+        assert all(p == routes[0] for p in routes)
+        assert len({hash(p) for p in routes}) == 1
+        assert len({(p.numerators, p.denominator) for p in routes}) == 1
+    assert zero[0] == 0 and half_plus_u[0] != 0

@@ -31,6 +31,12 @@ def test_verify_parameter_out_of_range_is_a_usage_error():
     result = invoke(["verify", "--family", "1", "--n", "1"])
     assert result.exit_code == 2
     assert "n >= 2" in result.output
+    assert result.stderr.startswith("Usage: ")
+    # so is n for a fixed family; an n inside a fixed family's catalog data
+    # is a malformed catalog instead (see the malformed-input cases)
+    result = invoke(["verify", "--family", "3", "--n", "2"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("Usage: ")
 
 
 def test_verify_needs_exactly_one_target():
@@ -395,7 +401,7 @@ def _catalog_with_string_blowups(tmp_path):
     return _exported_catalog_with(tmp_path, corrupt, family_id=3)
 
 
-def _catalog_with_check_field(kind, field, value, family_id=1):
+def _catalog_with_check_field(kind, field, value, family_id=1, label=None):
     """Arguments for a catalog whose first check of kind in family family_id has field set to value."""
 
     def make_args(tmp_path):
@@ -404,13 +410,27 @@ def _catalog_with_check_field(kind, field, value, family_id=1):
 
         return _exported_catalog_with(tmp_path, corrupt, family_id)
 
-    make_args.__name__ = f"_catalog_with_{kind}_{field}_{type(value).__name__}"
+    make_args.__name__ = f"_catalog_with_{kind}_{field}_{label or type(value).__name__}"
     return make_args
 
 
 def _catalog_with_zero_denominator_in_config(tmp_path):
     def corrupt(family):
         family["configs"]["lr"]["gram"][0][1] = family["configs"]["lr"]["gram"][1][0] = "1/0"
+
+    return _exported_catalog_with(tmp_path, corrupt, family_id=3)
+
+
+def _catalog_with_n_in_fixed_family_config(tmp_path):
+    def corrupt(family):
+        family["configs"]["lr"]["gram"][0][0] = "n"
+
+    return _exported_catalog_with(tmp_path, corrupt, family_id=3)
+
+
+def _catalog_with_n_in_fixed_family_weights(tmp_path):
+    def corrupt(family):
+        family["weights"][0] = "n"
 
     return _exported_catalog_with(tmp_path, corrupt, family_id=3)
 
@@ -428,6 +448,13 @@ NAMED_IN_ERROR = {
     "_catalog_with_zero_denominator_in_config": "family 3: config 'lr' gram: division by zero in '1/0'",
     "_catalog_with_zero_denominator_in_blowup": "family 1: blow-up 'node' curve_orders: division by zero in '1/0'",
     "_catalog_with_negdef_expect_str": "expect must be true or false",
+    "_catalog_with_ray_expect_misspelt": "expect must be an object of expressions keyed by nef_threshold,",
+    "_catalog_with_ray_expect_unknown": "expect must be an object of expressions keyed by nef_threshold,",
+    "_catalog_with_flag_expect_misspelt": "expect must be an object of expressions keyed by s_w, delta",
+    "_catalog_with_flag_expect_volume": "expect must be an object of expressions keyed by s_w, delta",
+    "_catalog_with_identity_expect_x": "expect must be an object of expressions keyed by const and the names in params",
+    "_catalog_with_n_in_fixed_family_config": "family 3: config 'lr' gram: expression 'n' needs the parameter n",
+    "_catalog_with_n_in_fixed_family_weights": "family 3 weights: expression 'n' needs the parameter n",
 }
 
 
@@ -460,8 +487,15 @@ NAMED_IN_ERROR = {
         _catalog_with_check_field("pairing", "expect", ["1"]),
         _catalog_with_check_field("log_discrepancy", "expect", {"x": "1"}),
         _catalog_with_check_field("proportional", "expect", 1.5, family_id=3),
+        _catalog_with_check_field("ray", "expect", {"tua": "1"}, label="misspelt"),
+        _catalog_with_check_field("ray", "expect", {"x": 1}, label="unknown"),
+        _catalog_with_check_field("flag", "expect", {"s_W": "1"}, family_id=2, label="misspelt"),
+        _catalog_with_check_field("flag", "expect", {"s_w": "1", "volume": []}, family_id=2, label="volume"),
+        _catalog_with_check_field("identity", "expect", {"const": "0", "x": "1"}, family_id=3, label="x"),
         _catalog_with_zero_denominator_in_config,
         _catalog_with_zero_denominator_in_blowup,
+        _catalog_with_n_in_fixed_family_config,
+        _catalog_with_n_in_fixed_family_weights,
     ],
     ids=lambda make_args: make_args.__name__,
 )
@@ -472,16 +506,6 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, make_args):
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("Error: ")
     assert NAMED_IN_ERROR.get(make_args.__name__, "") in result.stderr
-
-
-def test_parameter_errors_in_a_config_stay_usage_errors(tmp_path):
-    def corrupt(family):
-        family["configs"]["lr"]["gram"][0][0] = "n"
-
-    result = invoke(_exported_catalog_with(tmp_path, corrupt, family_id=3))
-    assert result.exit_code == 2
-    assert result.stderr.startswith("Usage: ")
-    assert result.stderr.endswith("Error: family 3: config 'lr' gram: expression 'n' needs the parameter n\n")
 
 
 # -- fuzzing an exported catalog and a fixture ---------------------------------

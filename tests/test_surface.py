@@ -22,7 +22,9 @@ from kstab import (
 )
 from kstab.arith import Poly
 from kstab.surface import DimensionMismatchError, solve_linear_system
+from kstab.zariski import _pair_poly
 from tests._oracles import (
+    FractionPoly,
     assert_negative_definite_oracle,
     oracle_is_negative_definite,
     oracle_solve_linear_system,
@@ -271,6 +273,56 @@ def test_negative_definite_matches_gauss_jordan_oracle(matrix, data):
     )
     subset = data.draw(st.permutations(range(size + 1)))[: data.draw(st.integers(0, size + 1))]
     assert config.is_negative_definite(subset) == oracle_is_negative_definite(config, subset)
+
+
+# zeros, small fractions with mixed denominators, and values near 10^12 as
+# in the 10^6 sweeps
+WIDE_ENTRIES = st.one_of(
+    st.just(F(0)),
+    st.integers(-10**12, 10**12).map(F),
+    st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+
+
+@st.composite
+def wide_configs(draw):
+    """Configs of k <= 8 curves with WIDE_ENTRIES Gram matrices; the first
+    curve, given a positive square, is the polarization."""
+    k = draw(st.integers(1, 8))
+    upper = {(i, j): draw(WIDE_ENTRIES) for i in range(k) for j in range(i, k)}
+    upper[0, 0] = abs(upper[0, 0]) + F(1, draw(st.integers(1, 9)))
+    gram = [[upper[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
+    return CurveConfig.make([f"C{i}" for i in range(k)], gram, [1] + [0] * (k - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_configs(), st.data())
+def test_pairing_matches_a_fraction_double_loop(config, data):
+    vectors = st.lists(WIDE_ENTRIES, min_size=config.size, max_size=config.size)
+    v, w = data.draw(vectors), data.draw(vectors)
+    expected = sum(
+        (a * config.gram[i][j] * b for i, a in enumerate(v) for j, b in enumerate(w)), F(0)
+    )
+    got = config.pairing(v, w)
+    assert got == expected and type(got) is F
+    assert config.pairing(w, v) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_configs(), st.data())
+def test_pair_poly_matches_a_fraction_double_loop(config, data):
+    k = config.size
+    j = data.draw(st.integers(0, k - 1))
+    coeff_lists = data.draw(st.lists(st.lists(WIDE_ENTRIES, max_size=3), min_size=k, max_size=k))
+    expected = sum(
+        (config.gram[i][j] * FractionPoly(cs) for i, cs in enumerate(coeff_lists)), FractionPoly()
+    )
+    got = _pair_poly(config, [Poly(cs) for cs in coeff_lists], j)
+    assert type(got) is Poly and got.coeffs == expected.coeffs
+    rationals = [cs[0] if cs else F(0) for cs in coeff_lists]
+    got = _pair_poly(config, ClassVector(rationals), j)
+    assert got == sum((config.gram[i][j] * r for i, r in enumerate(rationals)), F(0)) and type(got) is F
 
 
 def test_kernel_edge_cases():
