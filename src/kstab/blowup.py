@@ -85,12 +85,8 @@ class BlowupResult:
         """pullback(v) = sum v_i (strict transform of C_i + (w_i/n) E)."""
         if len(v) != self.downstairs.size:
             raise ValueError("vector does not live on the downstairs basis")
-        n = self.spec.center.order
-        e_coeff = sum(
-            (c * self.spec.order_of(name) for c, name in zip(v, self.downstairs.basis)),
-            Fraction(0),
-        ) / n
-        return ClassVector(list(v) + [e_coeff])
+        orders = [self.spec.order_of(name) for name in self.downstairs.basis]
+        return _pullback(v, orders, self.spec.center.order)
 
 
 def transform_config(config: CurveConfig, spec: BlowupSpec) -> BlowupResult:
@@ -120,7 +116,6 @@ def transform_config(config: CurveConfig, spec: BlowupSpec) -> BlowupResult:
                     f"missing vanishing order for curve {name!r} through the center"
                 )
 
-    ab = Fraction(a * b)
     orders = [spec.order_of(name) for name in config.basis]
     k = config.size
     # g_ij - o_i o_j / (n a b) on ints: g = G / d and o = O / s give
@@ -128,25 +123,17 @@ def transform_config(config: CurveConfig, spec: BlowupSpec) -> BlowupResult:
     den, g = config.integer_gram
     o, s = _over_common_denominator(orders)
     q = s * s * n * a * b
-    gram = [[Fraction(g[i][j] * q - den * o[i] * o[j], den * q) for j in range(k)] for i in range(k)]
-    e_row = [w / ab for w in orders]
-    for i in range(k):
-        gram[i].append(e_row[i])
-    gram.append(e_row + [Fraction(-n, a * b)])
+    e_row = [w / (a * b) for w in orders]
+    gram = [[Fraction(g[i][j] * q - den * o[i] * o[j], den * q) for j in range(k)] + [e_row[i]] for i in range(k)]
+    gram.append(e_row + [exceptional_self_intersection(n, a, b)])
 
-    anticanonical = list(config.anticanonical) + [
-        sum(
-            (c * w for c, w in zip(config.anticanonical, orders)),
-            Fraction(0),
-        ) / n
-    ]
     points = tuple(
         rec for rec in config.singular_points if rec.point != spec.center
     )
     upstairs = CurveConfig.make(
         basis=tuple(config.basis) + (spec.exceptional,),
         gram=gram,
-        anticanonical=anticanonical,
+        anticanonical=_pullback(config.anticanonical, orders, n),
         singular_points=points,
     )
     return BlowupResult(
@@ -155,6 +142,11 @@ def transform_config(config: CurveConfig, spec: BlowupSpec) -> BlowupResult:
         spec=spec,
         log_discrepancy_e=log_discrepancy_of_e(n, a, b),
     )
+
+
+def _pullback(v: ClassVector, orders: list[Fraction], n: int) -> ClassVector:
+    """v followed by its E coefficient sum v_i w_i / n, w_i the vanishing orders at the center."""
+    return ClassVector(list(v) + [sum((c * w for c, w in zip(v, orders)), Fraction(0)) / n])
 
 
 def _validate_weights(n: int, a: int, b: int) -> None:

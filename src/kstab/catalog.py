@@ -245,11 +245,11 @@ class FamilyEntry:
 
     @property
     def weights_display(self) -> str:
-        return "(" + ", ".join(self.data["weights"]) + ")"
+        return "(" + ", ".join(str(w) for w in self.data["weights"]) + ")"
 
     @property
     def degree_display(self) -> str:
-        return self.data["degree"]
+        return str(self.data["degree"])
 
 
 @dataclass(frozen=True)
@@ -274,16 +274,15 @@ def load_catalog(path: Optional[str | Path] = None) -> Catalog:
     """Load the catalog from path, $KSTAB_CATALOG, or the embedded copy."""
     if path is None:
         path = os.environ.get("KSTAB_CATALOG") or None
-    if path is not None:
-        raw = Path(path).read_text()
-        source = str(path)
-    else:
-        raw = resources.files("kstab").joinpath("data/catalog.json").read_text()
-        source = "embedded"
+    source = "embedded" if path is None else str(path)
+    file = resources.files("kstab").joinpath("data/catalog.json") if path is None else Path(path)
     try:
-        doc = json.loads(raw)
+        doc = json.loads(file.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"catalog at {source} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CatalogError(f"catalog at {source} is not valid JSON: {exc}") from exc
+    malformed = f"catalog at {source} is malformed"
     try:
         catalog = Catalog(
             version=int(doc["version"]),
@@ -292,11 +291,18 @@ def load_catalog(path: Optional[str | Path] = None) -> Catalog:
             source=source,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise CatalogError(
-            f"catalog at {source} is malformed: {type(exc).__name__}: {exc}"
-        ) from exc
+        raise CatalogError(f"{malformed}: {type(exc).__name__}: {exc}") from exc
+    _require(_is_int(doc["version"]), f"{malformed}: version", "an integer")
+    for row in catalog.non_ke_quintuples:
+        _require(
+            isinstance(row, dict) and isinstance(row.get("constraints", ""), str)
+            and all(isinstance(row.get(f), str) for f in ("weights_display", "degree_display", "ke")),
+            f"{malformed}: each non_ke_quintuples row", "an object with string weights_display, degree_display and ke",
+        )
     for entry in catalog.families:
-        where = f"catalog at {source} is malformed: family {entry.family_id}"
+        where = f"{malformed}: family {entry.family_id}"
+        _require(catalog.family(entry.family_id) is entry, f"{where} id", "unique")
+        _validate_family(where, entry.data)
         _validate_structures(where, entry.data)
         _validate_checks(where, entry)
     return catalog
@@ -319,15 +325,31 @@ def _is_name_list(x) -> bool:
     return isinstance(x, list) and all(isinstance(c, str) for c in x)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_int_pair(x) -> bool:
-    return isinstance(x, list) and len(x) == 2 and all(
-        isinstance(w, int) and not isinstance(w, bool) for w in x
-    )
+    return isinstance(x, list) and len(x) == 2 and all(_is_int(w) for w in x)
 
 
 def _require(ok: bool, where: str, what: str) -> None:
     if not ok:
         raise CatalogError(f"{where} must be {what}")
+
+
+def _validate_family(where: str, data: Mapping) -> None:
+    """Raise CatalogError unless a family's own fields have the JSON types that
+    ``instantiate``, ``check_parameter`` and the table read."""
+    _require(_is_int(data["id"]), f"{where} id", "an integer")
+    _require(_is_expr_list(data.get("weights")), f"{where} weights", "a list of expressions")
+    _require(_is_expr(data.get("degree")), f"{where} degree", "an expression")
+    _require(isinstance(data.get("ke"), str), f"{where} ke", "a string")
+    parameter = data.get("parameter")
+    _require(
+        parameter is None or isinstance(parameter, dict) and _is_int(parameter.get("min")),
+        f"{where} parameter", "an object with an integer min",
+    )
 
 
 def _validate_point(where: str, point) -> None:
@@ -466,7 +488,10 @@ def instantiate(catalog: Catalog, family_id: int, n: Optional[int] = None) -> Fa
 
     weights = tuple(_located(f"family {family_id} weights", _eval_int, w, n) for w in entry.data["weights"])
     degree = _located(f"family {family_id} degree", _eval_int, entry.data["degree"], n)
-    quintuple = Quintuple(weights, degree)
+    try:
+        quintuple = Quintuple(weights, degree)
+    except ValueError as exc:  # no four positive ascending weights, or no positive degree, at this n
+        raise CatalogError(f"family {family_id}: {exc}") from exc
     if quintuple.index != 2:
         raise CatalogError(f"family {family_id}: index {quintuple.index} != 2")
     if not quintuple.is_well_formed():

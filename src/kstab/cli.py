@@ -67,7 +67,10 @@ def _parse_n_values(text: Optional[str]) -> Optional[list[int]]:
 
 def _emit(text: str, output: Optional[str]):
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise _BadInput(f"cannot write {output}: {exc.strerror or exc}")
     else:
         click.echo(text, nl=False)
 
@@ -220,7 +223,9 @@ def cmd_export(output, catalog_path):
 def cmd_analyze(input_path, fmt, output):
     """Decompose a ray from a JSON fixture and report its invariants."""
     try:
-        doc = json.loads(Path(input_path).read_text())
+        doc = json.loads(Path(input_path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _BadInput(f"{input_path}: not valid UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise _BadInput(f"{input_path}: not valid JSON: {exc}")
     try:

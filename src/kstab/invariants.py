@@ -13,7 +13,7 @@ from typing import Mapping, Optional
 
 from .arith import Poly, RationalLike, rat
 from .surface import QuotientSingularity
-from .zariski import RayDecomposition, _pair_poly
+from .zariski import RayDecomposition
 
 
 class FlagSupportError(ValueError):
@@ -66,7 +66,7 @@ def az_s_w(
             raise FlagSupportError(
                 f"flag curve {config.basis[y_index]} lies in its own negative support"
             )
-        deg = _pair_poly(config, iv.positive_part, y_index)
+        deg = config.basis_pairings(iv.positive_part)[y_index]
         ord_term = Poly()
         for idx, coeff in zip(iv.support, iv.negative_coeffs):
             m = mults.get(idx, Fraction(0))

@@ -10,13 +10,14 @@ integers, where every division is exact by Sylvester's identity.  The same
 pass decides negative definiteness from the signs of the leading principal
 minors and solves linear systems, returning exact Fractions (or Polys).
 Pairings run on the same footing: each configuration keeps its Gram matrix
-as ints over one common denominator, and a pairing scales both vectors to
-ints and builds a single Fraction.
+as ints over one common denominator, and ``pairing`` and ``basis_pairings``
+scale their vectors to ints and share one integer product with it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -259,15 +260,37 @@ class CurveConfig:
             raise DimensionMismatchError(
                 f"vectors of length {len(v)}, {len(w)} against basis of size {self.size}"
             )
-        den, gram = self.integer_gram
+        den, _ = self.integer_gram
         a, scale_v = _over_common_denominator(v)
         b, scale_w = _over_common_denominator(w)
-        b = [(j, y) for j, y in enumerate(b) if y]
-        total = 0
-        for x, row in zip(a, gram):
-            if x:
-                total += x * sum(row[j] * y for j, y in b)
+        total = sum(map(operator.mul, a, self._gram_times(b)))
         return Fraction(total, den * scale_v * scale_w)
+
+    def basis_pairings(self, coords: Sequence) -> list:
+        """coords . C_j for every basis curve C_j, in basis order.
+
+        The coordinates are all Polys, giving Polys, or all Fractions (a
+        ``ClassVector``, say), giving Fractions.  They are scaled to ints over
+        the lcm of their denominators once and multiplied by the integer Gram
+        matrix, once per polynomial degree; only the results become Polys or Fractions.
+        """
+        if len(coords) != self.size:
+            raise DimensionMismatchError(f"vector of length {len(coords)} against basis of size {self.size}")
+        den, _ = self.integer_gram
+        if not isinstance(coords[0], Poly):
+            ints, scale = _over_common_denominator(coords)
+            return [Fraction(t, den * scale) for t in self._gram_times(ints)]
+        scale = math.lcm(*(c.denominator for c in coords))
+        columns = [[x * (scale // c.denominator) for x in c.numerators] for c in coords]
+        products = [
+            self._gram_times([col[d] if d < len(col) else 0 for col in columns])
+            for d in range(max(map(len, columns)))
+        ]
+        return [Poly.from_integers([p[j] for p in products], den * scale) for j in range(self.size)]
+
+    def _gram_times(self, x: Sequence[int]) -> list[int]:
+        """G x on ints, G the (symmetric) integer Gram matrix: entry j is x . C_j times d."""
+        return [sum(map(operator.mul, row, x)) for row in self.integer_gram[1]]
 
     def is_negative_definite(self, subset: Sequence[int]) -> bool:
         """The k-th leading principal minor of the submatrix has sign (-1)^k for every k.

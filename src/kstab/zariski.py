@@ -44,12 +44,13 @@ def zariski_decompose_at(
     and adds any basis curve with P.C < 0 until reaching the fixpoint.
     """
     k = config.size
+    d_dot = config.basis_pairings(d)
     support: list[int] = []
     coeffs: list[Fraction] = []
     for _ in range(k + 1):
         if support:
             m = [[config.gram[i][j] for j in support] for i in support]
-            rhs = [_pair_poly(config, d, i) for i in support]
+            rhs = [d_dot[i] for i in support]
             try:
                 coeffs = solve_linear_system(m, rhs)
             except ValueError:
@@ -58,13 +59,10 @@ def zariski_decompose_at(
                 ) from None
         else:
             coeffs = []
-        n_vec = _support_vector(config, support, coeffs)
+        n_vec = _support_vector(config.size, support, coeffs)
         p_vec = d - n_vec
-        violating = [
-            j
-            for j in range(k)
-            if j not in support and _pair_poly(config, p_vec, j) < 0
-        ]
+        p_dot = config.basis_pairings(p_vec) if support else d_dot
+        violating = [j for j in range(k) if j not in support and p_dot[j] < 0]
         if not violating:
             break
         support.append(violating[0])
@@ -102,10 +100,7 @@ class RayInterval:
     positive_part: tuple[Poly, ...]
 
     def negative_part_at(self, u: RationalLike, size: int) -> ClassVector:
-        coeffs = [Fraction(0)] * size
-        for idx, poly in zip(self.support, self.negative_coeffs):
-            coeffs[idx] = poly(u)
-        return ClassVector(coeffs)
+        return _support_vector(size, self.support, [poly(u) for poly in self.negative_coeffs])
 
     def positive_part_at(self, u: RationalLike) -> ClassVector:
         return ClassVector(p(u) for p in self.positive_part)
@@ -192,20 +187,17 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
     ``ample`` must be nef on the basis and big (positive self-intersection);
     ``ray`` is the class being subtracted (usually a single basis curve).
     """
-    k = config.size
     if config.pairing(ample, ample) <= 0:
         raise ValueError("ample class must have positive self-intersection")
-    for j in range(k):
-        if _pair_poly(config, ample, j) < 0:
-            raise ValueError(
-                f"ample class is not nef: negative against {config.basis[j]}"
-            )
+    for name, q in zip(config.basis, config.basis_pairings(ample)):
+        if q < 0:
+            raise ValueError(f"ample class is not nef: negative against {name}")
     if ray.is_zero():
         raise ValueError("ray class must be nonzero")
 
     u = Poly.variable()
     d_polys = [Poly.constant(a) - u * Poly.constant(e) for a, e in zip(ample, ray)]
-    d_dot = [_pair_poly(config, d_polys, j) for j in range(k)]
+    d_dot = config.basis_pairings(d_polys)
     support: list[int] = []
     intervals: list[RayInterval] = []
     vol_pieces: list[tuple[Fraction, Fraction, Poly]] = []
@@ -218,7 +210,7 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
             p_polys = list(d_polys)
             for idx, c in zip(support, coeffs):
                 p_polys[idx] = p_polys[idx] - c
-            p_dot = [_pair_poly(config, p_polys, j) for j in range(k)]
+            p_dot = config.basis_pairings(p_polys)
             entering = [
                 j for j, q in enumerate(p_dot)
                 if j not in support and (q(left), q.coefficient(1)) < (0, 0)
@@ -281,33 +273,6 @@ def volume_profile(rd: RayDecomposition) -> PiecewisePoly:
 # -- internals ----------------------------------------------------------------
 
 
-def _pair_poly(config: CurveConfig, coords: Sequence, j: int):
-    """(sum_i coords[i] * C_i) . C_j, in one pass down column j of the integer Gram matrix.
-
-    The coordinates are all Polys, giving a Poly, or all rationals (a
-    ``ClassVector``, say), giving a Fraction.  Either way they are scaled to
-    ints over the lcm of their denominators, summed against the column on
-    ints, and only the result becomes a Poly or a Fraction; zero terms are
-    skipped.
-    """
-    den, gram = config.integer_gram
-    column = gram[j]  # the Gram matrix is symmetric
-    scale = math.lcm(*(c.denominator for c in coords))
-    if isinstance(coords[0], Poly):
-        acc: list[int] = []
-        for g, c in zip(column, coords):
-            nums = c.numerators
-            if g and nums:
-                f = g * (scale // c.denominator)
-                if len(acc) < len(nums):
-                    acc += [0] * (len(nums) - len(acc))
-                for d, x in enumerate(nums):
-                    acc[d] += f * x
-        return Poly.from_integers(acc, den * scale)
-    total = sum(g * c.numerator * (scale // c.denominator) for g, c in zip(column, coords) if g and c)
-    return Fraction(total, den * scale)
-
-
 def _volume_quadratic(p_polys, d_polys, p_dot) -> Poly:
     # P.P == P.D thanks to P.N = 0; computing both is a cheap self-check.
     pp = sum((p * q for p, q in zip(p_polys, p_dot)), Poly())
@@ -356,7 +321,7 @@ def _smallest_rational_root_at_least(q: Poly, lo: Fraction) -> Optional[Fraction
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
     if x < 0:
         return None
-    num, den = x.numerator, x.denominator
+    num, den = x.as_integer_ratio()
     rn, rd = _isqrt_exact(num), _isqrt_exact(den)
     if rn is None or rd is None:
         return None
@@ -377,8 +342,8 @@ def _check_continuity(rd: RayDecomposition) -> None:
         raise InconsistentConfigError("volume at 0 does not equal ample self-intersection")
 
 
-def _support_vector(config: CurveConfig, support: Sequence[int], coeffs) -> ClassVector:
-    out = [Fraction(0)] * config.size
+def _support_vector(size: int, support: Sequence[int], coeffs) -> ClassVector:
+    out = [Fraction(0)] * size
     for idx, c in zip(support, coeffs):
         out[idx] = c
     return ClassVector(out)

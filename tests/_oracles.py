@@ -33,7 +33,6 @@ from kstab.zariski import (
     RayInterval,
     RayNeverEffectiveError,
     _check_continuity,
-    _pair_poly,
     _quadratic_negative_on,
     _smallest_rational_root_at_least,
 )
@@ -441,19 +440,18 @@ def _subset_solutions(config, ample, ray):
     k = config.size
     u = Poly.variable()
     d_polys = [Poly.constant(a) - u * Poly.constant(e) for a, e in zip(ample, ray)]
+    d_dot = config.basis_pairings(d_polys)
     solutions = []
     for size in range(k + 1):
         for subset in combinations(range(k), size):
             if not oracle_is_negative_definite(config, subset):
                 continue
             m = [[config.gram[i][j] for j in subset] for i in subset]
-            coeffs = oracle_solve_linear_system(
-                m, [_pair_poly(config, d_polys, j) for j in subset]
-            )
+            coeffs = oracle_solve_linear_system(m, [d_dot[j] for j in subset])
             p_polys = list(d_polys)
             for idx, c in zip(subset, coeffs):
                 p_polys[idx] = p_polys[idx] - c
-            constraints = list(coeffs) + [_pair_poly(config, p_polys, j) for j in range(k)]
+            constraints = list(coeffs) + config.basis_pairings(p_polys)
             solutions.append(
                 (subset, tuple(coeffs), tuple(p_polys), _linear_feasible_interval(constraints))
             )

@@ -98,6 +98,8 @@ def test_pullback_isometry_and_orthogonality():
     result = transform_config(config, BlowupSpec.make(point, (4, 3), {"L1": 3, "L2": 3}))
     up = result.upstairs
     e = up.basis_vector("E")
+    assert up.anticanonical == result.pullback(config.anticanonical)
+    assert up.pairing(e, e) == exceptional_self_intersection(5, 4, 3)
     rng = random.Random(7)
     for _ in range(25):
         v = ClassVector([F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2)])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import re
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from kstab.catalog import VerificationReport
 from kstab.cli import main
+from tests._oracles import random_chain_config
 
 runner = CliRunner()
 
@@ -98,6 +100,17 @@ def test_table_json_parses():
     doc = json.loads(result.output)
     assert len(doc["families"]) == 10
     assert len(doc["non_ke_quintuples"]) == 5
+
+
+def test_integer_weights_and_degree_are_expressions(tmp_path):
+    def corrupt(family):
+        family.update(weights=[1, 3, 4, 6], degree=12)
+
+    args = _exported_catalog_with(tmp_path, corrupt, family_id=3)
+    assert invoke(args).exit_code == 0
+    result = invoke(["table", *args[-2:]])
+    assert result.exit_code == 0
+    assert "(1, 3, 4, 6) | 12 | yes" in result.output
 
 
 def test_export_then_verify_against_export(tmp_path):
@@ -210,6 +223,20 @@ def test_blowup_without_curve_orders_misses_every_curve(tmp_path):
     assert json.loads(result.stdout)["blowups"][0]["upstairs"]["gram"] == [["1/2", "0"], ["0", "-1"]]
 
 
+def _chain_fixture(seed: int, k: int) -> dict:
+    """An analyze fixture for the seeded chain of k curves from random_chain_config:
+    its ray, and a flag point with multiplicity 1 on the base curve."""
+    config, _, ray_name = random_chain_config(random.Random(seed), stages=k - 1)
+    point = {"a_value": "1", "label": "q", "multiplicities": {"C": "1"}}
+    return {"config": config.to_json_dict(), "ray": {"curve": ray_name}, "point": point}
+
+
+# the analyze fixtures a pinned command names
+PINNED_FIXTURES = {
+    "README_FIXTURE": README_FIXTURE,
+    **{f"CHAIN_{seed}_{k}": _chain_fixture(seed, k) for seed, k in ((0, 4), (2, 6), (1, 8), (4, 10))},
+}
+
 # sha256 of the output bytes, pinned so that a refactor that changes any byte fails
 PINNED_OUTPUT_SHA256 = {
     ("verify", "--all", "--format", "json"): "2fbd0f8b77ce68c376c1fe24ed03b6e35defb506a180f7481751b67717c9895f",
@@ -217,6 +244,14 @@ PINNED_OUTPUT_SHA256 = {
     ("verify", "--all", "--format", "text"): "4a55a7017b80400c045de283aa712509b761c19806808bd1d824ad923e968916",
     ("analyze", "--input", "README_FIXTURE", "--format", "json"):
         "cddbb74ea829cb6dffb5a1b70ddb5e9dc004c62ab8b08b017b459e15fe086d1e",
+    ("analyze", "--input", "CHAIN_0_4", "--format", "json"):
+        "fded5ea21e22b9c847ad6c65da713fd4b6cbb2aa5a97353590b99b52b5e68b42",
+    ("analyze", "--input", "CHAIN_2_6", "--format", "json"):
+        "fb43404052aec87a3ee185e6f4ecc277b152b5da9887aae90823886ccaaa9607",
+    ("analyze", "--input", "CHAIN_1_8", "--format", "json"):
+        "86b7a8455bd34e6ec8f5c8b257fd5bfc2ead0d7427e786fb99ee14a4c853eb6a",
+    ("analyze", "--input", "CHAIN_4_10", "--format", "json"):
+        "705414cbbe029fc150f4a4126750687511e98d047b140ba89a566ab8d7d2d3e0",
 }
 
 
@@ -224,9 +259,11 @@ PINNED_OUTPUT_SHA256 = {
     "args, digest", PINNED_OUTPUT_SHA256.items(), ids=[" ".join(args) for args in PINNED_OUTPUT_SHA256]
 )
 def test_output_bytes_are_pinned(tmp_path, args, digest):
-    fixture = tmp_path / "readme.json"
-    fixture.write_text(json.dumps(README_FIXTURE))
-    result = invoke([str(fixture) if arg == "README_FIXTURE" else arg for arg in args])
+    fixture = tmp_path / "fixture.json"
+    for arg in args:
+        if arg in PINNED_FIXTURES:
+            fixture.write_text(json.dumps(PINNED_FIXTURES[arg]))
+    result = invoke([str(fixture) if arg in PINNED_FIXTURES else arg for arg in args])
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
@@ -360,16 +397,22 @@ def _fixture_with_float_blowup_weight(tmp_path):
     return _readme_fixture_with(tmp_path, lambda doc: doc["blowups"][0].update(weights=[1.5, 5]))
 
 
-def _exported_catalog_with(tmp_path, corrupt, family_id=1):
-    """verify one family (family 1 at n = 3) against an exported catalog with
-    that family corrupted."""
+def _exported_catalog(tmp_path, corrupt):
+    """The path of an exported catalog after corrupt(doc) has changed it."""
     path = tmp_path / "catalog.json"
     invoke(["export", "--output", str(path)])
     doc = json.loads(path.read_text())
-    corrupt(next(f for f in doc["families"] if f["id"] == family_id))
+    corrupt(doc)
     path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _exported_catalog_with(tmp_path, corrupt, family_id=1):
+    """verify one family (family 1 at n = 3) against an exported catalog with
+    that family corrupted."""
+    path = _exported_catalog(tmp_path, lambda doc: corrupt(next(f for f in doc["families"] if f["id"] == family_id)))
     n = ["--n", "3"] if family_id == 1 else []
-    return ["verify", "--family", str(family_id), *n, "--catalog", str(path)]
+    return ["verify", "--family", str(family_id), *n, "--catalog", path]
 
 
 def _catalog_with_list_pairing_vector(tmp_path):
@@ -442,6 +485,68 @@ def _catalog_with_zero_denominator_in_blowup(tmp_path):
     return _exported_catalog_with(tmp_path, corrupt)
 
 
+def _catalog_with_repeated_family_id(tmp_path):
+    def corrupt(doc):
+        second = json.loads(json.dumps(next(f for f in doc["families"] if f["id"] == 3)))
+        second["checks"][0]["expect"] = "12345"
+        doc["families"].append(second)
+
+    return ["verify", "--all", "--catalog", _exported_catalog(tmp_path, corrupt)]
+
+
+def _catalog_with_float_family_id(tmp_path):
+    return _exported_catalog_with(tmp_path, lambda family: family.update(id=3.9), family_id=3)
+
+
+def _catalog_with_boolean_version(tmp_path):
+    return ["verify", "--all", "--catalog", _exported_catalog(tmp_path, lambda doc: doc.update(version=True))]
+
+
+def _catalog_without_ke(tmp_path):
+    return ["table", "--catalog", _exported_catalog(tmp_path, lambda doc: doc["families"][2].pop("ke"))]
+
+
+def _catalog_with_text_parameter_min(tmp_path):
+    return _exported_catalog_with(tmp_path, lambda family: family["parameter"].update(min="two"))
+
+
+def _catalog_with_text_parameter(tmp_path):
+    return _exported_catalog_with(tmp_path, lambda family: family.update(parameter="n"))
+
+
+def _catalog_with_non_ke_row_without_ke(tmp_path):
+    return ["table", "--catalog", _exported_catalog(tmp_path, lambda doc: doc["non_ke_quintuples"][0].pop("ke"))]
+
+
+def _catalog_with_text_non_ke_row(tmp_path):
+    def corrupt(doc):
+        doc["non_ke_quintuples"][0] = "(1, 6, 9, 13)"
+
+    return ["table", "--catalog", _exported_catalog(tmp_path, corrupt)]
+
+
+def _catalog_in_latin_1(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_bytes('{"version": 1, "families": [], "note": "Kähler"}'.encode("latin-1"))
+    return ["verify", "--all", "--catalog", str(path)]
+
+
+def _fixture_in_latin_1(tmp_path):
+    path = tmp_path / "fixture.json"
+    path.write_bytes(json.dumps(dict(FAMILY3_FIXTURE, note="Kähler"), ensure_ascii=False).encode("latin-1"))
+    return ["analyze", "--input", str(path)]
+
+
+def _verify_output_in_a_missing_directory(tmp_path):
+    return ["verify", "--family", "3", "--output", str(tmp_path / "missing" / "out.txt")]
+
+
+def _analyze_output_in_a_missing_directory(tmp_path):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(FAMILY3_FIXTURE))
+    return ["analyze", "--input", str(path), "--output", str(tmp_path / "missing" / "out.txt")]
+
+
 # what the one error line must say, where a case's message names a location
 NAMED_IN_ERROR = {
     "_fixture_with_zero_denominator": "fixture.json: config 'config' gram: division by zero in '1/0'",
@@ -455,6 +560,18 @@ NAMED_IN_ERROR = {
     "_catalog_with_identity_expect_x": "expect must be an object of expressions keyed by const and the names in params",
     "_catalog_with_n_in_fixed_family_config": "family 3: config 'lr' gram: expression 'n' needs the parameter n",
     "_catalog_with_n_in_fixed_family_weights": "family 3 weights: expression 'n' needs the parameter n",
+    "_catalog_with_repeated_family_id": "family 3 id must be unique",
+    "_catalog_with_float_family_id": "family 3 id must be an integer",
+    "_catalog_with_boolean_version": "version must be an integer",
+    "_catalog_without_ke": "family 3 ke must be a string",
+    "_catalog_with_text_parameter_min": "family 1 parameter must be an object with an integer min",
+    "_catalog_with_text_parameter": "family 1 parameter must be an object with an integer min",
+    "_catalog_with_non_ke_row_without_ke": "each non_ke_quintuples row must be an object with string",
+    "_catalog_with_text_non_ke_row": "each non_ke_quintuples row must be an object with string",
+    "_catalog_in_latin_1": "catalog.json is not valid UTF-8",
+    "_fixture_in_latin_1": "fixture.json: not valid UTF-8",
+    "_verify_output_in_a_missing_directory": "out.txt: No such file or directory",
+    "_analyze_output_in_a_missing_directory": "out.txt: No such file or directory",
 }
 
 
@@ -496,6 +613,18 @@ NAMED_IN_ERROR = {
         _catalog_with_zero_denominator_in_blowup,
         _catalog_with_n_in_fixed_family_config,
         _catalog_with_n_in_fixed_family_weights,
+        _catalog_with_repeated_family_id,
+        _catalog_with_float_family_id,
+        _catalog_with_boolean_version,
+        _catalog_without_ke,
+        _catalog_with_text_parameter_min,
+        _catalog_with_text_parameter,
+        _catalog_with_non_ke_row_without_ke,
+        _catalog_with_text_non_ke_row,
+        _catalog_in_latin_1,
+        _fixture_in_latin_1,
+        _verify_output_in_a_missing_directory,
+        _analyze_output_in_a_missing_directory,
     ],
     ids=lambda make_args: make_args.__name__,
 )

@@ -22,7 +22,6 @@ from kstab import (
 )
 from kstab.arith import Poly
 from kstab.surface import DimensionMismatchError, solve_linear_system
-from kstab.zariski import _pair_poly
 from tests._oracles import (
     FractionPoly,
     assert_negative_definite_oracle,
@@ -101,6 +100,8 @@ def test_config_pairing_examples():
 def test_config_pairing_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         config_pairing(FAMILY5, ClassVector([1]), ClassVector([1, 0]))
+    with pytest.raises(DimensionMismatchError):
+        FAMILY5.basis_pairings([Poly([1])] * (FAMILY5.size + 1))
 
 
 def test_config_requires_symmetric_gram_and_big_polarization():
@@ -311,18 +312,22 @@ def test_pairing_matches_a_fraction_double_loop(config, data):
 
 @settings(max_examples=150, deadline=None)
 @given(wide_configs(), st.data())
-def test_pair_poly_matches_a_fraction_double_loop(config, data):
+def test_basis_pairings_match_a_fraction_double_loop(config, data):
     k = config.size
-    j = data.draw(st.integers(0, k - 1))
     coeff_lists = data.draw(st.lists(st.lists(WIDE_ENTRIES, max_size=3), min_size=k, max_size=k))
-    expected = sum(
-        (config.gram[i][j] * FractionPoly(cs) for i, cs in enumerate(coeff_lists)), FractionPoly()
-    )
-    got = _pair_poly(config, [Poly(cs) for cs in coeff_lists], j)
-    assert type(got) is Poly and got.coeffs == expected.coeffs
-    rationals = [cs[0] if cs else F(0) for cs in coeff_lists]
-    got = _pair_poly(config, ClassVector(rationals), j)
-    assert got == sum((config.gram[i][j] * r for i, r in enumerate(rationals)), F(0)) and type(got) is F
+    got = config.basis_pairings([Poly(cs) for cs in coeff_lists])
+    assert len(got) == k and all(type(q) is Poly for q in got)
+    for j, q in enumerate(got):
+        expected = sum(
+            (config.gram[i][j] * FractionPoly(cs) for i, cs in enumerate(coeff_lists)), FractionPoly()
+        )
+        assert q.coeffs == expected.coeffs
+    rationals = ClassVector(cs[0] if cs else F(0) for cs in coeff_lists)
+    got = config.basis_pairings(rationals)
+    assert got == [sum((config.gram[i][j] * r for i, r in enumerate(rationals)), F(0)) for j in range(k)]
+    assert all(type(q) is F for q in got)
+    # column j is the pairing with the j-th basis vector
+    assert got == [config.pairing(rationals, config.basis_vector(name)) for name in config.basis]
 
 
 def test_kernel_edge_cases():
