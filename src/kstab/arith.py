@@ -32,11 +32,6 @@ def rat(x: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def format_rational(x: Fraction, approx_digits: int = 6) -> str:
-    """Render 'p/q (~d.dddddd)' for human-readable report lines."""
-    return f"{x} (~{float(x):.{approx_digits}f})"
-
-
 class IntervalNotCoveredError(ValueError):
     """Requested integration range escapes the piecewise domain."""
 

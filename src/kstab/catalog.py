@@ -48,40 +48,28 @@ def eval_expr(expr, n: Optional[int] = None) -> Fraction:
     """Evaluate an exact rational expression: integers, n, + - * / ( ), min().
 
     Each text is compiled once per process and the compiled form evaluated at
-    n.  Malformed text is not cached: it is compiled again on every call, and
-    what the text completes before its first bad token is evaluated before
-    the syntax error is raised, so a missing n or a division by zero there
-    is reported instead.
+    n.  What is wrong with a text whatever n is raises one CatalogError, the
+    same at every n: a syntax error, a constant zero divisor or a digit run
+    that int() refuses when the text compiles, and nesting deeper than the
+    interpreter allows when it compiles or is evaluated.  Only a missing n and
+    a divisor that is zero at this n are raised when evaluating, in
+    left-to-right order.
     """
     if isinstance(expr, (int, Fraction)) and not isinstance(expr, bool):
         return rat(expr)
+    text = str(expr)
     try:
-        node = _compile(str(expr))
-    except _Malformed as bad:
-        for done in bad.evaluated:
-            if callable(done):
-                done(n)
-        raise bad.error from None
-    return node(n) if callable(node) else node
+        node = _compile(text)
+        return node(n) if callable(node) else node
+    except RecursionError:
+        raise CatalogError(f"expression {text!r} is nested too deeply") from None
 
 
 @functools.lru_cache(maxsize=1024)
 def _compile(text: str):
     """Compile text to a node: a Fraction, or a function of n for the parts
-    that depend on n or must raise when evaluated."""
+    that depend on n."""
     return _Compiler(text).parse()
-
-
-class _Malformed(Exception):
-    """A syntax error found while compiling, with the nodes completed before it.
-
-    ``evaluated`` is in the order a left-to-right evaluation reaches them.
-    """
-
-    def __init__(self, error: Exception, *evaluated):
-        super().__init__(error)
-        self.error = error
-        self.evaluated = list(evaluated)
 
 
 def _combine(op, left, right):
@@ -92,10 +80,7 @@ def _combine(op, left, right):
         return lambda n: op(left(n), right)
     if callable(right):
         return lambda n: op(left, right(n))
-    try:
-        return op(left, right)
-    except CatalogError:  # a constant division by zero raises when evaluated
-        return lambda n: op(left, right)
+    return op(left, right)
 
 
 class _Compiler:
@@ -121,16 +106,8 @@ class _Compiler:
         node = self._expr()
         self._skip_ws()
         if self.pos != len(self.text):
-            raise _Malformed(CatalogError(f"trailing input in expression {self.text!r}"), node)
+            raise CatalogError(f"trailing input in expression {self.text!r}")
         return node
-
-    def _then(self, done, parse):
-        """parse(); if what follows `done` is malformed, `done` is evaluated first."""
-        try:
-            return parse()
-        except _Malformed as bad:
-            bad.evaluated.insert(0, done)
-            raise
 
     def _expr(self):
         node = self._term()
@@ -138,8 +115,7 @@ class _Compiler:
             op = self._peek()
             if op and op in "+-":
                 self.pos += 1
-                rhs = self._then(node, self._term)
-                node = _combine(operator.add if op == "+" else operator.sub, node, rhs)
+                node = _combine(operator.add if op == "+" else operator.sub, node, self._term())
             else:
                 return node
 
@@ -149,7 +125,9 @@ class _Compiler:
             op = self._peek()
             if op and op in "*/":
                 self.pos += 1
-                rhs = self._then(node, self._factor)
+                rhs = self._factor()
+                if op == "/" and not callable(rhs) and rhs == 0:  # zero whatever n is
+                    raise CatalogError(f"division by zero in {self.text!r}")
                 node = _combine(self.divide if op == "/" else operator.mul, node, rhs)
             else:
                 return node
@@ -164,7 +142,7 @@ class _Compiler:
             self.pos += 1
             node = self._expr()
             if self._peek() != ")":
-                raise _Malformed(CatalogError(f"unbalanced parentheses in {self.text!r}"), node)
+                raise CatalogError(f"unbalanced parentheses in {self.text!r}")
             self.pos += 1
             return node
         if ch.isdigit():
@@ -173,25 +151,23 @@ class _Compiler:
                 self.pos += 1
             try:
                 return Fraction(int(self.text[start : self.pos]))
-            except ValueError as exc:  # a superscript: isdigit() but not int()
-                raise _Malformed(exc) from None
+            except ValueError as exc:  # a superscript, or more digits than int() reads
+                raise CatalogError(f"cannot parse expression {self.text!r} at position {start}: {exc}") from None
         if self.text.startswith("min(", self.pos):
             self.pos += 4
             first = self._expr()
             if self._peek() != ",":
-                raise _Malformed(CatalogError(f"min() needs two arguments in {self.text!r}"), first)
+                raise CatalogError(f"min() needs two arguments in {self.text!r}")
             self.pos += 1
-            second = self._then(first, self._expr)
+            second = self._expr()
             if self._peek() != ")":
-                raise _Malformed(CatalogError(f"unbalanced min() in {self.text!r}"), first, second)
+                raise CatalogError(f"unbalanced min() in {self.text!r}")
             self.pos += 1
             return _combine(min, first, second)
         if ch == "n":
             self.pos += 1
             return self.param
-        raise _Malformed(
-            CatalogError(f"cannot parse expression {self.text!r} at position {self.pos}")
-        )
+        raise CatalogError(f"cannot parse expression {self.text!r} at position {self.pos}")
 
     def _peek(self) -> str:
         self._skip_ws()
@@ -280,7 +256,7 @@ def load_catalog(path: Optional[str | Path] = None) -> Catalog:
         doc = json.loads(file.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise CatalogError(f"catalog at {source} is not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a huge integer or deep nesting too
         raise CatalogError(f"catalog at {source} is not valid JSON: {exc}") from exc
     malformed = f"catalog at {source} is malformed"
     try:
@@ -617,14 +593,15 @@ class CheckItem:
 
 
 def _approx(text: str) -> Optional[str]:
-    """Six decimals of a 'p/q' or 'p' text (as str(Fraction) writes them), else None.
+    """Six decimals of a 'p/q' or 'p' text (as str(Fraction) writes them), else None;
+    None too for a value beyond float range.
 
     Integer true division is correctly rounded, as float(Fraction) is.
     """
     p, _, q = text.partition("/")
     try:
         return f"{int(p) / int(q or 1):.6f}"
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         return None
 
 

@@ -11,18 +11,17 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 import click
 
-from .arith import format_rational
 from .catalog import (
     Catalog,
     CatalogError,
     ParameterError,
     VerificationReport,
+    _approx,
     _located,
     _is_expr,
     _is_expr_map,
@@ -106,10 +105,9 @@ def _render_reports(reports: list[VerificationReport], fmt: str) -> str:
 
 
 def _pretty(value: str) -> str:
-    try:
-        return format_rational(Fraction(value))
-    except (ValueError, ZeroDivisionError):
-        return value
+    """'p/q (~d.dddddd)' for a rational text, else the text as it is."""
+    approx = _approx(value)
+    return value if approx is None else f"{value} (~{approx})"
 
 
 @main.command(name="verify")
@@ -226,7 +224,7 @@ def cmd_analyze(input_path, fmt, output):
         doc = json.loads(Path(input_path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise _BadInput(f"{input_path}: not valid UTF-8: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a huge integer or deep nesting too
         raise _BadInput(f"{input_path}: not valid JSON: {exc}")
     try:
         result = _analyze(input_path, doc)

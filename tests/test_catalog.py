@@ -91,8 +91,21 @@ def _evaluation(evaluate, text, n):
 @settings(max_examples=600, deadline=None)
 @given(_expressions, _n_values, _n_values)
 def test_compiled_expressions_match_the_parsing_oracle(text, n1, n2):
+    try:
+        _compile(text)
+        refused = None
+    except CatalogError as exc:
+        refused = type(exc), str(exc)
     for n in (n1, n2, n1):  # the later calls evaluate the cached compilation
-        assert _evaluation(eval_expr, text, n) == _evaluation(oracle_eval_expr, text, n)
+        oracle = _evaluation(oracle_eval_expr, text, n)
+        if refused is None:
+            assert _evaluation(eval_expr, text, n) == oracle
+            continue
+        # refused text raises its compile error at every n; the oracle, parsing while
+        # it evaluates, may first meet a missing n or a division by zero
+        assert _evaluation(eval_expr, text, n) == refused
+        assert isinstance(oracle, tuple)
+        assert oracle == refused or oracle[0] is ParameterError or "division by zero" in oracle[1]
 
 
 def test_expression_errors_are_not_cached():
@@ -110,11 +123,34 @@ def test_expression_errors_are_not_cached():
     for _ in range(2):
         with pytest.raises(ParameterError, match="needs the parameter n"):
             eval_expr("7*n - 4/(n+9)")
-    # a missing n or a division by zero before a syntax error is what is reported
-    with pytest.raises(ParameterError):
+    # what is wrong whatever n is, is what is reported, even before a missing n
+    with pytest.raises(CatalogError, match="cannot parse"):
         eval_expr("n + )")
     with pytest.raises(CatalogError, match="division by zero"):
-        eval_expr("1/0 )")
+        eval_expr("n + 1/0")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1\u00b2", "cannot parse expression '1\u00b2' at position 0: invalid literal"),  # a superscript two
+        ("1" * 4301, "Exceeds the limit (4300 digits)"),
+        ("n/0", "division by zero in 'n/0'"),
+        ("(" * 3000 + "n" + ")" * 3000, "is nested too deeply"),  # deep while compiling
+        ("-" * 5000 + "n", "is nested too deeply"),
+        ("+".join(["n"] * 5000), "is nested too deeply"),  # deep only when evaluated
+    ],
+    ids=["superscript", "4301 digits", "constant zero divisor", "parentheses", "unary minus", "long sum"],
+)
+def test_text_wrong_at_every_n_raises_one_catalog_error(text, message):
+    errors = set()
+    for n in (None, 3, 10**6, None):
+        with pytest.raises(CatalogError) as info:
+            eval_expr(text, n)
+        errors.add((type(info.value), str(info.value)))
+    assert len(errors) == 1
+    kind, error = errors.pop()
+    assert kind is CatalogError and message in error and "\n" not in error
 
 
 @settings(max_examples=200, deadline=None)

@@ -252,6 +252,10 @@ PINNED_OUTPUT_SHA256 = {
         "86b7a8455bd34e6ec8f5c8b257fd5bfc2ead0d7427e786fb99ee14a4c853eb6a",
     ("analyze", "--input", "CHAIN_4_10", "--format", "json"):
         "705414cbbe029fc150f4a4126750687511e98d047b140ba89a566ab8d7d2d3e0",
+    ("analyze", "--input", "README_FIXTURE", "--format", "text"):
+        "c83735a2b944fc33cf55e3ccbd8efefa546718c5abf2dec24de1ea446a69c4d9",
+    ("analyze", "--input", "CHAIN_1_8", "--format", "text"):
+        "e4f9a733bb383689be3f0ec0c7bc69d63c95b7ccdcfbe41ee5bc75100b22988c",
 }
 
 
@@ -537,6 +541,38 @@ def _fixture_in_latin_1(tmp_path):
     return ["analyze", "--input", str(path)]
 
 
+def _fixture_with_deeply_nested_gram(tmp_path):
+    deep = "(" * 3000 + "1/52" + ")" * 3000
+    return _readme_fixture_with(tmp_path, lambda doc: doc["config"].update(gram=[[deep]]))
+
+
+def _catalog_with_deeply_nested_unary_minus(tmp_path):
+    def corrupt(family):
+        family["configs"]["pencil"]["gram"][0][0] = "-" * 5000 + "n"
+
+    return _exported_catalog_with(tmp_path, corrupt)
+
+
+def _fixture_with_superscript_ample(tmp_path):
+    return _readme_fixture_with(tmp_path, lambda doc: doc.update(ray={"curve": "E", "ample": {"E": "1\u00b2"}}))
+
+
+def _fixture_with_4301_digit_log_discrepancy(tmp_path):
+    return _readme_fixture_with(tmp_path, lambda doc: doc.update(log_discrepancy="1" * 4301))
+
+
+def _catalog_with_5000_digit_integer(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text('{"version": ' + "1" * 5000 + ', "families": []}')
+    return ["verify", "--all", "--catalog", str(path)]
+
+
+def _fixture_with_100000_nested_arrays(tmp_path):
+    path = tmp_path / "fixture.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    return ["analyze", "--input", str(path)]
+
+
 def _verify_output_in_a_missing_directory(tmp_path):
     return ["verify", "--family", "3", "--output", str(tmp_path / "missing" / "out.txt")]
 
@@ -570,6 +606,12 @@ NAMED_IN_ERROR = {
     "_catalog_with_text_non_ke_row": "each non_ke_quintuples row must be an object with string",
     "_catalog_in_latin_1": "catalog.json is not valid UTF-8",
     "_fixture_in_latin_1": "fixture.json: not valid UTF-8",
+    "_fixture_with_deeply_nested_gram": "fixture.json: config 'config' gram: expression '((((",
+    "_catalog_with_deeply_nested_unary_minus": "family 1: config 'pencil' gram: expression '----",
+    "_fixture_with_superscript_ample": "ray.ample: cannot parse expression '1\u00b2' at position 0",
+    "_fixture_with_4301_digit_log_discrepancy": "log_discrepancy: cannot parse expression '1111",
+    "_catalog_with_5000_digit_integer": "catalog.json is not valid JSON: Exceeds the limit (4300 digits)",
+    "_fixture_with_100000_nested_arrays": "fixture.json: not valid JSON: maximum recursion depth exceeded",
     "_verify_output_in_a_missing_directory": "out.txt: No such file or directory",
     "_analyze_output_in_a_missing_directory": "out.txt: No such file or directory",
 }
@@ -625,6 +667,12 @@ NAMED_IN_ERROR = {
         _fixture_in_latin_1,
         _verify_output_in_a_missing_directory,
         _analyze_output_in_a_missing_directory,
+        _fixture_with_deeply_nested_gram,
+        _catalog_with_deeply_nested_unary_minus,
+        _fixture_with_superscript_ample,
+        _fixture_with_4301_digit_log_discrepancy,
+        _catalog_with_5000_digit_integer,
+        _fixture_with_100000_nested_arrays,
     ],
     ids=lambda make_args: make_args.__name__,
 )
@@ -635,6 +683,20 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, make_args):
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("Error: ")
     assert NAMED_IN_ERROR.get(make_args.__name__, "") in result.stderr
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_expectation_beyond_float_range_is_one_mismatch(tmp_path, fmt):
+    huge = "1" + "0" * 400
+
+    def corrupt(family):
+        next(c for c in family["checks"] if c["kind"] == "ambient")["expect"] = huge
+
+    result = invoke([*_exported_catalog_with(tmp_path, corrupt, family_id=3), "--format", fmt])
+    assert result.exit_code == 1
+    assert huge in result.stdout
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"MISMATCH [family 3] anticanonical degree: expected {huge}, computed ")
 
 
 # -- fuzzing an exported catalog and a fixture ---------------------------------
