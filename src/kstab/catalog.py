@@ -48,10 +48,12 @@ def eval_expr(expr, n: Optional[int] = None) -> Fraction:
     """Evaluate an exact rational expression: integers, n, + - * / ( ), min().
 
     Each text is compiled once per process and the compiled form evaluated at
-    n.  What is wrong with a text whatever n is raises one CatalogError, the
-    same at every n: a syntax error, a constant zero divisor or a digit run
-    that int() refuses when the text compiles, and nesting deeper than the
-    interpreter allows when it compiles or is evaluated.  Only a missing n and
+    n.  What is wrong with a text whatever n is raises one CatalogError when
+    the text compiles, the same at every n: a syntax error, a constant zero
+    divisor, a digit run that int() refuses, and nesting deeper than the
+    interpreter allows.  Only parentheses, unary minus and min() nest: each
+    run of + and - (or of * and /) is one node that folds its operands in a
+    loop, so evaluating nests no deeper than compiling.  Only a missing n and
     a divisor that is zero at this n are raised when evaluating, in
     left-to-right order.
     """
@@ -72,15 +74,23 @@ def _compile(text: str):
     return _Compiler(text).parse()
 
 
-def _combine(op, left, right):
-    """The node for op(left, right), folded to a constant when both are."""
-    if callable(left):
-        if callable(right):
-            return lambda n: op(left(n), right(n))
-        return lambda n: op(left(n), right)
-    if callable(right):
-        return lambda n: op(left, right(n))
-    return op(left, right)
+def _fold(node, rest):
+    """The node for node op1 x1 op2 x2 ... (rest holds the (op, x) pairs), applied
+    left to right in one loop; the constant prefix is folded now."""
+    i = 0
+    while i < len(rest) and not callable(node) and not callable(rest[i][1]):
+        node, i = rest[i][0](node, rest[i][1]), i + 1
+    rest = rest[i:]
+    if not rest:
+        return node
+
+    def chain(n: Optional[int]) -> Fraction:
+        value = node(n) if callable(node) else node
+        for op, x in rest:
+            value = op(value, x(n) if callable(x) else x)
+        return value
+
+    return chain
 
 
 class _Compiler:
@@ -110,27 +120,22 @@ class _Compiler:
         return node
 
     def _expr(self):
-        node = self._term()
-        while True:
-            op = self._peek()
-            if op and op in "+-":
-                self.pos += 1
-                node = _combine(operator.add if op == "+" else operator.sub, node, self._term())
-            else:
-                return node
+        return self._chain(self._term, "+-")
 
     def _term(self):
-        node = self._factor()
-        while True:
-            op = self._peek()
-            if op and op in "*/":
-                self.pos += 1
-                rhs = self._factor()
-                if op == "/" and not callable(rhs) and rhs == 0:  # zero whatever n is
-                    raise CatalogError(f"division by zero in {self.text!r}")
-                node = _combine(self.divide if op == "/" else operator.mul, node, rhs)
-            else:
-                return node
+        return self._chain(self._factor, "*/")
+
+    def _chain(self, operand, ops: str):
+        """Operands joined by the operators in ops as one node, so that a long
+        sum or product nests no deeper than one of its operands."""
+        node, rest = operand(), []
+        while (op := self._peek()) and op in ops:
+            self.pos += 1
+            rhs = operand()
+            if op == "/" and not callable(rhs) and rhs == 0:  # zero whatever n is
+                raise CatalogError(f"division by zero in {self.text!r}")
+            rest.append(({"+": operator.add, "-": operator.sub, "*": operator.mul, "/": self.divide}[op], rhs))
+        return _fold(node, rest)
 
     def _factor(self):
         ch = self._peek()
@@ -163,7 +168,7 @@ class _Compiler:
             if self._peek() != ")":
                 raise CatalogError(f"unbalanced min() in {self.text!r}")
             self.pos += 1
-            return _combine(min, first, second)
+            return _fold(first, [(min, second)])
         if ch == "n":
             self.pos += 1
             return self.param
@@ -836,9 +841,8 @@ _CHECK_KINDS = {
 }
 
 
-def default_n_values(entry: FamilyEntry, span: int = 10) -> list[Optional[int]]:
-    """Parameter sweep used when the caller does not pin n."""
+def default_n_values(entry: FamilyEntry) -> list[Optional[int]]:
+    """Parameter sweep used when the caller does not pin n: the minimum and the next ten."""
     if not entry.parametric:
         return [None]
-    lo = entry.minimum_n
-    return list(range(lo, lo + span + 1))
+    return list(range(entry.minimum_n, entry.minimum_n + 11))

@@ -14,7 +14,6 @@ from kstab.catalog import (
     VerificationReport,
     _approx,
     _compile,
-    default_n_values,
     eval_expr,
 )
 from tests._oracles import oracle_eval_expr
@@ -138,9 +137,8 @@ def test_expression_errors_are_not_cached():
         ("n/0", "division by zero in 'n/0'"),
         ("(" * 3000 + "n" + ")" * 3000, "is nested too deeply"),  # deep while compiling
         ("-" * 5000 + "n", "is nested too deeply"),
-        ("+".join(["n"] * 5000), "is nested too deeply"),  # deep only when evaluated
     ],
-    ids=["superscript", "4301 digits", "constant zero divisor", "parentheses", "unary minus", "long sum"],
+    ids=["superscript", "4301 digits", "constant zero divisor", "parentheses", "unary minus"],
 )
 def test_text_wrong_at_every_n_raises_one_catalog_error(text, message):
     errors = set()
@@ -151,6 +149,32 @@ def test_text_wrong_at_every_n_raises_one_catalog_error(text, message):
     assert len(errors) == 1
     kind, error = errors.pop()
     assert kind is CatalogError and message in error and "\n" not in error
+
+
+LONG_SUM = "+".join(["n"] * 3000)
+
+
+@pytest.mark.parametrize(
+    "text, n, outcome",
+    [
+        (f"min(1/(n-3), {LONG_SUM})", None, ParameterError(f"expression 'min(1/(n-3), {LONG_SUM})' needs the parameter n")),
+        (f"min(1/(n-3), {LONG_SUM})", 3, CatalogError(f"division by zero in 'min(1/(n-3), {LONG_SUM})'")),
+        (f"min(1/(n-3), {LONG_SUM})", 4, F(1)),
+        ("+".join(["n"] * 5000), 10**6, F(5000 * 10**6)),
+        ("1 - " + " - ".join(["n"] * 5000), 2, F(1 - 10000)),
+        ("*".join(["n"] * 3000) + "/" + "/".join(["n"] * 2999), 7, F(7)),
+        ("2/" + "/".join(["n"] * 3000), 0, CatalogError("division by zero in '2/n/")),
+    ],
+    ids=["min at None", "min at 3", "min at 4", "long sum", "long difference", "long product", "long quotient"],
+)
+def test_long_chains_evaluate_in_one_node(text, n, outcome):
+    """A run of + and - (or * and /) evaluates in a loop: no depth limit, errors left to right."""
+    if isinstance(outcome, Fraction):
+        assert eval_expr(text, n) == outcome == oracle_eval_expr(text, n)
+        return
+    with pytest.raises(type(outcome)) as info:
+        eval_expr(text, n)
+    assert type(info.value) is type(outcome) and str(info.value).startswith(str(outcome))
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,7 +212,7 @@ def test_instantiate_parameter_errors():
 
 def test_every_instantiation_is_index_two_and_well_formed():
     for entry in CATALOG.families:
-        for n in default_n_values(entry, span=18):
+        for n in range(entry.minimum_n, entry.minimum_n + 19) if entry.parametric else [None]:
             inst = instantiate(CATALOG, entry.family_id, n)
             assert inst.quintuple.index == 2
             assert inst.quintuple.is_well_formed()

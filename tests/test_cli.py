@@ -182,6 +182,38 @@ def test_analyze_single_curve_fixture(tmp_path):
     assert "beta: 1/3" in result.output
 
 
+# entering curves that pair negatively with another basis curve
+NEGATIVELY_PAIRED_FIXTURES = {
+    "C0 and C1": {
+        "config": {
+            "basis": ["C0", "C1", "C2"],
+            "gram": [["-1", "-1/4", "3/4"], ["-1/4", "-1/3", "2"], ["3/4", "2", "3"]],
+            "anticanonical": ["0", "3/2", "1/2"],
+        },
+        "ray": {"curve": "C2"},
+    },
+    "C1 and C2": {
+        "config": {
+            "basis": ["C0", "C1", "C2", "C3"],
+            "gram": [["-1/2", "5", "0", "1"], ["5", "1", "-2", "6"], ["0", "-2", "-1/4", "3/2"], ["1", "6", "3/2", "3/2"]],
+            "anticanonical": ["1", "0", "4", "2"],
+        },
+        "ray": {"curve": "C3"},
+    },
+}
+
+
+@pytest.mark.parametrize("curves", NEGATIVELY_PAIRED_FIXTURES)
+def test_analyze_refuses_negatively_paired_curves(tmp_path, curves):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(NEGATIVELY_PAIRED_FIXTURES[curves]))
+    result = invoke(["analyze", "--input", str(path)])
+    assert result.exit_code == 1
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("analysis failed: ") and "pairs negatively" in result.stderr
+    assert all(name in result.stderr for name in curves.split(" and "))
+
+
 # the example fixture in the README's analyze section
 README_FIXTURE = json.loads(
     re.search(r"```json\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(), re.S).group(1)

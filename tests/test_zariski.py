@@ -18,7 +18,7 @@ from kstab.arith import PiecewisePoly, Poly
 from kstab.catalog import default_n_values, eval_expr
 from kstab.invariants import FlagSupportError, az_s_w, beta, k_basis_bound, s_invariant
 from kstab.surface import ClassVector
-from kstab.zariski import NotPseudoeffectiveError
+from kstab.zariski import InconsistentConfigError, NotPseudoeffectiveError
 from tests._oracles import (
     decompose_ray_by_subsets,
     oracle_is_negative_definite,
@@ -174,23 +174,53 @@ def _sample_points(rd, rng, count=20):
     return [F(rng.randint(0, 10 ** 4), 10 ** 4) * (hi - lo) for _ in range(count)]
 
 
-@pytest.mark.parametrize("maker", [
-    lambda: (LR, "L"),
-    lambda: (family1_blowup(3), "G"),
-    lambda: (FAMILY10_UP, "E"),
+def _chamber_points(rd, rng):
+    """Each chamber's midpoint and two seeded random rational points inside it."""
+    return [
+        iv.left + t * (iv.right - iv.left)
+        for iv in rd.intervals
+        for t in (F(1, 2), F(rng.randint(1, 999), 1000), F(rng.randint(1, 999), 1000))
+    ]
+
+
+def _anticanonical_rays(config, ray_name):
+    return [(config, config.anticanonical, config.basis_vector(ray_name))]
+
+
+def _random_chain_rays(count=100):
+    """The first `count` random chains with k <= 8 whose ray has a rational threshold."""
+    rng = random.Random("walk-vs-pointwise")
+    rays = []
+    while len(rays) < count:
+        config, ample, ray_name = random_chain_config(rng, stages=len(rays) % 8)
+        try:
+            decompose_ray(config, ample, config.basis_vector(ray_name))
+        except kstab.zariski.RayNeverEffectiveError:
+            continue
+        rays.append((config, ample, config.basis_vector(ray_name)))
+    return rays
+
+
+@pytest.mark.parametrize("rays", [
+    lambda: _anticanonical_rays(LR, "L"),
+    lambda: _anticanonical_rays(family1_blowup(3), "G"),
+    lambda: _anticanonical_rays(FAMILY10_UP, "E"),
+    pytest.param(lambda: [param.values for param in catalog_ray_inputs()], id="catalog rays"),
+    pytest.param(_random_chain_rays, id="random chains"),
 ])
-def test_ray_agrees_with_pointwise_decomposition(maker):
-    config, ray_name = maker()
-    rd = decompose_ray(config, config.anticanonical, config.basis_vector(ray_name))
+def test_ray_agrees_with_pointwise_decomposition(rays):
+    """The walk's P and N equal the pointwise fixpoint's inside every chamber and across the ray."""
     rng = random.Random(1234)
-    for u in _sample_points(rd, rng):
-        p_ray = rd.positive_part_at(u)
-        n_ray = rd.negative_part_at(u)
-        p_pt, n_pt = zariski_decompose_at(config, rd.class_at(u))
-        assert p_ray == p_pt
-        assert n_ray == n_pt
-        assert config.pairing(p_ray, n_ray) == 0
-        assert rd.volume(u) == config.pairing(p_ray, p_ray)
+    for config, ample, ray in rays():
+        rd = decompose_ray(config, ample, ray)
+        for u in _chamber_points(rd, rng) + _sample_points(rd, rng):
+            p_ray = rd.positive_part_at(u)
+            n_ray = rd.negative_part_at(u)
+            p_pt, n_pt = zariski_decompose_at(config, rd.class_at(u))
+            assert p_ray == p_pt
+            assert n_ray == n_pt
+            assert config.pairing(p_ray, n_ray) == 0
+            assert rd.volume(u) == config.pairing(p_ray, p_ray)
 
 
 @pytest.mark.parametrize("maker", [
@@ -258,6 +288,69 @@ def test_ray_serializes_to_json():
     assert doc["intervals"][1]["support"] == ["R"]
     assert doc["intervals"][1]["negative_coeffs"]["R"] == ["-1", "3"]
     assert doc["volume"][0]["coeffs"] == ["2/3", "-4/3", "-2/3"]
+
+
+# -- the chamber certificate ---------------------------------------------------
+
+
+def test_certificate_refuses_a_shifted_negative_part(monkeypatch):
+    solve = kstab.zariski.solve_linear_system
+
+    def shifted(matrix, rhs):
+        coeffs = solve(matrix, rhs)
+        return [coeffs[0] + F(1, 7), *coeffs[1:]] if coeffs else coeffs
+
+    monkeypatch.setattr(kstab.zariski, "solve_linear_system", shifted)
+    with pytest.raises(InconsistentConfigError, match=r"^P\(u\) is not orthogonal to support \{R\} from u = 1/3$"):
+        decompose_ray(LR, LR.anticanonical, LR.basis_vector("L"))
+
+
+def test_certificate_refuses_a_negative_coefficient(monkeypatch):
+    # C1 has C1^2 = 3 > 0: with the definiteness test off it enters the
+    # support at u = 11/2, and its coefficient (d.C1)/3 turns negative there
+    config = CurveConfig.make(
+        basis=["C0", "C1", "C2"],
+        gram=[[3, 0, F(1, 2)], [0, 3, 2], [F(1, 2), 2, F(3, 2)]],
+        anticanonical=[2, 3, 1],
+    )
+    ray = config.basis_vector("C2")
+    with pytest.raises(InconsistentConfigError, match=r"^support \{C1\} at u = 11/2 is not negative definite$"):
+        decompose_ray(config, config.anticanonical, ray)
+    monkeypatch.setattr(CurveConfig, "is_negative_definite", lambda self, subset: True)
+    with pytest.raises(InconsistentConfigError, match=r"^support \{C1\} is not a Zariski chamber on \[11/2, 7\]$"):
+        decompose_ray(config, config.anticanonical, ray)
+
+
+# distinct curves pair non-negatively; the pointwise fixpoint does not check it
+NEGATIVELY_PAIRED = [
+    pytest.param(
+        CurveConfig.make(
+            basis=["C0", "C1", "C2"],
+            gram=[[-1, F(-1, 4), F(3, 4)], [F(-1, 4), F(-1, 3), 2], [F(3, 4), 2, 3]],
+            anticanonical=[0, F(3, 2), F(1, 2)],
+        ),
+        "C2",
+        "C0 enters the support at u = 0 but pairs negatively with C1",
+        id="C0 at u = 0",
+    ),
+    pytest.param(
+        CurveConfig.make(
+            basis=["C0", "C1", "C2", "C3"],
+            gram=[[F(-1, 2), 5, 0, 1], [5, 1, -2, 6], [0, -2, F(-1, 4), F(3, 2)], [1, 6, F(3, 2), F(3, 2)]],
+            anticanonical=[1, 0, 4, 2],
+        ),
+        "C3",
+        "C2 enters the support at u = 4/3 but pairs negatively with C1",
+        id="C2 at u = 4/3",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, ray_name, message", NEGATIVELY_PAIRED)
+def test_entering_curve_must_pair_non_negatively(config, ray_name, message):
+    with pytest.raises(InconsistentConfigError) as info:
+        decompose_ray(config, config.anticanonical, config.basis_vector(ray_name))
+    assert str(info.value) == message
 
 
 # -- the chamber walk against exhaustive subset enumeration -------------------
