@@ -2,8 +2,9 @@
 
 Extracting the exceptional curve of a weighted blow-up with weights (a, b)
 over a 1/n-quotient point changes the intersection numbers by an explicit
-rational correction; the pullback map embeds the downstairs lattice
-isometrically into the upstairs one, orthogonal to the new exceptional curve.
+rational correction, applied as an integer update of the stored Gram rows
+(d, G); the pullback map embeds the downstairs lattice isometrically into
+the upstairs one, orthogonal to the new exceptional curve.
 """
 
 from __future__ import annotations
@@ -117,22 +118,21 @@ def transform_config(config: CurveConfig, spec: BlowupSpec) -> BlowupResult:
                 )
 
     orders = [spec.order_of(name) for name in config.basis]
-    k = config.size
-    # g_ij - o_i o_j / (n a b) on ints: g = G / d and o = O / s give
-    # (G_ij q - d O_i O_j) / (d q) with q = s^2 n a b
+    # over d q, q = s^2 n a b (g = G / d, o = O / s): g_ij - o_i o_j / (n a b) is
+    # G_ij q - d O_i O_j, E.C_i = o_i / (a b) is d s n O_i and E^2 = -n / (a b) is -d s^2 n^2
     den, g = config.integer_gram
     o, s = _over_common_denominator(orders)
     q = s * s * n * a * b
-    e_row = [w / (a * b) for w in orders]
-    gram = [[Fraction(g[i][j] * q - den * o[i] * o[j], den * q) for j in range(k)] + [e_row[i]] for i in range(k)]
-    gram.append(e_row + [exceptional_self_intersection(n, a, b)])
+    e_row = [den * s * n * w for w in o]
+    rows = [[x * q - den * w * v for x, v in zip(row, o)] + [e] for row, w, e in zip(g, o, e_row)]
+    rows.append(e_row + [-den * s * s * n * n])
 
     points = tuple(
         rec for rec in config.singular_points if rec.point != spec.center
     )
-    upstairs = CurveConfig.make(
+    upstairs = CurveConfig(
         basis=tuple(config.basis) + (spec.exceptional,),
-        gram=gram,
+        integer_gram=(den * q, rows),
         anticanonical=_pullback(config.anticanonical, orders, n),
         singular_points=points,
     )

@@ -9,9 +9,9 @@ elimination kernel: rows are cleared of denominators and eliminated on
 integers, where every division is exact by Sylvester's identity.  The same
 pass decides negative definiteness from the signs of the leading principal
 minors and solves linear systems, returning exact Fractions (or Polys).
-Pairings run on the same footing: each configuration keeps its Gram matrix
-as ints over one common denominator, and ``pairing`` and ``basis_pairings``
-scale their vectors to ints and share one integer product with it.
+Pairings run on the same footing: a configuration stores its Gram matrix
+once, as int rows over one denominator (its Fractions are a view), and
+``pairing`` and ``basis_pairings`` share one integer product with it.
 """
 
 from __future__ import annotations
@@ -183,6 +183,10 @@ class ClassVector:
 class CurveConfig:
     """Finite basis of curve classes with their exact intersection pairing.
 
+    The Gram matrix is stored once, as ``integer_gram`` = (d, G) for G / d:
+    d > 0 and int rows G, which ``__post_init__`` brings to lowest terms so
+    that ``==`` and ``hash`` compare values.  ``gram`` is its Fraction view.
+
     ``anticanonical`` is the reference polarization expressed in the basis;
     for configurations obtained by pulling back along a blow-up it is the
     pullback of the downstairs polarization (so its self-intersection is
@@ -190,7 +194,7 @@ class CurveConfig:
     """
 
     basis: tuple[str, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
+    integer_gram: tuple[int, tuple[tuple[int, ...], ...]]
     anticanonical: ClassVector
     singular_points: tuple[SingularPointRecord, ...] = ()
 
@@ -198,9 +202,12 @@ class CurveConfig:
         k = len(self.basis)
         if len(set(self.basis)) != k or k == 0:
             raise ValueError("basis names must be nonempty and distinct")
-        if len(self.gram) != k or any(len(row) != k for row in self.gram):
-            raise ValueError("gram matrix must be square of basis size")
-        _, gram = self.integer_gram
+        den, gram = self.integer_gram
+        if den <= 0 or len(gram) != k or any(len(row) != k for row in gram):
+            raise ValueError("gram matrix must be square of basis size, over a positive denominator")
+        g = math.gcd(den, *(x for row in gram for x in row))
+        gram = tuple(tuple(x // g for x in row) for row in gram)
+        object.__setattr__(self, "integer_gram", (den // g, gram))
         if gram != tuple(zip(*gram)):
             raise ValueError("gram matrix must be symmetric")
         if len(self.anticanonical) != k:
@@ -217,13 +224,14 @@ class CurveConfig:
         singular_points: Iterable[SingularPointRecord] = (),
     ) -> "CurveConfig":
         basis = tuple(basis)
-        g = tuple(tuple(rat(x) for x in row) for row in gram)
+        den = math.lcm(*(rat(x).denominator for row in gram for x in row))
+        ints = [[int(rat(x) * den) for x in row] for row in gram]
         cfg_vec = (
             tuple(rat(anticanonical.get(name, 0)) for name in basis)
             if isinstance(anticanonical, Mapping)
             else tuple(rat(x) for x in anticanonical)
         )
-        return cls(basis, g, ClassVector(cfg_vec), tuple(singular_points))
+        return cls(basis, (den, ints), ClassVector(cfg_vec), tuple(singular_points))
 
     @property
     def size(self) -> int:
@@ -248,10 +256,10 @@ class CurveConfig:
         return ClassVector(Fraction(int(j == i)) for j in range(self.size))
 
     @cached_property
-    def integer_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(d, G): d > 0 the lcm of the Gram entries' denominators and G = d * gram, on ints."""
-        den = math.lcm(*(x.denominator for row in self.gram for x in row))
-        return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in self.gram)
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The Gram matrix G / d as Fractions, built the first time it is read."""
+        den, gram = self.integer_gram
+        return tuple(tuple(Fraction(x, den) for x in row) for row in gram)
 
     def pairing(self, v: ClassVector | Sequence[RationalLike], w: ClassVector | Sequence[RationalLike]) -> Fraction:
         v = v if isinstance(v, ClassVector) else ClassVector(v)

@@ -44,8 +44,8 @@ def zariski_decompose_at(
 ) -> tuple[ClassVector, ClassVector]:
     """Split d = P + N with P nef on the basis, N >= 0 on a ND support.
 
-    Starts from empty support, solves (d - N).C = 0 over the current support
-    and adds any basis curve with P.C < 0 until reaching the fixpoint.
+    Starts from empty support, solves (d - N).C = 0 over it and adds any basis
+    curve with P.C < 0 (refused if it pairs negatively with another) to a fixpoint.
     """
     k = config.size
     d_dot = config.basis_pairings(d)
@@ -61,14 +61,13 @@ def zariski_decompose_at(
                 raise InconsistentConfigError(
                     f"degenerate support {_names(config, support)}"
                 ) from None
-        else:
-            coeffs = []
         n_vec = _support_vector(config.size, support, coeffs)
         p_vec = d - n_vec
         p_dot = config.basis_pairings(p_vec) if support else d_dot
         violating = [j for j in range(k) if j not in support and p_dot[j] < 0]
         if not violating:
             break
+        _refuse_negative_pairing(config, violating[:1], "")
         support.append(violating[0])
         support.sort()
     else:
@@ -194,7 +193,8 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
     """
     if config.pairing(ample, ample) <= 0:
         raise ValueError("ample class must have positive self-intersection")
-    for name, q in zip(config.basis, config.basis_pairings(ample)):
+    ample_dot = config.basis_pairings(ample)
+    for name, q in zip(config.basis, ample_dot):
         if q < 0:
             raise ValueError(f"ample class is not nef: negative against {name}")
     if ray.is_zero():
@@ -202,7 +202,9 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
 
     u = Poly.variable()
     d_polys = [Poly.constant(a) - u * Poly.constant(e) for a, e in zip(ample, ray)]
-    d_dot = config.basis_pairings(d_polys)
+    den, gram = config.integer_gram
+    # d (A - uE).C_i: the right-hand side over the integer Gram rows
+    rhs = [Poly([den * a, -den * e]) for a, e in zip(ample_dot, config.basis_pairings(ray))]
     support: list[int] = []
     intervals: list[RayInterval] = []
     vol_pieces: list[tuple[Fraction, Fraction, Poly]] = []
@@ -210,8 +212,8 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
     while tau is None:
         # grow the support until P(u).C >= 0 just to the right of `left`
         while True:
-            m = [[config.gram[i][j] for j in support] for i in support]
-            coeffs = solve_linear_system(m, [d_dot[i] for i in support])
+            m = [[gram[i][j] for j in support] for i in support]
+            coeffs = solve_linear_system(m, [rhs[i] for i in support])
             p_polys = list(d_polys)
             for idx, c in zip(support, coeffs):
                 p_polys[idx] = p_polys[idx] - c
@@ -227,12 +229,7 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
                 raise InconsistentConfigError(
                     f"support {_names(config, support)} at u = {left} is not negative definite"
                 )
-            clash = next(((i, j) for i in entering for j, g in enumerate(config.gram[i]) if g < 0 and j != i), None)
-            if clash:
-                raise InconsistentConfigError(
-                    f"{config.basis[clash[0]]} enters the support at u = {left} "
-                    f"but pairs negatively with {config.basis[clash[1]]}"
-                )
+            _refuse_negative_pairing(config, entering, f" at u = {left}")
         # P.C = 0 on the support identically: then P.N = 0, vol = P.P, and only outside curves have slopes
         if any(p_dot[i] for i in support):
             raise InconsistentConfigError(
@@ -339,6 +336,13 @@ def _check_continuity(rd: RayDecomposition) -> None:
             raise InconsistentConfigError(f"volume discontinuous at u = {r1}")
     if rd.volume(Fraction(0)) != rd.ample_square:
         raise InconsistentConfigError("volume at 0 does not equal ample self-intersection")
+
+
+def _refuse_negative_pairing(config: CurveConfig, entering: Sequence[int], at: str) -> None:
+    clash = next(((i, j) for i in entering for j, g in enumerate(config.integer_gram[1][i]) if g < 0 and j != i), None)
+    if clash:
+        curve, other = (config.basis[x] for x in clash)
+        raise InconsistentConfigError(f"{curve} enters the support{at} but pairs negatively with {other}")
 
 
 def _support_vector(size: int, support: Sequence[int], coeffs) -> ClassVector:

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the package's exact integration and
 decomposition paths: integrals are checked by floating-point Simpson
 quadrature, polynomial arithmetic by a Poly with Fraction coefficients (the
-package's runs on integer numerators over one denominator), definiteness by
-numpy eigenvalues, ray decompositions by enumerating every negative-definite
-subset of the basis, linear algebra by a
+package's runs on integer numerators over one denominator), blow-up Gram
+matrices by the Fraction formula (the package updates integer rows),
+definiteness by numpy eigenvalues, ray decompositions by enumerating every
+negative-definite subset of the basis, linear algebra by a
 Gauss-Jordan kernel on Fractions (the package eliminates fraction-free on
 integers), catalog expressions by a recursive-descent parser that evaluates
 as it parses (the package compiles each text once), and random
@@ -268,6 +269,23 @@ def _gauss_jordan(matrix, rhs, swap_rows: bool):
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
                 b[r] = b[r] - factor * b[col]
     return pivots, b
+
+
+def oracle_blow_up_gram(config, spec) -> list[list[Fraction]]:
+    """The upstairs Gram matrix of a weighted blow-up, entry by entry on Fractions.
+
+    With n the center's order, (a, b) the weights and o_i the vanishing
+    orders: strict transforms pair as g_ij - o_i o_j / (n a b), each meets
+    the exceptional curve E in o_i / (a b), and E^2 = -n / (a b).
+    """
+    n, (a, b) = spec.center.order, spec.weights
+    orders = [spec.order_of(name) for name in config.basis]
+    rows = [
+        [g - o * w / (n * a * b) for g, w in zip(row, orders)] + [o / (a * b)]
+        for row, o in zip(config.gram, orders)
+    ]
+    rows.append([o / (a * b) for o in orders] + [Fraction(-n, a * b)])
+    return rows
 
 
 def oracle_eval_expr(expr, n: Optional[int] = None) -> Fraction:

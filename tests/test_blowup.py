@@ -16,6 +16,9 @@ from kstab import (
     transform_config,
 )
 from kstab.blowup import BlowupSpecError
+from kstab.catalog import instantiate, load_catalog
+from tests import _oracles
+from tests._oracles import oracle_blow_up_gram, random_chain_config
 
 F = Fraction
 
@@ -193,3 +196,52 @@ def test_composed_blowups_reproduce_residual_identity():
             - a * up.basis_vector("C_x")
         )
         assert up.pairing(residual, e_hat) == 3 * m - n - a
+
+
+# -- the integer Gram update against the Fraction formula ----------------------
+
+
+def _assert_matches_fraction_formula(result):
+    up = result.upstairs
+    assert [list(row) for row in up.gram] == oracle_blow_up_gram(result.downstairs, result.spec)
+    assert CurveConfig.make(up.basis, up.gram, up.anticanonical, up.singular_points) == up
+    assert CurveConfig.from_json_dict(up.to_json_dict()) == up
+
+
+def test_upstairs_gram_matches_the_fraction_formula_on_random_chains(monkeypatch):
+    results = []
+
+    def recording(config, spec):
+        results.append(transform_config(config, spec))
+        return results[-1]
+
+    monkeypatch.setattr(_oracles, "transform_config", recording)
+    rng = random.Random("integer-blow-up")
+    sizes = [random_chain_config(rng, stages=i % 32)[0].size for i in range(100)]
+    assert max(sizes) == 32 and len(results) == sum(sizes) - len(sizes)
+    for result in results:
+        _assert_matches_fraction_formula(result)
+
+
+def test_upstairs_gram_matches_the_fraction_formula_on_every_catalog_blowup():
+    catalog = load_catalog()
+    checked = 0
+    for entry in catalog.families:
+        for n in [entry.minimum_n, entry.minimum_n + 1000] if entry.parametric else [None]:
+            for result in instantiate(catalog, entry.family_id, n).blowups.values():
+                _assert_matches_fraction_formula(result)
+                checked += 1
+    assert checked == 2 * 1 + 2 + 1 + 2 + 1 + 1 + 1  # family 1 twice, then families 3, 4, 5, 7, 9, 10
+
+
+def test_upstairs_gram_matches_the_fraction_formula_at_fractional_orders():
+    point = QuotientSingularity(5, (4, 3), "p_z")
+    config = CurveConfig.make(
+        basis=["L1", "L2"],
+        gram=[[F(-7, 20), F(2, 5)], [F(2, 5), F(-7, 20)]],
+        anticanonical=[2, 2],
+        singular_points=[SingularPointRecord.make(point, {"L1": 1, "L2": 1})],
+    )
+    result = transform_config(config, BlowupSpec.make(point, (4, 3), {"L1": F(3, 2), "L2": F(5, 3)}))
+    _assert_matches_fraction_formula(result)
+    assert result.upstairs.gram[0][1] == F(2, 5) - F(3, 2) * F(5, 3) / 60

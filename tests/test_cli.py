@@ -263,10 +263,20 @@ def _chain_fixture(seed: int, k: int) -> dict:
     return {"config": config.to_json_dict(), "ray": {"curve": ray_name}, "point": point}
 
 
+def _bench_chain_fixture(seed: int, k: int) -> dict:
+    """The benchmark's frozen chain fixture of k curves, run from the source of
+    bench/chains.py, which is only read (no bytecode cache is written next to it)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "chains.py"
+    chains = {"__name__": "bench_chains"}
+    exec(compile(path.read_text(), str(path), "exec"), chains)
+    return chains["chain_fixture"](seed, k)["fixture"]
+
+
 # the analyze fixtures a pinned command names
 PINNED_FIXTURES = {
     "README_FIXTURE": README_FIXTURE,
     **{f"CHAIN_{seed}_{k}": _chain_fixture(seed, k) for seed, k in ((0, 4), (2, 6), (1, 8), (4, 10))},
+    "BENCH_CHAIN_2_24": _bench_chain_fixture(2, 24),  # 23 blow-ups
 }
 
 # sha256 of the output bytes, pinned so that a refactor that changes any byte fails
@@ -284,6 +294,8 @@ PINNED_OUTPUT_SHA256 = {
         "86b7a8455bd34e6ec8f5c8b257fd5bfc2ead0d7427e786fb99ee14a4c853eb6a",
     ("analyze", "--input", "CHAIN_4_10", "--format", "json"):
         "705414cbbe029fc150f4a4126750687511e98d047b140ba89a566ab8d7d2d3e0",
+    ("analyze", "--input", "BENCH_CHAIN_2_24", "--format", "json"):
+        "27cc28a14792a3e2a54f2fe5cfa996a1cf5d9d2ed6f445a9db19813ff3251414",
     ("analyze", "--input", "README_FIXTURE", "--format", "text"):
         "c83735a2b944fc33cf55e3ccbd8efefa546718c5abf2dec24de1ea446a69c4d9",
     ("analyze", "--input", "CHAIN_1_8", "--format", "text"):

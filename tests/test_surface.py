@@ -111,6 +111,22 @@ def test_config_requires_symmetric_gram_and_big_polarization():
         CurveConfig.make(["A"], [[-1]], [1])
 
 
+def test_integer_gram_is_square_over_a_positive_denominator_in_lowest_terms():
+    with pytest.raises(ValueError):
+        CurveConfig(("A", "B"), (1, ((1, 0), (0,))), ClassVector([1, 0]))
+    with pytest.raises(ValueError):
+        CurveConfig(("A",), (1, ((1,), (1,))), ClassVector([1]))
+    for den in (0, -2):
+        with pytest.raises(ValueError):
+            CurveConfig(("A",), (den, ((-1,),)), ClassVector([1]))
+    # any (d, G) for the same matrix gives the same config, so == and hash compare values
+    config = CurveConfig(("A", "B"), (6, [[3, -9], [-9, 0]]), ClassVector([1, 0]))
+    assert config.integer_gram == (2, ((1, -3), (-3, 0)))
+    assert config == CurveConfig.make(["A", "B"], [[F(1, 2), F(-3, 2)], [F(-3, 2), 0]], [1, 0])
+    assert hash(config) == hash(CurveConfig.make(["A", "B"], [["1/2", "-3/2"], ["-3/2", "0"]], [1, 0]))
+    assert config.gram == ((F(1, 2), F(-3, 2)), (F(-3, 2), 0))
+
+
 def test_negative_definite_examples():
     assert not is_negative_definite(FAMILY5, [0, 1])
     assert_negative_definite_oracle(

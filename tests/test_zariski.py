@@ -1,6 +1,7 @@
 """Exact Zariski decomposition: single classes and one-parameter rays."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from kstab import (
 from kstab.arith import PiecewisePoly, Poly
 from kstab.catalog import default_n_values, eval_expr
 from kstab.invariants import FlagSupportError, az_s_w, beta, k_basis_bound, s_invariant
-from kstab.surface import ClassVector
+from kstab.surface import ClassVector, DimensionMismatchError
 from kstab.zariski import InconsistentConfigError, NotPseudoeffectiveError
 from tests._oracles import (
     decompose_ray_by_subsets,
@@ -280,6 +281,12 @@ def test_ray_rejects_zero_ray():
         decompose_ray(config, config.anticanonical, ClassVector([0]))
 
 
+def test_ray_must_live_on_the_basis():
+    for coords in ([1], [1, 0, 5]):
+        with pytest.raises(DimensionMismatchError, match=f"^vector of length {len(coords)} against basis of size 2$"):
+            decompose_ray(LR, LR.anticanonical, ClassVector(coords))
+
+
 def test_ray_serializes_to_json():
     rd = decompose_ray(LR, LR.anticanonical, LR.basis_vector("L"))
     doc = rd.to_json_dict()
@@ -321,7 +328,8 @@ def test_certificate_refuses_a_negative_coefficient(monkeypatch):
         decompose_ray(config, config.anticanonical, ray)
 
 
-# distinct curves pair non-negatively; the pointwise fixpoint does not check it
+# distinct curves pair non-negatively: the walk refuses a curve entering the
+# support against that, and so does the pointwise fixpoint at each u listed
 NEGATIVELY_PAIRED = [
     pytest.param(
         CurveConfig.make(
@@ -331,6 +339,7 @@ NEGATIVELY_PAIRED = [
         ),
         "C2",
         "C0 enters the support at u = 0 but pairs negatively with C1",
+        [F(1, 8), F(1, 4), F(3, 8)],
         id="C0 at u = 0",
     ),
     pytest.param(
@@ -341,16 +350,22 @@ NEGATIVELY_PAIRED = [
         ),
         "C3",
         "C2 enters the support at u = 4/3 but pairs negatively with C1",
+        [F(3, 2)],
         id="C2 at u = 4/3",
     ),
 ]
 
 
-@pytest.mark.parametrize("config, ray_name, message", NEGATIVELY_PAIRED)
-def test_entering_curve_must_pair_non_negatively(config, ray_name, message):
+@pytest.mark.parametrize("config, ray_name, message, points", NEGATIVELY_PAIRED)
+def test_entering_curve_must_pair_non_negatively(config, ray_name, message, points):
+    ray = config.basis_vector(ray_name)
     with pytest.raises(InconsistentConfigError) as info:
-        decompose_ray(config, config.anticanonical, config.basis_vector(ray_name))
+        decompose_ray(config, config.anticanonical, ray)
     assert str(info.value) == message
+    for u in points:
+        with pytest.raises(InconsistentConfigError) as info:
+            zariski_decompose_at(config, config.anticanonical - u * ray)
+        assert str(info.value) == re.sub(r" at u = \S+", "", message)
 
 
 # -- the chamber walk against exhaustive subset enumeration -------------------
