@@ -185,7 +185,8 @@ class CurveConfig:
 
     The Gram matrix is stored once, as ``integer_gram`` = (d, G) for G / d:
     d > 0 and int rows G, which ``__post_init__`` brings to lowest terms so
-    that ``==`` and ``hash`` compare values.  ``gram`` is its Fraction view.
+    that ``==`` and ``hash`` compare values.  ``gram`` is its Fraction view;
+    ``to_json_dict`` renders (d, G) without building it.
 
     ``anticanonical`` is the reference polarization expressed in the basis;
     for configurations obtained by pulling back along a blow-up it is the
@@ -327,9 +328,10 @@ class CurveConfig:
     # -- JSON fixture format -------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        den, gram = self.integer_gram
         return {
             "basis": list(self.basis),
-            "gram": [[str(x) for x in row] for row in self.gram],
+            "gram": [[_quotient_str(x, den) for x in row] for row in gram],
             "anticanonical": [str(c) for c in self.anticanonical],
             "singular_points": [
                 {
@@ -442,6 +444,12 @@ def _eliminate(rows: list[list[int]], swap_rows: bool):
             col[i] = acc // row[i]
         y.append(col)
     return pivots, y
+
+
+def _quotient_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, with one gcd and no Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _over_common_denominator(values: Sequence[Fraction], den: int = 1) -> tuple[list[int], int]:

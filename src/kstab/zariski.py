@@ -7,7 +7,9 @@ grows, so starting from u = 0 with an empty support it solves once on the
 current support (the negative-part coefficients are linear in u), adds every
 curve whose P(u).C turns negative just to the right, and steps to the next
 root of some P(u).C or to the volume's rational root tau.  That is O(k)
-linear solves for a basis of k curves.  Each chamber [l, r] with support S is
+linear solves for a basis of k curves.  It decides on integer linear forms:
+P(u) = (p0 + u p1) / q and d q P(u).C_j = alpha_j + u beta_j on ints, whose
+sign at u = m/n is that of alpha_j n + beta_j m.  Each chamber [l, r] with support S is
 certified on its whole interval: S is negative definite, its curves pair
 non-negatively with all other basis curves (as distinct curves do), P(u).C = 0
 identically for C in S, and the linear N coefficients and P(u).C are >= 0 at
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arith import PiecewisePoly, Poly, RationalLike, rat
-from .surface import ClassVector, CurveConfig, solve_linear_system
+from .surface import ClassVector, CurveConfig, DimensionMismatchError, solve_linear_system
 
 
 class NotPseudoeffectiveError(ValueError):
@@ -199,12 +201,15 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
             raise ValueError(f"ample class is not nef: negative against {name}")
     if ray.is_zero():
         raise ValueError("ray class must be nonzero")
+    if len(ray) != config.size:
+        raise DimensionMismatchError(f"vector of length {len(ray)} against basis of size {config.size}")
 
-    u = Poly.variable()
-    d_polys = [Poly.constant(a) - u * Poly.constant(e) for a, e in zip(ample, ray)]
-    den, gram = config.integer_gram
-    # d (A - uE).C_i: the right-hand side over the integer Gram rows
-    rhs = [Poly([den * a, -den * e]) for a, e in zip(ample_dot, config.basis_pairings(ray))]
+    k, (den, gram) = config.size, config.integer_gram
+    # scale (A - uE) = a + u e on ints; then G a + u G e = scale d (A - uE).C_i, the right-hand side
+    scale = math.lcm(*(x.denominator for x in (*ample, *ray)))
+    a = [x.numerator * (scale // x.denominator) for x in ample]
+    e = [-x.numerator * (scale // x.denominator) for x in ray]
+    rhs = [Poly.from_integers(form, scale) for form in zip(config._gram_times(a), config._gram_times(e))]
     support: list[int] = []
     intervals: list[RayInterval] = []
     vol_pieces: list[tuple[Fraction, Fraction, Poly]] = []
@@ -214,13 +219,17 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
         while True:
             m = [[gram[i][j] for j in support] for i in support]
             coeffs = solve_linear_system(m, [rhs[i] for i in support])
-            p_polys = list(d_polys)
-            for idx, c in zip(support, coeffs):
-                p_polys[idx] = p_polys[idx] - c
-            p_dot = config.basis_pairings(p_polys)
+            # P(u) = (p0 + u p1) / q and d q P(u).C_j = alpha_j + u beta_j, all on ints
+            q = math.lcm(scale, *(c.denominator for c in coeffs))
+            p0, p1 = [x * (q // scale) for x in a], [x * (q // scale) for x in e]
+            for i, c in zip(support, coeffs):
+                n0, n1 = (*c.numerators, 0, 0)[:2]
+                p0[i] -= n0 * (q // c.denominator)
+                p1[i] -= n1 * (q // c.denominator)
+            alpha, beta = config._gram_times(p0), config._gram_times(p1)
             entering = [
-                j for j, q in enumerate(p_dot)
-                if j not in support and (q(left), q.coefficient(1)) < (0, 0)
+                j for j in range(k)
+                if j not in support and (_sign_at(alpha[j], beta[j], left), beta[j]) < (0, 0)
             ]
             if not entering:
                 break
@@ -231,15 +240,19 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
                 )
             _refuse_negative_pairing(config, entering, f" at u = {left}")
         # P.C = 0 on the support identically: then P.N = 0, vol = P.P, and only outside curves have slopes
-        if any(p_dot[i] for i in support):
+        if any(alpha[i] or beta[i] for i in support):
             raise InconsistentConfigError(
                 f"P(u) is not orthogonal to support {_names(config, support)} from u = {left}"
             )
-        right = min(
-            (-q.coefficient(0) / q.coefficient(1) for q in p_dot if q.coefficient(1) < 0),
-            default=None,
-        )
-        vol = sum((p * q for p, q in zip(p_polys, p_dot)), Poly())
+        # the first root alpha_j / -beta_j of a falling P.C_j, compared by cross-multiplication
+        first = None
+        for x, y in zip(alpha, beta):
+            if y < 0 and (first is None or x * first[1] < -y * first[0]):
+                first = (x, -y)
+        right = None if first is None else Fraction(*first)
+        p_polys = [Poly.from_integers(form, q) for form in zip(p0, p1)]
+        p_dot = [Poly.from_integers(form, den * q) for form in zip(alpha, beta)]
+        vol = sum((p * c for p, c in zip(p_polys, p_dot)), Poly())
         root = _smallest_rational_root_at_least(vol, left)
         if root is not None and (right is None or root <= right):
             right = tau = root
@@ -248,7 +261,8 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
         elif _quadratic_negative_on(vol, left, right):
             raise RayNeverEffectiveError("volume crosses zero at an irrational parameter")
         # N's coefficients and P.C are linear in u: >= 0 at both ends is >= 0 throughout
-        if any(q(left) < 0 or q(right) < 0 for q in (*coeffs, *p_dot)):
+        forms = [(*c.numerators, 0, 0)[:2] for c in coeffs] + list(zip(alpha, beta))
+        if any(_sign_at(x, y, left) < 0 or _sign_at(x, y, right) < 0 for x, y in forms):
             raise InconsistentConfigError(
                 f"support {_names(config, support)} is not a Zariski chamber on [{left}, {right}]"
             )
@@ -327,6 +341,11 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
 def _isqrt_exact(n: int) -> Optional[int]:
     r = math.isqrt(n)
     return r if r * r == n else None
+
+
+def _sign_at(x0: int, x1: int, u: Fraction) -> int:
+    """x0 + u x1 times u's (positive) denominator: an int with the sign of the form at u."""
+    return x0 * u.denominator + x1 * u.numerator
 
 
 def _check_continuity(rd: RayDecomposition) -> None:

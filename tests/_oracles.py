@@ -6,7 +6,8 @@ quadrature, polynomial arithmetic by a Poly with Fraction coefficients (the
 package's runs on integer numerators over one denominator), blow-up Gram
 matrices by the Fraction formula (the package updates integer rows),
 definiteness by numpy eigenvalues, ray decompositions by enumerating every
-negative-definite subset of the basis, linear algebra by a
+negative-definite subset of the basis and by the Poly-based chamber walk
+(the package's walk decides on integer linear forms), linear algebra by a
 Gauss-Jordan kernel on Fractions (the package eliminates fraction-free on
 integers), catalog expressions by a recursive-descent parser that evaluates
 as it parses (the package compiles each text once), and random
@@ -28,13 +29,16 @@ from kstab import (
 )
 from kstab.arith import PiecewisePoly, Poly, RationalLike, rat
 from kstab.catalog import CatalogError, ParameterError
+from kstab.surface import ClassVector, solve_linear_system
 from kstab.zariski import (
     InconsistentConfigError,
     RayDecomposition,
     RayInterval,
     RayNeverEffectiveError,
     _check_continuity,
+    _names,
     _quadratic_negative_on,
+    _refuse_negative_pairing,
     _smallest_rational_root_at_least,
 )
 
@@ -448,6 +452,93 @@ def decompose_ray_by_subsets(config, ample, ray) -> RayDecomposition:
         nef_threshold=intervals[0].right if intervals[0].support == () else Fraction(0),
         tau=tau,
         volume=volume,
+    )
+    _check_continuity(rd)
+    return rd
+
+
+def oracle_decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> RayDecomposition:
+    """The Poly-based chamber walk, kept verbatim as the oracle of ``decompose_ray``.
+
+    Decompose ample - u*ray for u in [0, tau], exactly.
+
+    ``ample`` must be nef on the basis and big (positive self-intersection);
+    ``ray`` is the class being subtracted (usually a single basis curve).
+    A chamber that fails its certificate raises InconsistentConfigError.
+    """
+    if config.pairing(ample, ample) <= 0:
+        raise ValueError("ample class must have positive self-intersection")
+    ample_dot = config.basis_pairings(ample)
+    for name, q in zip(config.basis, ample_dot):
+        if q < 0:
+            raise ValueError(f"ample class is not nef: negative against {name}")
+    if ray.is_zero():
+        raise ValueError("ray class must be nonzero")
+
+    u = Poly.variable()
+    d_polys = [Poly.constant(a) - u * Poly.constant(e) for a, e in zip(ample, ray)]
+    den, gram = config.integer_gram
+    # d (A - uE).C_i: the right-hand side over the integer Gram rows
+    rhs = [Poly([den * a, -den * e]) for a, e in zip(ample_dot, config.basis_pairings(ray))]
+    support: list[int] = []
+    intervals: list[RayInterval] = []
+    vol_pieces: list[tuple[Fraction, Fraction, Poly]] = []
+    left, tau = Fraction(0), None
+    while tau is None:
+        # grow the support until P(u).C >= 0 just to the right of `left`
+        while True:
+            m = [[gram[i][j] for j in support] for i in support]
+            coeffs = solve_linear_system(m, [rhs[i] for i in support])
+            p_polys = list(d_polys)
+            for idx, c in zip(support, coeffs):
+                p_polys[idx] = p_polys[idx] - c
+            p_dot = config.basis_pairings(p_polys)
+            entering = [
+                j for j, q in enumerate(p_dot)
+                if j not in support and (q(left), q.coefficient(1)) < (0, 0)
+            ]
+            if not entering:
+                break
+            support = sorted(support + entering)
+            if not config.is_negative_definite(support):
+                raise InconsistentConfigError(
+                    f"support {_names(config, support)} at u = {left} is not negative definite"
+                )
+            _refuse_negative_pairing(config, entering, f" at u = {left}")
+        # P.C = 0 on the support identically: then P.N = 0, vol = P.P, and only outside curves have slopes
+        if any(p_dot[i] for i in support):
+            raise InconsistentConfigError(
+                f"P(u) is not orthogonal to support {_names(config, support)} from u = {left}"
+            )
+        right = min(
+            (-q.coefficient(0) / q.coefficient(1) for q in p_dot if q.coefficient(1) < 0),
+            default=None,
+        )
+        vol = sum((p * q for p, q in zip(p_polys, p_dot)), Poly())
+        root = _smallest_rational_root_at_least(vol, left)
+        if root is not None and (right is None or root <= right):
+            right = tau = root
+        elif right is None:
+            raise RayNeverEffectiveError("volume does not reach zero at a rational parameter")
+        elif _quadratic_negative_on(vol, left, right):
+            raise RayNeverEffectiveError("volume crosses zero at an irrational parameter")
+        # N's coefficients and P.C are linear in u: >= 0 at both ends is >= 0 throughout
+        if any(q(left) < 0 or q(right) < 0 for q in (*coeffs, *p_dot)):
+            raise InconsistentConfigError(
+                f"support {_names(config, support)} is not a Zariski chamber on [{left}, {right}]"
+            )
+        intervals.append(RayInterval(left, right, tuple(support), tuple(coeffs), tuple(p_polys)))
+        vol_pieces.append((left, right, vol))
+        left = right
+
+    rd = RayDecomposition(
+        config=config,
+        ample=ample,
+        ray=ray,
+        intervals=tuple(intervals),
+        nef_threshold=intervals[0].right if not intervals[0].support else Fraction(0),
+        tau=tau,
+        volume=PiecewisePoly(vol_pieces),
     )
     _check_continuity(rd)
     return rd

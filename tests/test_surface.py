@@ -398,3 +398,27 @@ def test_config_json_round_trip():
     assert round_tripped == config
     assert round_tripped.singular_point("p_z").multiplicity("C_x") == 10
     assert round_tripped.singular_point("p_z").multiplicity("other") == 0
+
+
+@st.composite
+def integer_grams(draw):
+    """(d, G) with d = 1 or any positive int and symmetric int rows of any sign,
+    zeros included; the first curve, given a positive square, is the polarization."""
+    k = draw(st.integers(1, 6))
+    den = draw(st.one_of(st.just(1), st.integers(1, 10**6)))
+    entries = st.one_of(st.just(0), st.integers(-30, 30), st.integers(-10**12, 10**12))
+    upper = {(i, j): draw(entries) for i in range(k) for j in range(i, k)}
+    upper[0, 0] = abs(upper[0, 0]) + 1
+    gram = [[upper[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
+    return den, gram
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_grams())
+def test_config_json_renders_the_integer_gram_without_the_fraction_view(dg):
+    den, gram = dg
+    k = len(gram)
+    config = CurveConfig(tuple(f"C{i}" for i in range(k)), (den, gram), ClassVector([1] + [0] * (k - 1)))
+    rendered = config.to_json_dict()["gram"]
+    assert "gram" not in vars(config)
+    assert rendered == [[str(x) for x in row] for row in config.gram]

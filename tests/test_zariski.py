@@ -1,5 +1,6 @@
 """Exact Zariski decomposition: single classes and one-parameter rays."""
 
+import collections
 import random
 import re
 from fractions import Fraction
@@ -22,6 +23,7 @@ from kstab.surface import ClassVector, DimensionMismatchError
 from kstab.zariski import InconsistentConfigError, NotPseudoeffectiveError
 from tests._oracles import (
     decompose_ray_by_subsets,
+    oracle_decompose_ray,
     oracle_is_negative_definite,
     oracle_solve_linear_system,
     random_chain_config,
@@ -440,6 +442,66 @@ def test_walk_is_unchanged_with_the_gauss_jordan_oracle_kernel(monkeypatch):
     monkeypatch.setattr(CurveConfig, "is_negative_definite", oracle_is_negative_definite)
     assert [_outcome(decompose_ray, *ray) for ray in rays] == fraction_free
     assert sum(isinstance(out, dict) for out in fraction_free) >= 20
+
+
+# -- the integer walk against the Poly-based walk -------------------------------
+
+
+def _assert_walk_matches_poly_walk(config, ample, ray):
+    walk = _outcome(decompose_ray, config, ample, ray)
+    assert walk == _outcome(oracle_decompose_ray, config, ample, ray)
+    return walk
+
+
+def test_walk_matches_poly_walk_on_catalog_rays():
+    for param in catalog_ray_inputs():
+        assert isinstance(_assert_walk_matches_poly_walk(*param.values), dict)
+
+
+def test_walk_matches_poly_walk_on_random_chains():
+    """240 chains with k = 1..24, irrational-threshold refusals included."""
+    rng = random.Random("walk-vs-poly-walk/chains")
+    outcomes = []
+    for i in range(240):
+        config, ample, ray_name = random_chain_config(rng, stages=i % 24)
+        outcomes.append(_assert_walk_matches_poly_walk(config, ample, config.basis_vector(ray_name)))
+    decomposed = sum(isinstance(out, dict) for out in outcomes)
+    assert decomposed >= 120 and 240 - decomposed >= 40
+
+
+def _random_gram_ray(rng):
+    """A config of 1-5 curves with small rational Gram entries of any sign, its
+    anticanonical class as the ample, and a basis curve or a random vector as the
+    ray; None if the entries do not make a config."""
+    k = rng.randint(1, 5)
+    upper = {
+        (i, j): F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 7])) for i in range(k) for j in range(i, k)
+    }
+    gram = [[upper[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
+    try:
+        config = CurveConfig.make(
+            [f"C{i}" for i in range(k)], gram, [F(rng.randint(0, 4), rng.choice([1, 2, 3])) for _ in range(k)]
+        )
+    except ValueError:
+        return None
+    if rng.random() < 0.7:
+        ray = config.basis_vector(f"C{rng.randrange(k)}")
+    else:
+        ray = ClassVector(F(rng.randint(-2, 3), rng.choice([1, 2])) for _ in range(k))
+    return config, config.anticanonical, ray
+
+
+def test_walk_matches_poly_walk_on_random_grams():
+    """6000 random Grams: the same JSON, or the same error type and message."""
+    rng = random.Random("walk-vs-poly-walk/grams")
+    kinds = collections.Counter()
+    while sum(kinds.values()) < 6000:
+        inputs = _random_gram_ray(rng)
+        if inputs is not None:
+            out = _assert_walk_matches_poly_walk(*inputs)
+            kinds["decomposed" if isinstance(out, dict) else out[0].__name__] += 1
+    assert kinds["decomposed"] >= 1000
+    assert kinds["RayNeverEffectiveError"] >= 300 and kinds["InconsistentConfigError"] >= 300
 
 
 # -- the cached volume integral -------------------------------------------------
