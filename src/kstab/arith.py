@@ -179,26 +179,30 @@ class Poly:
         return anti(b) - anti(a)
 
     def format(self, var: str = "u") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                power = var if i == 1 else f"{var}^{i}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_terms(self.coeffs, var)
 
     def __repr__(self) -> str:
         return f"Poly({self.format()})"
+
+
+def format_terms(coeffs: Iterable[Fraction], var: str = "u") -> str:
+    """The polynomial with these coefficients, lowest degree first, as ``Poly.format`` writes it:
+    zero terms left out, a unit coefficient shown as its sign alone, and "0" for no terms."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            power = var if i == 1 else f"{var}^{i}"
+            body = power if mag == 1 else f"{mag}*{power}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 def _normalise(poly: Poly, nums: list[int], den: int) -> None:
@@ -347,3 +351,212 @@ def piecewise_integrate(f: PiecewisePoly, a: RationalLike, b: RationalLike) -> F
 def piecewise_combine(f: PiecewisePoly, g: PiecewisePoly, op: str) -> PiecewisePoly:
     """Pointwise sum or product on the common refinement of breakpoints."""
     return f.combine(g, op)
+
+
+class RationalFunction:
+    """An exact rational function p(n) / q(n) of one integer parameter n.
+
+    p and q are int coefficient tuples, lowest degree first, with no trailing
+    zeros.  They are coprime as polynomials, the gcd of all their coefficients
+    is 1 and q's leading coefficient is positive, so each function has one
+    representation and ``==`` compares ints; zero is () over (1,).  Values at
+    an integer n are Fractions, one per evaluation.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Iterable[int] = (), den: Iterable[int] = (1,)):
+        num, den = _trim(list(num)), _trim(list(den))
+        if not den:
+            raise ZeroDivisionError("rational function with a zero denominator")
+        if not num:
+            num, den = [], [1]
+        elif len(num) > 1 and len(den) > 1:
+            g = _poly_gcd(num, den)
+            if len(g) > 1:
+                num, den = _poly_div_exact(num, g), _poly_div_exact(den, g)
+        c = math.gcd(*num, *den)
+        if den[-1] < 0:
+            c = -c
+        if c != 1:
+            num, den = [x // c for x in num], [x // c for x in den]
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", tuple(den))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalFunction is immutable")
+
+    @classmethod
+    def constant(cls, c: RationalLike) -> "RationalFunction":
+        c = rat(c)
+        return cls((c.numerator,), (c.denominator,))
+
+    @classmethod
+    def variable(cls) -> "RationalFunction":
+        return cls((0, 1))
+
+    def uses_n(self) -> bool:
+        """Whether the function is not a constant."""
+        return len(self.num) > 1 or len(self.den) > 1
+
+    def __call__(self, n: int) -> Fraction:
+        return Fraction(_poly_at(self.num, n), _poly_at(self.den, n))
+
+    def format_at(self, n: int) -> str:
+        """str(self(n)), with one gcd and no Fraction."""
+        p, q = _poly_at(self.num, n), _poly_at(self.den, n)
+        if q < 0:
+            p, q = -p, -q
+        elif not q:
+            raise ZeroDivisionError(f"{self!r} is not defined at {n}")
+        g = math.gcd(p, q)
+        return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+    def sign_at(self, n: int) -> int:
+        """The sign of p(n) q(n): the function's sign at n wherever it is defined."""
+        s = _poly_at(self.num, n) * _poly_at(self.den, n)
+        return (s > 0) - (s < 0)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RationalFunction):
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(("RationalFunction", self.num, self.den))
+
+    def __neg__(self) -> "RationalFunction":
+        return _rational_function([-x for x in self.num], self.den)
+
+    def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        if self.den == other.den == (1,):
+            return RationalFunction(_poly_add(self.num, other.num))
+        return RationalFunction(
+            _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den)),
+            _poly_mul(self.den, other.den),
+        )
+
+    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
+        return self + (-other)
+
+    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
+        if not (self.num and other.num):
+            return _ZERO_FUNCTION
+        if self.den == other.den == (1,):  # a product of integer polynomials is one over 1
+            return _rational_function(_poly_mul(self.num, other.num), (1,))
+        return RationalFunction(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
+
+    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
+        if not other.num:
+            raise ZeroDivisionError("division by the zero rational function")
+        return RationalFunction(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
+
+    def sqrt(self) -> "RationalFunction | None":
+        """A rational function whose square is this one, or None if there is none."""
+        root = _poly_sqrt(_poly_mul(self.num, self.den))  # p / q = p q / q^2
+        return None if root is None else root / RationalFunction(self.den)
+
+    def __repr__(self) -> str:
+        return f"RationalFunction({self.num}, {self.den})"
+
+
+def _rational_function(num: Iterable[int], den: tuple[int, ...]) -> RationalFunction:
+    """num / den for parts that are already coprime, content-free and signed."""
+    out = object.__new__(RationalFunction)
+    object.__setattr__(out, "num", tuple(num))
+    object.__setattr__(out, "den", den)
+    return out
+
+
+def _trim(p: list[int]) -> list[int]:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_at(p: tuple[int, ...], n: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * n + c
+    return acc
+
+
+def _poly_add(a, b) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + list(a[len(b):])
+
+
+def _poly_mul(a, b) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _primitive(p: list[int]) -> list[int]:
+    c = math.gcd(*p)
+    return [x // c for x in p] if c != 1 else p
+
+
+def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of two nonzero int polynomials, by pseudo-remainders."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r, lead = list(a), b[-1]
+        while len(r) >= len(b):
+            top, shift = r[-1], len(r) - len(b)
+            r = [x * lead for x in r]
+            for i, y in enumerate(b):
+                r[i + shift] -= top * y
+            _trim(r)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _poly_div_exact(a: list[int], b: list[int]) -> list[int]:
+    """a / b for an int polynomial b that divides a over the integers."""
+    a, q = list(a), [0] * (len(a) - len(b) + 1)
+    for i in reversed(range(len(q))):
+        q[i] = a[i + len(b) - 1] // b[-1]
+        for j, y in enumerate(b):
+            a[i + j] -= q[i] * y
+    return q
+
+
+def _poly_sqrt(p: list[int]) -> "RationalFunction | None":
+    """A polynomial over Q whose square is the int polynomial p, or None."""
+    if not p:
+        return RationalFunction()
+    if len(p) % 2 == 0 or p[-1] < 0:
+        return None
+    half = len(p) // 2
+    top = math.isqrt(p[-1])
+    if top * top != p[-1]:
+        return None
+    # the coefficients from the top down: 2 t_top t_i = p_(top + i) - sum of the known products
+    root = [Fraction(0)] * (half + 1)
+    root[half] = Fraction(top)
+    for i in reversed(range(half)):
+        known = sum((root[j] * root[half + i - j] for j in range(i + 1, half + 1) if half + i - j <= half), Fraction(0))
+        root[i] = (p[half + i] - known) / (2 * top)
+    den = math.lcm(*(c.denominator for c in root))
+    nums = [int(c * den) for c in root]
+    if _trim(_poly_mul(nums, nums)) != [x * den * den for x in p]:
+        return None
+    return RationalFunction(nums, (den,))
+
+
+_ZERO_FUNCTION = RationalFunction()

@@ -14,13 +14,14 @@ import functools
 import json
 import operator
 import os
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .arith import PiecewisePoly, Poly, rat
+from .arith import PiecewisePoly, Poly, RationalFunction, rat
 from .blowup import BlowupResult, BlowupSpec, transform_config
 from .invariants import az_s_w, beta, delta_lower_bound, k_basis_bound, proportional_bound, s_invariant
 from .surface import (
@@ -47,77 +48,112 @@ class ParameterError(CatalogError):
 def eval_expr(expr, n: Optional[int] = None) -> Fraction:
     """Evaluate an exact rational expression: integers, n, + - * / ( ), min().
 
-    Each text is compiled once per process and the compiled form evaluated at
-    n.  What is wrong with a text whatever n is raises one CatalogError when
-    the text compiles, the same at every n: a syntax error, a constant zero
-    divisor, a digit run that int() refuses, and nesting deeper than the
-    interpreter allows.  Only parentheses, unary minus and min() nest: each
-    run of + and - (or of * and /) is one node that folds its operands in a
-    loop, so evaluating nests no deeper than compiling.  Only a missing n and
-    a divisor that is zero at this n are raised when evaluating, in
-    left-to-right order.
+    Each text is compiled once per process into a rational function of n (or
+    a tree of them where a min() stands in the way) and evaluated at n.  What
+    is wrong with a text whatever n is raises one CatalogError when the text
+    compiles, the same at every n: a syntax error, a constant zero divisor, a
+    digit run that int() refuses, and nesting deeper than the interpreter
+    allows.  Only parentheses, unary minus and min() nest: each run of + and -
+    (or of * and /) is folded in a loop, so evaluating nests no deeper than
+    compiling.  Only a missing n and a divisor that is zero at this n are
+    raised when evaluating; the compiled text lists its divisors in the order
+    they are evaluated.
     """
     if isinstance(expr, (int, Fraction)) and not isinstance(expr, bool):
         return rat(expr)
     text = str(expr)
     try:
-        node = _compile(text)
-        return node(n) if callable(node) else node
+        return _compile(text).at(n)
     except RecursionError:
         raise CatalogError(f"expression {text!r} is nested too deeply") from None
 
 
 @functools.lru_cache(maxsize=1024)
-def _compile(text: str):
-    """Compile text to a node: a Fraction, or a function of n for the parts
-    that depend on n."""
+def _compile(text: str) -> "_Expr":
+    """Compile text to an ``_Expr``."""
     return _Compiler(text).parse()
 
 
-def _fold(node, rest):
-    """The node for node op1 x1 op2 x2 ... (rest holds the (op, x) pairs), applied
-    left to right in one loop; the constant prefix is folded now."""
+class _Min(NamedTuple):
+    """min(first, second) of two nodes that are not both constants."""
+
+    first: object
+    second: object
+
+
+class _Chain(NamedTuple):
+    """first op1 x1 op2 x2 ..., a run of + and - (or of * and /) evaluated left to
+    right in one loop; rest holds the (op, node) pairs after the first operand
+    that is no rational function."""
+
+    first: object
+    rest: tuple
+
+
+def _node_at(node, n: int) -> Fraction:
+    """A node's value at n: a RationalFunction, a _Min or a _Chain whose divisors are nonzero at n."""
+    if isinstance(node, RationalFunction):
+        return node(n)
+    if isinstance(node, _Min):
+        return min(_node_at(node.first, n), _node_at(node.second, n))
+    value = _node_at(node.first, n)
+    for op, x in node.rest:
+        value = op(value, _node_at(x, n))
+    return value
+
+
+def _fold(first, rest):
+    """The node for first op1 x1 op2 x2 ... (rest holds the (op, x) pairs): its prefix of
+    rational functions folded into one, and a _Chain for what is left."""
     i = 0
-    while i < len(rest) and not callable(node) and not callable(rest[i][1]):
-        node, i = rest[i][0](node, rest[i][1]), i + 1
-    rest = rest[i:]
-    if not rest:
-        return node
+    while i < len(rest) and isinstance(first, RationalFunction) and isinstance(rest[i][1], RationalFunction):
+        op, x = rest[i]
+        if op is operator.truediv and not x.num:  # a divisor that is zero at every n stays in the chain
+            break
+        first, i = op(first, x), i + 1
+    return first if i == len(rest) else _Chain(first, tuple(rest[i:]))
 
-    def chain(n: Optional[int]) -> Fraction:
-        value = node(n) if callable(node) else node
-        for op, x in rest:
-            value = op(value, x(n) if callable(x) else x)
-        return value
 
-    return chain
+class _Expr(NamedTuple):
+    """A compiled expression: its value (a node: a RationalFunction, _Min or _Chain),
+    the divisors that name n, in the order they are evaluated, and whether the
+    text names n at all."""
+
+    text: str
+    value: object
+    divisors: tuple
+    uses_n: bool
+
+    def at(self, n: Optional[int]) -> Fraction:
+        if not self.uses_n:
+            return self.value(0)
+        if n is None:
+            raise ParameterError(f"expression {self.text!r} needs the parameter n")
+        for d in self.divisors:  # each one's own divisors come first, so its value is defined
+            if not _node_at(d, n):
+                raise CatalogError(f"division by zero in {self.text!r}")
+        return _node_at(self.value, n)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_ZERO = RationalFunction()
 
 
 class _Compiler:
-    """Recursive descent over one expression, building nodes instead of values."""
+    """Recursive descent over one expression, building rational functions instead of values."""
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.names_n = 0  # how many times n has been read so far
+        self.divisors: list = []
 
-        def divide(a: Fraction, b: Fraction) -> Fraction:
-            if b == 0:
-                raise CatalogError(f"division by zero in {text!r}")
-            return a / b
-
-        def param(n: Optional[int]) -> Fraction:
-            if n is None:
-                raise ParameterError(f"expression {text!r} needs the parameter n")
-            return Fraction(n)
-
-        self.divide, self.param = divide, param
-
-    def parse(self):
+    def parse(self) -> _Expr:
         node = self._expr()
         self._skip_ws()
         if self.pos != len(self.text):
             raise CatalogError(f"trailing input in expression {self.text!r}")
-        return node
+        return _Expr(self.text, node, tuple(self.divisors), self.names_n > 0)
 
     def _expr(self):
         return self._chain(self._term, "+-")
@@ -126,23 +162,26 @@ class _Compiler:
         return self._chain(self._factor, "*/")
 
     def _chain(self, operand, ops: str):
-        """Operands joined by the operators in ops as one node, so that a long
-        sum or product nests no deeper than one of its operands."""
+        """Operands joined by the operators in ops, folded left to right in a loop,
+        so that a long sum or product nests no deeper than one of its operands."""
         node, rest = operand(), []
         while (op := self._peek()) and op in ops:
             self.pos += 1
+            before = self.names_n
             rhs = operand()
-            if op == "/" and not callable(rhs) and rhs == 0:  # zero whatever n is
-                raise CatalogError(f"division by zero in {self.text!r}")
-            rest.append(({"+": operator.add, "-": operator.sub, "*": operator.mul, "/": self.divide}[op], rhs))
+            if op == "/":
+                if self.names_n > before:
+                    self.divisors.append(rhs)
+                elif rhs == _ZERO:  # zero whatever n is
+                    raise CatalogError(f"division by zero in {self.text!r}")
+            rest.append((_OPS[op], rhs))
         return _fold(node, rest)
 
     def _factor(self):
         ch = self._peek()
         if ch == "-":
             self.pos += 1
-            node = self._factor()
-            return (lambda n: -node(n)) if callable(node) else -node
+            return _fold(_ZERO, [(operator.sub, self._factor())])
         if ch == "(":
             self.pos += 1
             node = self._expr()
@@ -155,7 +194,7 @@ class _Compiler:
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
             try:
-                return Fraction(int(self.text[start : self.pos]))
+                return RationalFunction((int(self.text[start : self.pos]),))
             except ValueError as exc:  # a superscript, or more digits than int() reads
                 raise CatalogError(f"cannot parse expression {self.text!r} at position {start}: {exc}") from None
         if self.text.startswith("min(", self.pos):
@@ -168,10 +207,14 @@ class _Compiler:
             if self._peek() != ")":
                 raise CatalogError(f"unbalanced min() in {self.text!r}")
             self.pos += 1
-            return _fold(first, [(min, second)])
+            if isinstance(first, RationalFunction) and isinstance(second, RationalFunction):
+                if not (first.uses_n() or second.uses_n()):  # two constants: min() picks second only if smaller
+                    return second if second(0) < first(0) else first
+            return _Min(first, second)
         if ch == "n":
             self.pos += 1
-            return self.param
+            self.names_n += 1
+            return RationalFunction.variable()
         raise CatalogError(f"cannot parse expression {self.text!r} at position {self.pos}")
 
     def _peek(self) -> str:
@@ -239,6 +282,10 @@ class Catalog:
     families: tuple[FamilyEntry, ...]
     non_ke_quintuples: tuple[Mapping, ...]
     source: str
+    # family id -> the plan that serves its n (None where none could be built), and what
+    # the plans did: see kstab.plan
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    plan_counts: Counter = field(default_factory=Counter, init=False, repr=False, compare=False)
 
     def family(self, family_id: int) -> FamilyEntry:
         for entry in self.families:
@@ -655,9 +702,30 @@ def expected_invariants(
 
 
 def verify(catalog: Catalog, family_id: int, n: Optional[int] = None) -> VerificationReport:
-    """Recompute every expected invariant through the pipeline and compare."""
+    """Recompute every expected invariant through the pipeline and compare.
+
+    A parametric family's reports come from one plan over Q(n) per loaded
+    catalog (``kstab.plan``) wherever its guards hold at n; everywhere else,
+    and for the fixed families, ``verify_pointwise`` runs the pipeline at n.
+    Both give the same report.
+    """
     instance = instantiate(catalog, family_id, n)
-    quintuple = instance.quintuple
+    if instance.entry.parametric:
+        from .plan import planned_report
+
+        report = planned_report(catalog, instance)
+        if report is not None:
+            return report
+    return _pointwise(instance)
+
+
+def verify_pointwise(catalog: Catalog, family_id: int, n: Optional[int] = None) -> VerificationReport:
+    """``verify`` with every check run through the pipeline at n: the plan's oracle."""
+    return _pointwise(instantiate(catalog, family_id, n))
+
+
+def _pointwise(instance: FamilyInstance) -> VerificationReport:
+    family_id, quintuple = instance.entry.family_id, instance.quintuple
     items: list[CheckItem] = [
         _item("quintuple index", 2, quintuple.index, "index-2 catalog invariant"),
         _item("quintuple well-formed", True, quintuple.is_well_formed(), "well-formedness catalog invariant"),
@@ -680,8 +748,12 @@ _SHOW = {bool: lambda value: str(value).lower(), PiecewisePoly: PiecewisePoly.fo
 
 
 def _item(label: str, expected, computed, anchor: str) -> CheckItem:
+    """The item comparing expected with computed, each formatted once (once in all when equal)."""
     show = _SHOW.get(type(expected), str)
-    return CheckItem(label, show(expected), show(computed), expected == computed, anchor)
+    text = show(expected)
+    if expected == computed:
+        return CheckItem(label, text, text, True, anchor)
+    return CheckItem(label, text, show(computed), False, anchor)
 
 
 def ample_class(

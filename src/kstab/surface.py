@@ -371,7 +371,7 @@ def is_negative_definite(c: CurveConfig, subset: Sequence[int]) -> bool:
 
 
 def solve_linear_system(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> list:
-    """Solve M x = rhs exactly; rhs entries may be Fractions, ints or Polys.
+    """Solve M x = rhs exactly; M's entries may be Fractions or ints, rhs entries Fractions, ints or Polys.
 
     A Poly right-hand side is split into one column per coefficient, so every
     coefficient is solved in the same elimination; the solution is a list of
@@ -387,8 +387,11 @@ def solve_linear_system(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> 
         tails = [((b.numerator,), b.denominator) for b in rhs]
     rows = []
     for row, (tail, tail_den) in zip(matrix, tails):
-        ints, scale = _over_common_denominator(row, tail_den)
-        rows.append(ints + [t * (scale // tail_den) for t in tail])
+        if _INT.issuperset(map(type, row)):  # an int row is taken as it is, over the tail's denominator
+            rows.append([*row, *tail] if tail_den == 1 else [x * tail_den for x in row] + list(tail))
+        else:
+            ints, scale = _over_common_denominator(row, tail_den)
+            rows.append(ints + [t * (scale // tail_den) for t in tail])
     pivots, y = _eliminate(rows, swap_rows=True)
     if y is None:
         raise ValueError("singular linear system")
@@ -396,6 +399,9 @@ def solve_linear_system(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> 
     if polys:
         return [Poly.from_integers([col[i] for col in y], det) for i in range(len(matrix))]
     return [Fraction(v, det) for v in y[0]] if y else []
+
+
+_INT = frozenset({int})
 
 
 def _eliminate(rows: list[list[int]], swap_rows: bool):

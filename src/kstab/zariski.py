@@ -292,55 +292,47 @@ def volume_profile(rd: RayDecomposition) -> PiecewisePoly:
 
 
 def _quadratic_negative_on(q: Poly, lo: Fraction, hi: Fraction) -> bool:
-    """True iff the (degree <= 2) polynomial dips below zero on [lo, hi]."""
-    if q(lo) < 0 or q(hi) < 0:
+    """True iff the (degree <= 2) polynomial dips below zero on [lo, hi].
+
+    Decided on q's int numerators c: the sign of q at u = p/r is that of
+    c0 r^2 + c1 p r + c2 p^2, and a convex q dips below zero between its
+    values only at a vertex inside (lo, hi) with a positive discriminant.
+    """
+    c0, c1, c2 = (*q.numerators, 0, 0, 0)[:3]
+    if any(c0 * u.denominator ** 2 + (c1 * u.denominator + c2 * u.numerator) * u.numerator < 0 for u in (lo, hi)):
         return True
-    if q.degree == 2 and q.coefficient(2) > 0:
-        vertex = -q.coefficient(1) / (2 * q.coefficient(2))
-        if lo < vertex < hi and q(vertex) < 0:
-            return True
-    return False
+    # the vertex -c1 / (2 c2) lies in (lo, hi) where q' = c1 + 2 c2 u is negative at lo and positive at hi
+    return (
+        c2 > 0 and c1 * c1 > 4 * c0 * c2
+        and _sign_at(c1, 2 * c2, lo) < 0 < _sign_at(c1, 2 * c2, hi)
+    )
 
 
 def _smallest_rational_root_at_least(q: Poly, lo: Fraction) -> Optional[Fraction]:
     """Smallest rational root of q that is > lo; None if there is none.
 
-    Quadratics are only resolved when the discriminant is a perfect square
-    (in the catalog the terminal quadratic is always a multiple of
+    Decided on q's int numerators: a quadratic c0 + c1 u + c2 u^2 has
+    rational roots exactly when its discriminant c1^2 - 4 c2 c0 is a perfect
+    square (in the catalog the terminal quadratic is always a multiple of
     (tau - u)^2); otherwise the root is irrational and not representable.
     """
-    if q.degree <= 0:
+    c = q.numerators
+    if len(c) <= 1:
         return None
-    if q.degree == 1:
-        root = -q.coefficient(0) / q.coefficient(1)
+    if len(c) == 2:
+        root = Fraction(-c[0], c[1])
         return root if root > lo else None
-    a, b, c = q.coefficient(2), q.coefficient(1), q.coefficient(0)
-    disc = b * b - 4 * a * c
+    c0, c1, c2 = c
+    disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
         return None
-    sq = _rational_sqrt(disc)
-    if sq is None:
+    sq = math.isqrt(disc)
+    if sq * sq != disc:
         return None
-    roots = sorted({(-b - sq) / (2 * a), (-b + sq) / (2 * a)})
-    for r in roots:
+    for r in sorted({Fraction(-c1 - sq, 2 * c2), Fraction(-c1 + sq, 2 * c2)}):
         if r > lo:
             return r
     return None
-
-
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    num, den = x.as_integer_ratio()
-    rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int) -> Optional[int]:
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 def _sign_at(x0: int, x1: int, u: Fraction) -> int:

@@ -10,12 +10,15 @@ negative-definite subset of the basis and by the Poly-based chamber walk
 (the package's walk decides on integer linear forms), linear algebra by a
 Gauss-Jordan kernel on Fractions (the package eliminates fraction-free on
 integers), catalog expressions by a recursive-descent parser that evaluates
-as it parses (the package compiles each text once), and random
-configurations are built as blow-up chains over a positive base class.
+as it parses (the package compiles each text once), a volume's roots and
+dips by its Fraction coefficients (the package decides on its int
+numerators), and random configurations are built as blow-up chains over a
+positive base class.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -37,10 +40,41 @@ from kstab.zariski import (
     RayNeverEffectiveError,
     _check_continuity,
     _names,
-    _quadratic_negative_on,
     _refuse_negative_pairing,
-    _smallest_rational_root_at_least,
 )
+
+
+def oracle_quadratic_negative_on(q: Poly, lo: Fraction, hi: Fraction) -> bool:
+    """True iff the (degree <= 2) polynomial dips below zero on [lo, hi], on Fractions."""
+    if q(lo) < 0 or q(hi) < 0:
+        return True
+    if q.degree == 2 and q.coefficient(2) > 0:
+        vertex = -q.coefficient(1) / (2 * q.coefficient(2))
+        if lo < vertex < hi and q(vertex) < 0:
+            return True
+    return False
+
+
+def oracle_smallest_rational_root(q: Poly, lo: Fraction) -> Optional[Fraction]:
+    """Smallest rational root of q beyond lo, from its Fraction coefficients; None if none."""
+    if q.degree <= 0:
+        return None
+    if q.degree == 1:
+        root = -q.coefficient(0) / q.coefficient(1)
+        return root if root > lo else None
+    a, b, c = q.coefficient(2), q.coefficient(1), q.coefficient(0)
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return None
+    num, den = disc.as_integer_ratio()
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        return None
+    sq = Fraction(rn, rd)
+    for r in sorted({(-b - sq) / (2 * a), (-b + sq) / (2 * a)}):
+        if r > lo:
+            return r
+    return None
 
 
 def simpson(f, a: float, b: float, panels: int = 4096) -> float:
@@ -421,7 +455,7 @@ def decompose_ray_by_subsets(config, ample, ray) -> RayDecomposition:
              for i, p in enumerate(p_polys) for j, q in enumerate(p_polys)),
             Poly(),
         )
-        root = _smallest_rational_root_at_least(vol, left)
+        root = oracle_smallest_rational_root(vol, left)
         if right is None:
             if root is None:
                 raise RayNeverEffectiveError(
@@ -430,7 +464,7 @@ def decompose_ray_by_subsets(config, ample, ray) -> RayDecomposition:
             right = tau = root
         elif root is not None and root <= right:
             right = tau = root
-        elif _quadratic_negative_on(vol, left, right):
+        elif oracle_quadratic_negative_on(vol, left, right):
             raise RayNeverEffectiveError("volume crosses zero at an irrational parameter")
         if left < right:
             intervals.append(RayInterval(left, right, subset, coeffs, p_polys))
@@ -515,12 +549,12 @@ def oracle_decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVect
             default=None,
         )
         vol = sum((p * q for p, q in zip(p_polys, p_dot)), Poly())
-        root = _smallest_rational_root_at_least(vol, left)
+        root = oracle_smallest_rational_root(vol, left)
         if root is not None and (right is None or root <= right):
             right = tau = root
         elif right is None:
             raise RayNeverEffectiveError("volume does not reach zero at a rational parameter")
-        elif _quadratic_negative_on(vol, left, right):
+        elif oracle_quadratic_negative_on(vol, left, right):
             raise RayNeverEffectiveError("volume crosses zero at an irrational parameter")
         # N's coefficients and P.C are linear in u: >= 0 at both ends is >= 0 throughout
         if any(q(left) < 0 or q(right) < 0 for q in (*coeffs, *p_dot)):

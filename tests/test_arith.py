@@ -12,6 +12,7 @@ from kstab.arith import (
     IntervalNotCoveredError,
     PiecewisePoly,
     Poly,
+    RationalFunction,
     piecewise_combine,
     piecewise_integrate,
     poly_eval,
@@ -339,3 +340,43 @@ def test_equal_polynomials_from_different_routes_compare_and_hash_equal():
         assert len({hash(p) for p in routes}) == 1
         assert len({(p.numerators, p.denominator) for p in routes}) == 1
     assert zero[0] == 0 and half_plus_u[0] != 0
+
+
+_int_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=4)
+
+
+def _function(num, den):
+    return RationalFunction(num, den) if any(den) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_polys, _int_polys, _int_polys, _int_polys, st.integers(-6, 40))
+def test_rational_functions_agree_with_their_values(p, q, r, s, n):
+    x, y = _function(p, q), _function(r, s)
+    if x is None or y is None:
+        return
+    try:
+        vx, vy = x(n), y(n)
+    except ZeroDivisionError:
+        return
+    assert x.format_at(n) == str(vx)
+    assert x.sign_at(n) == (vx > 0) - (vx < 0)
+    # a reduced denominator divides the product of the two, so each result is defined at n
+    assert (x + y)(n) == vx + vy
+    assert (x - y)(n) == vx - vy
+    assert (x * y)(n) == vx * vy
+    if vy:
+        assert (x / y)(n) == vx / vy
+    # one normal form: the same function built two ways is the same pair of tuples
+    if y.num:
+        assert (x * y) / y == x
+    assert RationalFunction(tuple(2 * c for c in x.num), tuple(2 * c for c in x.den)) == x
+    root = (x * x).sqrt()
+    assert root is not None and root * root == x * x
+
+
+def test_a_square_root_needs_a_square():
+    n = RationalFunction.variable()
+    assert (n + RationalFunction.constant(2)).sqrt() is None
+    assert (RationalFunction.constant(-4) * n * n).sqrt() is None
+    assert (RationalFunction.constant(Fraction(9, 4)) * n * n).sqrt() == RationalFunction((0, 3), (2,))

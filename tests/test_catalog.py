@@ -164,8 +164,10 @@ LONG_SUM = "+".join(["n"] * 3000)
         ("1 - " + " - ".join(["n"] * 5000), 2, F(1 - 10000)),
         ("*".join(["n"] * 3000) + "/" + "/".join(["n"] * 2999), 7, F(7)),
         ("2/" + "/".join(["n"] * 3000), 0, CatalogError("division by zero in '2/n/")),
+        ("+".join(["min(n, 2)"] * 3000), 5, F(6000)),
     ],
-    ids=["min at None", "min at 3", "min at 4", "long sum", "long difference", "long product", "long quotient"],
+    ids=["min at None", "min at 3", "min at 4", "long sum", "long difference", "long product", "long quotient",
+         "long sum of mins"],
 )
 def test_long_chains_evaluate_in_one_node(text, n, outcome):
     """A run of + and - (or * and /) evaluates in a loop: no depth limit, errors left to right."""

@@ -284,6 +284,31 @@ PINNED_OUTPUT_SHA256 = {
     ("verify", "--all", "--format", "json"): "2fbd0f8b77ce68c376c1fe24ed03b6e35defb506a180f7481751b67717c9895f",
     ("verify", "--all", "--format", "csv"): "aaeb7363068dde51d376010cf9b1285fdc319a58c6f479d0812c6675e01e90c8",
     ("verify", "--all", "--format", "text"): "4a55a7017b80400c045de283aa712509b761c19806808bd1d824ad923e968916",
+    # parametric sweeps, served from one plan per family where its guards hold
+    ("verify", "--family", "1", "--n", "2..60", "--format", "json"):
+        "fa6b1ac7f74584573fedd14af4680ccac3763445282768cf08d22ff819984439",
+    ("verify", "--family", "1", "--n", "2..60", "--format", "csv"):
+        "2eef71d1097592e1fdadb188088d916718516faa29c7e6b99354562aa25ca258",
+    ("verify", "--family", "1", "--n", "2..60", "--format", "text"):
+        "96c5da6d353ff534ec1fc36e2de0eb80858a701663759441bd8cfc18bc9af36f",
+    ("verify", "--family", "2", "--n", "0..60", "--format", "json"):
+        "9bc8142a624a3b741ea76d14722582aa0f87aa3369dd38c60e363d2dc77bfa62",
+    ("verify", "--family", "2", "--n", "0..60", "--format", "csv"):
+        "9a11bd4e71821307c6bb47f5d702e0012ea4b65d0ddff657e55f8e23ad12f95f",
+    ("verify", "--family", "2", "--n", "0..60", "--format", "text"):
+        "392b3df82379cb0266d16e5ecf4d2ea02513858a4d9dd031c6fe07ec5dae67f3",
+    ("verify", "--family", "1", "--n", "5000000..5000040", "--format", "json"):
+        "afb9c2907fb24010b8b8294b65e264c2993ce9990614fdc770cdb0e2c46bb124",
+    ("verify", "--family", "1", "--n", "5000000..5000040", "--format", "csv"):
+        "d7e5aa8097ece2ee47f85722ad89e3fe6f5e13777815021a6d1bba0162630366",
+    ("verify", "--family", "1", "--n", "5000000..5000040", "--format", "text"):
+        "6b8665f14455f352cea7f524ad358013a370809c0b114dac50c14f0f964803c0",
+    ("verify", "--family", "2", "--n", "5000000..5000040", "--format", "json"):
+        "ec9f420f1e27fc1da5a2545b0f1d41bc4889ab9f7ac69986f4d017c37b708c57",
+    ("verify", "--family", "2", "--n", "5000000..5000040", "--format", "csv"):
+        "6264bebe9a4dafa8bcb83d9087a25e1dcbfa2e7db376df3e2bfb9b31305a621d",
+    ("verify", "--family", "2", "--n", "5000000..5000040", "--format", "text"):
+        "e9857098a66a22297bf067f8a452c737071bf3d7668f2f4c5f4fa84cc957a26f",
     ("analyze", "--input", "README_FIXTURE", "--format", "json"):
         "cddbb74ea829cb6dffb5a1b70ddb5e9dc004c62ab8b08b017b459e15fe086d1e",
     ("analyze", "--input", "CHAIN_0_4", "--format", "json"):

@@ -217,6 +217,26 @@ def test_solve_linear_system_on_random_nonsingular_systems():
         assert [sum((m * v for m, v in zip(row, x_poly)), Poly()) for row in matrix] == rhs_poly
 
 
+def test_int_rows_solve_as_their_fraction_rows_do():
+    # decompose_ray passes int Gram rows, which are taken as they are
+    rng = random.Random(11)
+    u = Poly.variable()
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        matrix = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        rhs = [Poly([F(rng.randint(-9, 9), rng.randint(1, 4))]) - F(rng.randint(-3, 3), rng.randint(1, 3)) * u
+               for _ in range(n)]
+        try:
+            expected = solve_linear_system([[F(x) for x in row] for row in matrix], rhs)
+        except ValueError:
+            with pytest.raises(ValueError):
+                solve_linear_system(matrix, rhs)
+            continue
+        assert solve_linear_system(matrix, rhs) == expected
+        mixed = [row if i % 2 else [F(x) for x in row] for i, row in enumerate(matrix)]
+        assert solve_linear_system(mixed, rhs) == expected
+
+
 def test_solve_linear_system_rejects_singular_systems():
     with pytest.raises(ValueError):
         solve_linear_system([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])

@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kstab.zariski
 from kstab import (
@@ -25,6 +27,8 @@ from tests._oracles import (
     decompose_ray_by_subsets,
     oracle_decompose_ray,
     oracle_is_negative_definite,
+    oracle_quadratic_negative_on,
+    oracle_smallest_rational_root,
     oracle_solve_linear_system,
     random_chain_config,
 )
@@ -554,3 +558,19 @@ def test_invariants_read_the_cached_ample_square(monkeypatch):
             except FlagSupportError:
                 pass
     assert flags > 0
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# quadratics with rational roots, double roots and no real roots, and lines and constants
+_volumes = st.one_of(
+    st.tuples(_small, _small, _small).map(lambda r: Poly([r[0] * r[1], -(r[0] + r[1]), 1]) * Poly([r[2]])),
+    st.lists(_small, min_size=0, max_size=3).map(Poly),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_volumes, _small, _small)
+def test_volume_roots_and_dips_match_their_fraction_oracles(vol, lo, width):
+    hi = lo + abs(width) + Fraction(1, 7)
+    assert kstab.zariski._smallest_rational_root_at_least(vol, lo) == oracle_smallest_rational_root(vol, lo)
+    assert kstab.zariski._quadratic_negative_on(vol, lo, hi) == oracle_quadratic_negative_on(vol, lo, hi)
