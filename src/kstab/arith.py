@@ -179,30 +179,26 @@ class Poly:
         return anti(b) - anti(a)
 
     def format(self, var: str = "u") -> str:
-        return format_terms(self.coeffs, var)
+        if self.is_zero():
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            mag = abs(c)
+            if i == 0:
+                body = str(mag)
+            else:
+                power = var if i == 1 else f"{var}^{i}"
+                body = power if mag == 1 else f"{mag}*{power}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
 
     def __repr__(self) -> str:
         return f"Poly({self.format()})"
-
-
-def format_terms(coeffs: Iterable[Fraction], var: str = "u") -> str:
-    """The polynomial with these coefficients, lowest degree first, as ``Poly.format`` writes it:
-    zero terms left out, a unit coefficient shown as its sign alone, and "0" for no terms."""
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            power = var if i == 1 else f"{var}^{i}"
-            body = power if mag == 1 else f"{mag}*{power}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) or "0"
 
 
 def _normalise(poly: Poly, nums: list[int], den: int) -> None:
@@ -402,16 +398,6 @@ class RationalFunction:
     def __call__(self, n: int) -> Fraction:
         return Fraction(_poly_at(self.num, n), _poly_at(self.den, n))
 
-    def format_at(self, n: int) -> str:
-        """str(self(n)), with one gcd and no Fraction."""
-        p, q = _poly_at(self.num, n), _poly_at(self.den, n)
-        if q < 0:
-            p, q = -p, -q
-        elif not q:
-            raise ZeroDivisionError(f"{self!r} is not defined at {n}")
-        g = math.gcd(p, q)
-        return str(p // g) if g == q else f"{p // g}/{q // g}"
-
     def sign_at(self, n: int) -> int:
         """The sign of p(n) q(n): the function's sign at n wherever it is defined."""
         s = _poly_at(self.num, n) * _poly_at(self.den, n)
@@ -454,11 +440,6 @@ class RationalFunction:
         if not other.num:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
-
-    def sqrt(self) -> "RationalFunction | None":
-        """A rational function whose square is this one, or None if there is none."""
-        root = _poly_sqrt(_poly_mul(self.num, self.den))  # p / q = p q / q^2
-        return None if root is None else root / RationalFunction(self.den)
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num}, {self.den})"
@@ -534,29 +515,6 @@ def _poly_div_exact(a: list[int], b: list[int]) -> list[int]:
         for j, y in enumerate(b):
             a[i + j] -= q[i] * y
     return q
-
-
-def _poly_sqrt(p: list[int]) -> "RationalFunction | None":
-    """A polynomial over Q whose square is the int polynomial p, or None."""
-    if not p:
-        return RationalFunction()
-    if len(p) % 2 == 0 or p[-1] < 0:
-        return None
-    half = len(p) // 2
-    top = math.isqrt(p[-1])
-    if top * top != p[-1]:
-        return None
-    # the coefficients from the top down: 2 t_top t_i = p_(top + i) - sum of the known products
-    root = [Fraction(0)] * (half + 1)
-    root[half] = Fraction(top)
-    for i in reversed(range(half)):
-        known = sum((root[j] * root[half + i - j] for j in range(i + 1, half + 1) if half + i - j <= half), Fraction(0))
-        root[i] = (p[half + i] - known) / (2 * top)
-    den = math.lcm(*(c.denominator for c in root))
-    nums = [int(c * den) for c in root]
-    if _trim(_poly_mul(nums, nums)) != [x * den * den for x in p]:
-        return None
-    return RationalFunction(nums, (den,))
 
 
 _ZERO_FUNCTION = RationalFunction()

@@ -24,10 +24,11 @@ Nothing here proves a value for all n at once: each n is checked on its own.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+import math
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .arith import PiecewisePoly, Poly, RationalFunction, _poly_at, format_terms
+from .arith import PiecewisePoly, Poly, RationalFunction, _poly_at, _poly_mul, _trim
 from .catalog import (
     _FLAG_SCALARS,
     _RAY_SCALARS,
@@ -79,7 +80,7 @@ def planned_report(catalog: Catalog, instance: FamilyInstance) -> Optional[Verif
 class _Plan(NamedTuple):
     family_id: int
     guards: tuple  # (numerator, denominator or None where it is positive throughout, allowed signs)
-    items: tuple  # a CheckItem where it is the same at every n, else a _Value or _Profile
+    items: tuple  # a CheckItem where it is the same at every n, else a _Served
 
     def report(self, instance: FamilyInstance) -> Optional[VerificationReport]:
         n = instance.n
@@ -91,54 +92,31 @@ class _Plan(NamedTuple):
         return VerificationReport(self.family_id, n, items)
 
 
-class _Value(NamedTuple):
-    """An item whose values are expression nodes (a rational function, or a min() the
-    prover could not settle, taken at each n); computed is None where it is expected itself."""
+class _Served(NamedTuple):
+    """An item whose values change with n: value_at(x, n) takes expected and computed at n,
+    and computed is None where it is expected itself."""
 
     label: str
     anchor: str
     expected: object
     computed: object
+    value_at: object
 
     def at(self, n: int) -> CheckItem:
-        if self.computed is None:
-            text = self.expected.format_at(n) if isinstance(self.expected, RF) else str(_node_at(self.expected, n))
-            return CheckItem(self.label, text, text, True, self.anchor)
-        return _item(self.label, _node_at(self.expected, n), _node_at(self.computed, n), self.anchor)
-
-
-class _Profile(NamedTuple):
-    """A volume profile item: pieces (left, right, coefficients) of rational functions.
-    computed is None where it is expected itself; apart says that neighbouring pieces
-    are guarded to differ, so that no two of them join at any n."""
-
-    label: str
-    anchor: str
-    expected: tuple
-    computed: Optional[tuple]
-    apart: bool
-
-    def at(self, n: int) -> CheckItem:
-        if self.computed is None:
-            if self.apart:  # the pieces as they are: PiecewisePoly.format without a PiecewisePoly
-                text = "; ".join(
-                    f"[{left.format_at(n)}, {right.format_at(n)}]: {format_terms(c(n) for c in coeffs)}"
-                    for left, right, coeffs in self.expected
-                )
-            else:
-                text = _profile_at(self.expected, n).format()
-            return CheckItem(self.label, text, text, True, self.anchor)
-        return _item(self.label, _profile_at(self.expected, n), _profile_at(self.computed, n), self.anchor)
+        expected = self.value_at(self.expected, n)
+        computed = expected if self.computed is None else self.value_at(self.computed, n)
+        return _item(self.label, expected, computed, self.anchor)
 
 
 def _profile_at(pieces: tuple, n: int) -> PiecewisePoly:
+    """A volume profile's pieces (left, right, coefficients) of rational functions, at n."""
     return PiecewisePoly((left(n), right(n), Poly(c(n) for c in coeffs)) for left, right, coeffs in pieces)
 
 
 def _value_item(label: str, anchor: str, expected, computed):
     if _constant(expected) and _constant(computed):
         return _item(label, expected(0), computed(0), anchor)
-    return _Value(label, anchor, expected, None if expected == computed else computed)
+    return _Served(label, anchor, expected, None if expected == computed else computed, _node_at)
 
 
 def _constant(node) -> bool:
@@ -271,7 +249,10 @@ class _Builder:
                 _item("quintuple well-formed", True, True, "well-formedness catalog invariant"),
             ]
             for check in data.get("checks", []):
-                items.extend(getattr(self, f"_{check['kind']}")(check))
+                build = getattr(self, f"_{check['kind']}", None)
+                if build is None:
+                    raise Unsupported(f"no plan for check kind {check['kind']!r}")
+                items.extend(build(check))
         except (ValueError, KeyError, ZeroDivisionError) as exc:  # a step this module does not follow
             raise Unsupported(str(exc)) from exc
         guards = []
@@ -371,12 +352,8 @@ class _Builder:
                 expected.append((left, right, tuple(self.expr(c) for c in p["coeffs"])))
             computed = [(left, right, tuple(v)) for left, right, v in self._get_ray(check).pieces]
             expected, computed = _merged(expected), _merged(computed)
-            label = f"{name}: volume profile"
-            if expected == computed:
-                apart = all([self._apart(a, b) for (_, _, a), (_, _, b) in zip(expected, expected[1:])])
-                items.append(_Profile(label, anchor, expected, None, apart))
-            else:
-                items.append(_Profile(label, anchor, expected, computed, False))
+            same = None if expected == computed else computed
+            items.append(_Served(f"{name}: volume profile", anchor, expected, same, _profile_at))
         return items
 
     def _flag(self, check) -> list:
@@ -399,14 +376,6 @@ class _Builder:
                 computed = self.minimum(ONE / ray.s, a_value / s_w[0])
             items.append(_value_item(f"{name}: {key}", anchor, self.reported(expect[key]), computed))
         return items
-
-    def _apart(self, a: tuple, b: tuple) -> bool:
-        """Whether the coefficients a and b differ at n0; if so, guarded to differ at every n."""
-        for x, y in zip_longest(a, b, fillvalue=ZERO):
-            if (x - y).sign_at(self.n0):
-                self.require(x - y, NONZERO)
-                return True
-        return False
 
     # -- rays -------------------------------------------------------------------------
 
@@ -514,7 +483,7 @@ class _Builder:
                 return None
             roots = [-v0 / v1]
         else:
-            root = (v1 * v1 - RF.constant(4) * v2 * v0).sqrt()
+            root = _sqrt(v1 * v1 - RF.constant(4) * v2 * v0)
             if root is None:
                 raise Unsupported("the volume's discriminant is no square over Q(n)")
             two_v2 = RF.constant(2) * v2
@@ -605,6 +574,36 @@ def _solve(m: list, *columns: list) -> list:
             acc = rows[i][k + b] - _sum(rows[i][t] * x[t] for t in range(i + 1, k))
             x[i] = acc / rows[i][i]
     return out
+
+
+def _sqrt(x: RF) -> Optional[RF]:
+    """A rational function whose square is x, or None if there is none."""
+    root = _poly_sqrt(_poly_mul(x.num, x.den))  # p / q = p q / q^2
+    return None if root is None else root / RF(x.den)
+
+
+def _poly_sqrt(p: list[int]) -> Optional[RF]:
+    """A polynomial over Q whose square is the int polynomial p, or None."""
+    if not p:
+        return ZERO
+    if len(p) % 2 == 0 or p[-1] < 0:
+        return None
+    half = len(p) // 2
+    top = math.isqrt(p[-1])
+    if top * top != p[-1]:
+        return None
+    # the coefficients from the top down: 2 t_top t_i = p_(top + i) - sum of the known products
+    root = [Fraction(0)] * (half + 1)
+    root[half] = Fraction(top)
+    for i in reversed(range(half)):
+        known = sum((root[j] * root[half + i - j] for j in range(i + 1, half + 1) if half + i - j <= half), Fraction(0))
+        root[i] = (p[half + i] - known) / (2 * top)
+    den = math.lcm(*(c.denominator for c in root))
+    nums = [int(c * den) for c in root]
+    if _trim(_poly_mul(nums, nums)) != [x * den * den for x in p]:
+        return None
+    return RF(nums, (den,))
+
 
 
 def _merged(pieces: list) -> tuple:

@@ -359,7 +359,6 @@ def test_rational_functions_agree_with_their_values(p, q, r, s, n):
         vx, vy = x(n), y(n)
     except ZeroDivisionError:
         return
-    assert x.format_at(n) == str(vx)
     assert x.sign_at(n) == (vx > 0) - (vx < 0)
     # a reduced denominator divides the product of the two, so each result is defined at n
     assert (x + y)(n) == vx + vy
@@ -371,12 +370,3 @@ def test_rational_functions_agree_with_their_values(p, q, r, s, n):
     if y.num:
         assert (x * y) / y == x
     assert RationalFunction(tuple(2 * c for c in x.num), tuple(2 * c for c in x.den)) == x
-    root = (x * x).sqrt()
-    assert root is not None and root * root == x * x
-
-
-def test_a_square_root_needs_a_square():
-    n = RationalFunction.variable()
-    assert (n + RationalFunction.constant(2)).sqrt() is None
-    assert (RationalFunction.constant(-4) * n * n).sqrt() is None
-    assert (RationalFunction.constant(Fraction(9, 4)) * n * n).sqrt() == RationalFunction((0, 3), (2,))

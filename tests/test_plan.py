@@ -2,6 +2,7 @@
 
 import copy
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from kstab import plan
 from kstab.arith import RationalFunction
-from kstab.catalog import Catalog, FamilyEntry, load_catalog, verify, verify_pointwise
+from kstab.catalog import _CHECK_KINDS, Catalog, FamilyEntry, load_catalog, verify, verify_pointwise
 
 CATALOG = load_catalog()
+PARAMETRIC = [entry.family_id for entry in CATALOG.families if entry.parametric]
+_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(tuple)
 
 
 def _fresh(family_id, mutate=None):
@@ -37,7 +40,11 @@ def _sweep(catalog, family_id, ns):
     return dict(catalog.plan_counts)
 
 
-@pytest.mark.parametrize("family_id", [1, 2])
+def test_the_catalog_has_parametric_families():
+    assert PARAMETRIC
+
+
+@pytest.mark.parametrize("family_id", PARAMETRIC)
 def test_plan_serves_every_n_as_the_pointwise_pipeline_does(family_id):
     lo = CATALOG.family(family_id).minimum_n
     rng = random.Random(f"kstab-plan/{family_id}")
@@ -95,7 +102,31 @@ def test_a_family_without_a_plan_runs_pointwise(monkeypatch):
     assert catalog.plans == {2: None}
 
 
-_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(tuple)
+def test_every_check_kind_has_a_plan_builder():
+    assert all(callable(getattr(plan._Builder, f"_{kind}", None)) for kind in _CHECK_KINDS)
+
+
+def test_a_check_kind_without_a_builder_runs_pointwise(monkeypatch):
+    monkeypatch.delattr(plan._Builder, "_ray")
+    catalog = _fresh(1)
+    assert _sweep(catalog, 1, range(2, 8)) == {"plans refused": 1, "n fell back": 5}
+
+
+def test_a_square_root_needs_a_square():
+    n = RationalFunction.variable()
+    assert plan._sqrt(n + RationalFunction.constant(2)) is None
+    assert plan._sqrt(RationalFunction.constant(-4) * n * n) is None
+    assert plan._sqrt(RationalFunction.constant(Fraction(9, 4)) * n * n) == RationalFunction((0, 3), (2,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys, _polys)
+def test_the_square_root_of_a_square(num, den):
+    if not any(den):
+        return
+    x = RationalFunction(num, den)
+    root = plan._sqrt(x * x)
+    assert root is not None and root * root == x * x
 
 
 @settings(max_examples=300, deadline=None)
