@@ -352,8 +352,8 @@ class _Builder:
                 expected.append((left, right, tuple(self.expr(c) for c in p["coeffs"])))
             computed = [(left, right, tuple(v)) for left, right, v in self._get_ray(check).pieces]
             expected, computed = _merged(expected), _merged(computed)
-            same = None if expected == computed else computed
-            items.append(_Served(f"{name}: volume profile", anchor, expected, same, _profile_at))
+            computed = None if expected == computed else computed
+            items.append(_Served(f"{name}: volume profile", anchor, expected, computed, _profile_at))
         return items
 
     def _flag(self, check) -> list:
@@ -603,7 +603,6 @@ def _poly_sqrt(p: list[int]) -> Optional[RF]:
     if _trim(_poly_mul(nums, nums)) != [x * den * den for x in p]:
         return None
     return RF(nums, (den,))
-
 
 
 def _merged(pieces: list) -> tuple:
