@@ -29,7 +29,38 @@ def rat(x: RationalLike) -> Fraction:
             return Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
+    if isinstance(x, RationalFunction):  # a number over Q(n), see kstab.plan
+        return x
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+# The pipeline also runs on kstab.plan's numbers over Q(n), which are exact but no ints;
+# the few builtins it calls on ints only go through these helpers.
+
+
+def ratio(p, q):
+    """Fraction(p, q) for ints p and q, else the exact quotient p / q."""
+    return Fraction(p, q) if type(p) is int and type(q) is int else p / q
+
+
+def isqrt(x):
+    """math.isqrt(x) for an int, else the number's own exact square root."""
+    return math.isqrt(x) if type(x) is int else x.isqrt()
+
+
+def gcd(*xs):
+    """math.gcd of ints; 1 where a number over Q(n) is among them, a unit of that field."""
+    try:
+        return math.gcd(*xs)
+    except TypeError:
+        if any(isinstance(x, RationalFunction) for x in xs):
+            return 1
+        raise
+
+
+def minimum(a, b):
+    """min(a, b), which is b only where b < a; a number over Q(n) may keep it as a node."""
+    return a.minimum(b) if isinstance(a, RationalFunction) else min(a, b)
 
 
 class IntervalNotCoveredError(ValueError):
@@ -158,7 +189,7 @@ class Poly:
         for c in reversed(self.numerators):
             acc = acc * p + c * scale
             scale *= q
-        return Fraction(acc, self.denominator * scale // q) if acc else Fraction(0)
+        return ratio(acc, self.denominator * scale // q) if self.numerators else Fraction(0)
 
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k] if k < len(self.numerators) else Fraction(0)
@@ -203,14 +234,21 @@ class Poly:
 
 def _normalise(poly: Poly, nums: list[int], den: int) -> None:
     """Set poly to nums / den without trailing zeros, over a positive denominator
-    coprime to the numerators (nums is trimmed in place)."""
+    coprime to the numerators (nums is trimmed in place).  Where the numbers are
+    over Q(n), den is a unit of that field and is folded into the numerators."""
     while nums and not nums[-1]:
         nums.pop()
-    if den < 0:
-        nums, den = [-x for x in nums], -den
-    g = math.gcd(den, *nums)
-    if g != 1:
-        nums, den = [x // g for x in nums], den // g
+    if type(den) is not int:
+        nums, den = [ratio(x, den) for x in nums], 1
+    elif den != 1:
+        if den < 0:
+            nums, den = [-x for x in nums], -den
+        try:
+            g = math.gcd(den, *nums)
+        except TypeError:  # numerators over Q(n)
+            nums, den, g = [ratio(x, den) for x in nums], 1, 1
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
     object.__setattr__(poly, "numerators", tuple(nums))
     object.__setattr__(poly, "denominator", den)
     object.__setattr__(poly, "_coeffs", None)
@@ -361,13 +399,14 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Iterable[int] = (), den: Iterable[int] = (1,)):
+    def __init__(self, num: Iterable[int] = (), den: Iterable[int] = (1,), coprime: bool = False):
+        """num / den in normal form; coprime says that num and den are coprime as polynomials."""
         num, den = _trim(list(num)), _trim(list(den))
         if not den:
             raise ZeroDivisionError("rational function with a zero denominator")
         if not num:
             num, den = [], [1]
-        elif len(num) > 1 and len(den) > 1:
+        elif len(num) > 1 and len(den) > 1 and not coprime:
             g = _poly_gcd(num, den)
             if len(g) > 1:
                 num, den = _poly_div_exact(num, g), _poly_div_exact(den, g)
@@ -396,6 +435,8 @@ class RationalFunction:
         return len(self.num) > 1 or len(self.den) > 1
 
     def __call__(self, n: int) -> Fraction:
+        if type(n) is not int:  # n over Q(n) (kstab.plan): the composition
+            return n.compose(self)
         return Fraction(_poly_at(self.num, n), _poly_at(self.den, n))
 
     def sign_at(self, n: int) -> int:
@@ -424,6 +465,7 @@ class RationalFunction:
         return RationalFunction(
             _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den)),
             _poly_mul(self.den, other.den),
+            not (self.uses_n() and other.uses_n()),  # a constant changes no common factor
         )
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
@@ -434,12 +476,14 @@ class RationalFunction:
             return _ZERO_FUNCTION
         if self.den == other.den == (1,):  # a product of integer polynomials is one over 1
             return _rational_function(_poly_mul(self.num, other.num), (1,))
-        return RationalFunction(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
+        coprime = not (self.uses_n() and other.uses_n())
+        return RationalFunction(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den), coprime)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if not other.num:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
+        coprime = not (self.uses_n() and other.uses_n())
+        return RationalFunction(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num), coprime)
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num}, {self.den})"

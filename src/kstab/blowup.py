@@ -9,12 +9,11 @@ the upstairs one, orthogonal to the new exceptional curve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .arith import RationalLike, rat
+from .arith import RationalLike, gcd, rat, ratio
 from .surface import ClassVector, CurveConfig, QuotientSingularity, _over_common_denominator
 
 
@@ -31,7 +30,7 @@ def exceptional_self_intersection(n: int, a: int, b: int) -> Fraction:
 def log_discrepancy_of_e(n: int, a: int, b: int) -> Fraction:
     """Log discrepancy of the exceptional curve: (a+b)/n."""
     _validate_weights(n, a, b)
-    return Fraction(a + b, n)
+    return ratio(a + b, n)
 
 
 @dataclass(frozen=True)
@@ -152,5 +151,5 @@ def _pullback(v: ClassVector, orders: list[Fraction], n: int) -> ClassVector:
 def _validate_weights(n: int, a: int, b: int) -> None:
     if n < 1 or a < 1 or b < 1:
         raise BlowupSpecError("blow-up data must be positive integers")
-    if math.gcd(a, n) != 1 or math.gcd(b, n) != 1:
+    if gcd(a, n) != 1 or gcd(b, n) != 1:
         raise BlowupSpecError(f"weights ({a},{b}) must be coprime to {n}")

@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .arith import PiecewisePoly, Poly, RationalFunction, rat
+from .arith import PiecewisePoly, Poly, RationalFunction, minimum, rat
 from .blowup import BlowupResult, BlowupSpec, transform_config
 from .invariants import az_s_w, beta, delta_lower_bound, k_basis_bound, proportional_bound, s_invariant
 from .surface import (
@@ -95,7 +95,7 @@ def _node_at(node, n: int) -> Fraction:
     if isinstance(node, RationalFunction):
         return node(n)
     if isinstance(node, _Min):
-        return min(_node_at(node.first, n), _node_at(node.second, n))
+        return minimum(_node_at(node.first, n), _node_at(node.second, n))
     value = _node_at(node.first, n)
     for op, x in node.rest:
         value = op(value, _node_at(x, n))
@@ -230,7 +230,7 @@ def _eval_int(expr, n: Optional[int]) -> int:
     value = eval_expr(expr, n)
     if value.denominator != 1:
         raise CatalogError(f"expression {expr!r} is not an integer at n={n}")
-    return int(value)
+    return value.numerator
 
 
 # -- catalog loading -----------------------------------------------------------
@@ -725,22 +725,26 @@ def verify_pointwise(catalog: Catalog, family_id: int, n: Optional[int] = None) 
 
 
 def _pointwise(instance: FamilyInstance) -> VerificationReport:
-    family_id, quintuple = instance.entry.family_id, instance.quintuple
-    items: list[CheckItem] = [
-        _item("quintuple index", 2, quintuple.index, "index-2 catalog invariant"),
-        _item("quintuple well-formed", True, quintuple.is_well_formed(), "well-formedness catalog invariant"),
-    ]
+    items = tuple(_item(*values) for values in _values(instance))
+    return VerificationReport(instance.entry.family_id, instance.n, items)
+
+
+def _values(instance: FamilyInstance):
+    """(label, expected, computed, anchor) for each item of the report, in report order:
+    what ``_item`` compares.  ``kstab.plan`` runs this at a symbolic n."""
+    quintuple = instance.quintuple
+    yield "quintuple index", 2, quintuple.index, "index-2 catalog invariant"
+    yield "quintuple well-formed", True, quintuple.is_well_formed(), "well-formedness catalog invariant"
     rays: dict[tuple, RayDecomposition] = {}
     for check in instance.entry.data.get("checks", []):
         anchor = check.get("anchor", "")
         try:
             for label, expected, compute in _CHECK_KINDS[check["kind"]].items(instance, check, rays):
-                items.append(_item(label, expected, compute(), anchor))
+                yield label, expected, compute(), anchor
         except (ValueError, KeyError) as exc:  # name the check that failed to run
             raise CatalogError(
-                f"family {family_id} check {check.get('name')!r} failed to run: {exc}"
+                f"family {instance.entry.family_id} check {check.get('name')!r} failed to run: {exc}"
             ) from exc
-    return VerificationReport(family_id, instance.n, tuple(items))
 
 
 # how an item prints, by the type of its stored expectation; a number prints as str

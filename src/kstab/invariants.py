@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .arith import Poly, RationalLike, rat
+from .arith import Poly, RationalLike, minimum, rat
 from .surface import QuotientSingularity
 from .zariski import RayDecomposition
 
@@ -87,7 +87,7 @@ class DeltaBoundReport:
 
     @property
     def delta_lower(self) -> Fraction:
-        return min(self.one_over_s_y, self.a_over_s_w)
+        return minimum(self.one_over_s_y, self.a_over_s_w)
 
     def to_json_dict(self) -> dict:
         return {

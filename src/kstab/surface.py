@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .arith import Poly, RationalLike, rat
+from .arith import Poly, RationalLike, gcd, rat, ratio
 
 
 class DimensionMismatchError(ValueError):
@@ -53,14 +53,14 @@ class Quintuple:
         """True iff every three of the four weights are coprime."""
         w = self.weights
         triples = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-        return all(math.gcd(w[i], math.gcd(w[j], w[k])) == 1 for i, j, k in triples)
+        return all(gcd(w[i], w[j], w[k]) == 1 for i, j, k in triples)
 
     def ambient_pairing(self, m: int, k: int) -> Fraction:
         """O(m).O(k) restricted to the hypersurface: m*k*d / (a0*a1*a2*a3)."""
         if not self.is_well_formed():
             raise ValueError(f"{self} is not well-formed")
         a0, a1, a2, a3 = self.weights
-        return Fraction(m * k * self.degree, a0 * a1 * a2 * a3)
+        return ratio(m * k * self.degree, a0 * a1 * a2 * a3)
 
     def __str__(self) -> str:
         return f"S_{self.degree} in P{self.weights}"
@@ -90,7 +90,7 @@ class QuotientSingularity:
         a, b = self.local_weights
         if self.order < 1 or a < 1 or b < 1:
             raise ValueError("order and local weights must be positive")
-        if math.gcd(a, self.order) != 1 or math.gcd(b, self.order) != 1:
+        if gcd(a, self.order) != 1 or gcd(b, self.order) != 1:
             raise ValueError(f"local weights ({a},{b}) must be coprime to {self.order}")
         if math.gcd(a, b) != 1:
             raise ValueError(f"local weights ({a},{b}) must be coprime")
@@ -206,9 +206,11 @@ class CurveConfig:
         den, gram = self.integer_gram
         if den <= 0 or len(gram) != k or any(len(row) != k for row in gram):
             raise ValueError("gram matrix must be square of basis size, over a positive denominator")
-        g = math.gcd(den, *(x for row in gram for x in row))
-        gram = tuple(tuple(x // g for x in row) for row in gram)
-        object.__setattr__(self, "integer_gram", (den // g, gram))
+        g = 1 if den == 1 else gcd(den, *(x for row in gram for x in row))
+        if g != 1:
+            den, gram = den // g, [[x // g for x in row] for row in gram]
+        gram = tuple(map(tuple, gram))
+        object.__setattr__(self, "integer_gram", (den, gram))
         if gram != tuple(zip(*gram)):
             raise ValueError("gram matrix must be symmetric")
         if len(self.anticanonical) != k:
@@ -225,14 +227,15 @@ class CurveConfig:
         singular_points: Iterable[SingularPointRecord] = (),
     ) -> "CurveConfig":
         basis = tuple(basis)
-        den = math.lcm(*(rat(x).denominator for row in gram for x in row))
-        ints = [[int(rat(x) * den) for x in row] for row in gram]
+        ints, den = _over_common_denominator([rat(x) for row in gram for x in row])
+        ints = iter(ints)
+        rows = [[next(ints) for _ in row] for row in gram]
         cfg_vec = (
             tuple(rat(anticanonical.get(name, 0)) for name in basis)
             if isinstance(anticanonical, Mapping)
             else tuple(rat(x) for x in anticanonical)
         )
-        return cls(basis, (den, ints), ClassVector(cfg_vec), tuple(singular_points))
+        return cls(basis, (den, rows), ClassVector(cfg_vec), tuple(singular_points))
 
     @property
     def size(self) -> int:
@@ -273,7 +276,7 @@ class CurveConfig:
         a, scale_v = _over_common_denominator(v)
         b, scale_w = _over_common_denominator(w)
         total = sum(map(operator.mul, a, self._gram_times(b)))
-        return Fraction(total, den * scale_v * scale_w)
+        return ratio(total, den * scale_v * scale_w)
 
     def basis_pairings(self, coords: Sequence) -> list:
         """coords . C_j for every basis curve C_j, in basis order.
@@ -288,7 +291,7 @@ class CurveConfig:
         den, _ = self.integer_gram
         if not isinstance(coords[0], Poly):
             ints, scale = _over_common_denominator(coords)
-            return [Fraction(t, den * scale) for t in self._gram_times(ints)]
+            return [ratio(t, den * scale) for t in self._gram_times(ints)]
         scale = math.lcm(*(c.denominator for c in coords))
         columns = [[x * (scale // c.denominator) for x in c.numerators] for c in coords]
         products = [

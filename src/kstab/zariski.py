@@ -14,7 +14,13 @@ certified on its whole interval: S is negative definite, its curves pair
 non-negatively with all other basis curves (as distinct curves do), P(u).C = 0
 identically for C in S, and the linear N coefficients and P(u).C are >= 0 at
 l and r.  By uniqueness the certified decomposition then holds on [l, r].
-``zariski_decompose_at`` is the walk's independent oracle (tests, bench gates).
+Where a chamber ends is decided by signs first: if vol >= 0 at l, vol > 0 at r,
+and a convex vol has no vertex inside (l, r) where it reaches zero, then vol > 0
+on (l, r] and the walk goes on to r.  Only otherwise does it look for a rational
+root of vol, which tau needs.  The walk runs the same code on ``kstab.plan``'s
+numbers over Q(n), where a sign is a guard and a rational root is a square root
+over Q(n).  ``zariski_decompose_at`` is the walk's independent oracle (tests,
+bench gates).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import PiecewisePoly, Poly, RationalLike, rat
+from .arith import PiecewisePoly, Poly, RationalLike, isqrt, rat, ratio
 from .surface import ClassVector, CurveConfig, DimensionMismatchError, solve_linear_system
 
 
@@ -249,17 +255,19 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
         for x, y in zip(alpha, beta):
             if y < 0 and (first is None or x * first[1] < -y * first[0]):
                 first = (x, -y)
-        right = None if first is None else Fraction(*first)
+        right = None if first is None else ratio(*first)
         p_polys = [Poly.from_integers(form, q) for form in zip(p0, p1)]
         p_dot = [Poly.from_integers(form, den * q) for form in zip(alpha, beta)]
         vol = sum((p * c for p, c in zip(p_polys, p_dot)), Poly())
-        root = _smallest_rational_root_at_least(vol, left)
-        if root is not None and (right is None or root <= right):
-            right = tau = root
-        elif right is None:
-            raise RayNeverEffectiveError("volume does not reach zero at a rational parameter")
-        elif _quadratic_negative_on(vol, left, right):
-            raise RayNeverEffectiveError("volume crosses zero at an irrational parameter")
+        # signs first: where vol > 0 on (left, right] there is no root to look for
+        if right is None or not _positive_on(vol, left, right):
+            root = _smallest_rational_root_at_least(vol, left)
+            if root is not None and (right is None or root <= right):
+                right = tau = root
+            elif right is None:
+                raise RayNeverEffectiveError("volume does not reach zero at a rational parameter")
+            elif _quadratic_negative_on(vol, left, right):
+                raise RayNeverEffectiveError("volume crosses zero at an irrational parameter")
         # N's coefficients and P.C are linear in u: >= 0 at both ends is >= 0 throughout
         forms = [(*c.numerators, 0, 0)[:2] for c in coeffs] + list(zip(alpha, beta))
         if any(_sign_at(x, y, left) < 0 or _sign_at(x, y, right) < 0 for x, y in forms):
@@ -298,14 +306,32 @@ def _quadratic_negative_on(q: Poly, lo: Fraction, hi: Fraction) -> bool:
     c0 r^2 + c1 p r + c2 p^2, and a convex q dips below zero between its
     values only at a vertex inside (lo, hi) with a positive discriminant.
     """
-    c0, c1, c2 = (*q.numerators, 0, 0, 0)[:3]
-    if any(c0 * u.denominator ** 2 + (c1 * u.denominator + c2 * u.numerator) * u.numerator < 0 for u in (lo, hi)):
+    if _quadratic_sign_at(q, lo) < 0 or _quadratic_sign_at(q, hi) < 0:
         return True
-    # the vertex -c1 / (2 c2) lies in (lo, hi) where q' = c1 + 2 c2 u is negative at lo and positive at hi
-    return (
-        c2 > 0 and c1 * c1 > 4 * c0 * c2
-        and _sign_at(c1, 2 * c2, lo) < 0 < _sign_at(c1, 2 * c2, hi)
-    )
+    c0, c1, c2 = (*q.numerators, 0, 0, 0)[:3]
+    return _vertex_inside(q, lo, hi) and c1 * c1 > 4 * c0 * c2
+
+
+def _positive_on(q: Poly, lo: Fraction, hi: Fraction) -> bool:
+    """True iff the (degree <= 2) polynomial is positive on (lo, hi], decided on signs alone:
+    q(lo) >= 0, q(hi) > 0, and a convex q reaches no zero at a vertex inside (lo, hi)."""
+    if _quadratic_sign_at(q, lo) < 0 or _quadratic_sign_at(q, hi) <= 0:
+        return False
+    c0, c1, c2 = (*q.numerators, 0, 0, 0)[:3]
+    return not (_vertex_inside(q, lo, hi) and c1 * c1 >= 4 * c0 * c2)
+
+
+def _quadratic_sign_at(q: Poly, u: Fraction):
+    """c0 r^2 + c1 p r + c2 p^2 for u = p/r, q's numerators c: a number with the sign of q(u)."""
+    c0, c1, c2 = (*q.numerators, 0, 0, 0)[:3]
+    return c0 * u.denominator ** 2 + (c1 * u.denominator + c2 * u.numerator) * u.numerator
+
+
+def _vertex_inside(q: Poly, lo: Fraction, hi: Fraction) -> bool:
+    """Whether q is convex with its vertex -c1 / (2 c2) in (lo, hi): q' = c1 + 2 c2 u is
+    negative at lo and positive at hi."""
+    _, c1, c2 = (*q.numerators, 0, 0, 0)[:3]
+    return c2 > 0 and _sign_at(c1, 2 * c2, lo) < 0 < _sign_at(c1, 2 * c2, hi)
 
 
 def _smallest_rational_root_at_least(q: Poly, lo: Fraction) -> Optional[Fraction]:
@@ -320,16 +346,16 @@ def _smallest_rational_root_at_least(q: Poly, lo: Fraction) -> Optional[Fraction
     if len(c) <= 1:
         return None
     if len(c) == 2:
-        root = Fraction(-c[0], c[1])
+        root = ratio(-c[0], c[1])
         return root if root > lo else None
     c0, c1, c2 = c
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
         return None
-    sq = math.isqrt(disc)
+    sq = isqrt(disc)
     if sq * sq != disc:
         return None
-    for r in sorted({Fraction(-c1 - sq, 2 * c2), Fraction(-c1 + sq, 2 * c2)}):
+    for r in sorted((ratio(-c1 - sq, 2 * c2), ratio(-c1 + sq, 2 * c2))):
         if r > lo:
             return r
     return None

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstab import catalog as catalog_module
 from kstab import plan
 from kstab.arith import RationalFunction
 from kstab.catalog import _CHECK_KINDS, Catalog, FamilyEntry, load_catalog, verify, verify_pointwise
@@ -49,26 +50,55 @@ def test_plan_serves_every_n_as_the_pointwise_pipeline_does(family_id):
     lo = CATALOG.family(family_id).minimum_n
     rng = random.Random(f"kstab-plan/{family_id}")
     ns = list(range(lo, lo + 301)) + [rng.randrange(lo, 10**15) for _ in range(200)]
-    assert _sweep(_fresh(family_id), family_id, ns) == {"plans built": 1, "n served": len(ns) - 1}
+    catalog = _fresh(family_id)
+    assert _sweep(catalog, family_id, ns) == {"plans built": 1, "n served": len(ns) - 1}
+    assert catalog.plans[family_id].guards == ()  # on the shipped catalog no guard survives
     # a plan built at a large n serves the small ones as well
     assert _sweep(_fresh(family_id), family_id, ns[::-1]) == {"plans built": 1, "n served": len(ns) - 1}
 
 
 def _ample_on_z2_vanishing_at_7(data):
     # A = Z1 + a Z2 on the split fiber with A.Z2 = 2 (n-7)^2 / ((n+7)^2 (n+1) (n+2)): Z2 enters
-    # the support at u = 0 when n = 7 and later at every other n, so one guard fails at n = 7 only
+    # the support at u = 0 when n = 7 and later at every other n, so the guards fail at n = 7 only
     for check in data["checks"]:
         if check.get("config") == "pair":
             check["ample"] = {"Z1": "1", "Z2": "1 + (2 - 2*(n-7)*(n-7)/((n+7)*(n+7)))/(n+1)"}
 
 
+def _fails_at(guard, ns):
+    num, den, signs = guard
+    at = [sum(c * n**i for i, c in enumerate(num)) * (1 if den is None else sum(c * n**i for i, c in enumerate(den))) for n in ns]
+    return [n for n, s in zip(ns, at) if (s > 0) - (s < 0) not in signs]
+
+
 def test_a_guard_that_fails_at_one_n_sends_that_n_to_the_pointwise_path():
     catalog = _fresh(2, _ample_on_z2_vanishing_at_7)
     assert _sweep(catalog, 2, range(0, 60)) == {"plans built": 1, "n served": 58, "n fell back": 1}
-    assert [guard[:2] for guard in catalog.plans[2].guards] == [((98, -28, 2), None)]
+    # A.Z2 >= 0, where Z2 enters, and the join of the two volume pieces: each fails at n = 7 only
+    assert catalog.plans[2].guards
+    assert all(_fails_at(guard, range(0, 60)) == [7] for guard in catalog.plans[2].guards)
     ray = "split-fiber ray: nef_threshold"
     assert next(i for i in verify(catalog, 2, 7).items if i.name == ray).computed == "0"
     assert next(i for i in verify(catalog, 2, 8).items if i.name == ray).computed != "0"
+
+
+def test_a_chamber_that_ends_at_tau_at_one_n_sends_that_n_to_the_pointwise_path():
+    # Z2 enters at u = 1, where vol = (n-5)^2 / (n+1): the walk ends there at n = 5 only
+    family = CATALOG.family(2).data
+    data = {
+        "id": 9, "weights": family["weights"], "degree": family["degree"], "parameter": {"name": "n", "min": 0},
+        "configs": {"tri": {
+            "basis": ["H", "Z1", "Z2"],
+            "gram": [["3 + (n-5)*(n-5)/(n+1)", "1", "1"], ["1", "-1", "1"], ["1", "1", "-1"]],
+            "anticanonical": ["1", "0", "0"],
+        }},
+        "checks": [{"kind": "ray", "name": "tri ray", "config": "tri", "ray": "Z1", "expect": {"tau": "1"}}],
+    }
+    catalog = Catalog(1, (FamilyEntry(9, data),), (), "in-memory")
+    assert _sweep(catalog, 9, range(0, 60)) == {"plans built": 1, "n served": 58, "n fell back": 1}
+    assert {n for guard in catalog.plans[9].guards for n in _fails_at(guard, range(0, 60))} == {5}
+    assert [item.match for item in verify(catalog, 9, 5).items] == [True] * 3
+    assert [item.match for item in verify(catalog, 9, 6).items] == [True, True, False]
 
 
 def test_n_where_the_pipeline_raises_raise_the_same_and_the_plan_starts_after_them():
@@ -93,23 +123,52 @@ def test_a_mismatch_at_a_served_n_is_reported_as_the_pipeline_reports_it():
 
 
 def test_a_family_without_a_plan_runs_pointwise(monkeypatch):
-    def unsupported(self):
-        raise plan.Unsupported("no plan")
+    def refused(catalog, instance):
+        raise ValueError("no plan")
 
-    monkeypatch.setattr(plan._Builder, "plan", unsupported)
+    monkeypatch.setattr(plan, "_build", refused)
     catalog = _fresh(2)
     assert _sweep(catalog, 2, range(0, 12)) == {"plans refused": 1, "n fell back": 11}
     assert catalog.plans == {2: None}
 
 
-def test_every_check_kind_has_a_plan_builder():
-    assert all(callable(getattr(plan._Builder, f"_{kind}", None)) for kind in _CHECK_KINDS)
-
-
-def test_a_check_kind_without_a_builder_runs_pointwise(monkeypatch):
-    monkeypatch.delattr(plan._Builder, "_ray")
+def test_a_symbolic_run_that_raises_refuses_the_plan(monkeypatch):
+    # int() takes a Fraction but no number over Q(n): the symbolic run raises a TypeError
+    s_invariant = catalog_module.s_invariant
+    monkeypatch.setattr(catalog_module, "s_invariant", lambda rd: s_invariant(rd) + 0 * int(rd.tau))
     catalog = _fresh(1)
-    assert _sweep(catalog, 1, range(2, 8)) == {"plans refused": 1, "n fell back": 5}
+    assert _sweep(catalog, 1, range(2, 10)) == {"plans refused": 1, "n fell back": 7}
+    assert catalog.plans == {1: None}
+
+
+def test_a_check_kind_added_to_the_table_is_served_with_no_plan_side_code(monkeypatch):
+    monkeypatch.setitem(_CHECK_KINDS, "pairing, again", _CHECK_KINDS["pairing"])
+
+    def add_check(data):
+        check = dict(next(c for c in data["checks"] if c["kind"] == "pairing"), kind="pairing, again")
+        data["checks"].append(dict(check, name="the same pairing, again"))
+
+    catalog = _fresh(1, add_check)
+    assert _sweep(catalog, 1, range(2, 60)) == {"plans built": 1, "n served": 57}
+    assert verify(catalog, 1, 59).items[-1].name == "the same pairing, again"
+
+
+def test_the_plan_follows_a_changed_pointwise_rule(monkeypatch):
+    # a value rule (S doubled) and a decision rule (the negdef verdict negated), changed after
+    # the plans were written: the plan recomputes both at a symbolic n instead of restating them
+    s_invariant = catalog_module.s_invariant
+    monkeypatch.setattr(catalog_module, "s_invariant", lambda rd: 2 * s_invariant(rd))
+    negdef = _CHECK_KINDS["negdef"]
+
+    def negated(instance, check, rays):
+        return [(label, expected, lambda: not compute()) for label, expected, compute in negdef.items(instance, check, rays)]
+
+    monkeypatch.setitem(_CHECK_KINDS, "negdef", negdef._replace(items=negated))
+    for family_id in (1, 2):
+        lo = CATALOG.family(family_id).minimum_n
+        catalog = _fresh(family_id)
+        assert _sweep(catalog, family_id, range(lo, lo + 60)) == {"plans built": 1, "n served": 59}
+        assert not verify(catalog, family_id, lo + 59).overall
 
 
 def test_a_square_root_needs_a_square():
@@ -136,7 +195,7 @@ def test_settled_signs_hold_at_every_n_from_the_minimum(num, den, lo):
         x = RationalFunction(num, den)
     except ZeroDivisionError:
         return
-    signs = plan._possible_signs(x, lo)
+    signs = plan._possible_signs(x.num, x.den, lo)
     for n in range(lo, lo + 40):
         if sum(c * n**i for i, c in enumerate(x.den)):  # x is defined at n
             assert x.sign_at(n) in signs, n

@@ -574,3 +574,26 @@ def test_volume_roots_and_dips_match_their_fraction_oracles(vol, lo, width):
     hi = lo + abs(width) + Fraction(1, 7)
     assert kstab.zariski._smallest_rational_root_at_least(vol, lo) == oracle_smallest_rational_root(vol, lo)
     assert kstab.zariski._quadratic_negative_on(vol, lo, hi) == oracle_quadratic_negative_on(vol, lo, hi)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_volumes, _small, _small)
+def test_the_sign_first_test_is_positivity_on_the_chamber(vol, lo, width):
+    hi = lo + abs(width) + Fraction(1, 7)
+    c = [*vol.coeffs, 0, 0, 0]
+    vertex = [-c[1] / (2 * c[2])] if c[2] else []
+    positive = vol(lo) >= 0 and all(vol(x) > 0 for x in [hi, *vertex] if lo < x <= hi)
+    assert kstab.zariski._positive_on(vol, lo, hi) == positive
+    if positive:  # where the walk decides by signs first, it passes over no root and no dip
+        root = oracle_smallest_rational_root(vol, lo)
+        assert (root is None or root > hi) and not oracle_quadratic_negative_on(vol, lo, hi)
+
+
+def test_a_chamber_whose_volume_vanishes_at_its_right_end_ends_the_walk_there():
+    # Z2 enters at u = 1, where vol = h - 3: the walk ends there for h = 3 and goes on for h > 3
+    for h, tau in ((3, F(1)), (F(7, 2), F(9, 8))):
+        config = CurveConfig.make(["H", "Z1", "Z2"], [[h, 1, 1], [1, -1, 1], [1, 1, -1]], [1, 0, 0])
+        ray = config.basis_vector("Z1")
+        rd = decompose_ray(config, config.anticanonical, ray)
+        assert (rd.intervals[0].right, rd.tau) == (1, tau)
+        assert rd.to_json_dict() == oracle_decompose_ray(config, config.anticanonical, ray).to_json_dict()
