@@ -154,14 +154,15 @@ def test_a_check_kind_added_to_the_table_is_served_with_no_plan_side_code(monkey
 
 
 def test_the_plan_follows_a_changed_pointwise_rule(monkeypatch):
-    # a value rule (S doubled) and a decision rule (the negdef verdict negated), changed after
-    # the plans were written: the plan recomputes both at a symbolic n instead of restating them
+    # a value rule (S doubled) and a decision rule (the negdef verdict negated), changed under
+    # the plan: it runs the pointwise code itself at a symbolic n, so it follows both
     s_invariant = catalog_module.s_invariant
     monkeypatch.setattr(catalog_module, "s_invariant", lambda rd: 2 * s_invariant(rd))
     negdef = _CHECK_KINDS["negdef"]
 
     def negated(instance, check, rays):
-        return [(label, expected, lambda: not compute()) for label, expected, compute in negdef.items(instance, check, rays)]
+        items = negdef.items(instance, check, rays)
+        return [(label, expected, lambda compute=compute: not compute()) for label, expected, compute in items]
 
     monkeypatch.setitem(_CHECK_KINDS, "negdef", negdef._replace(items=negated))
     for family_id in (1, 2):
