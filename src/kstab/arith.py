@@ -58,6 +58,12 @@ def gcd(*xs):
         raise
 
 
+def over_common_denominator(values, den: int = 1) -> tuple[list, int]:
+    """(ints, s): s > 0 the lcm of den and the values' denominators, ints the values times s."""
+    scale = math.lcm(den, *(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def minimum(a, b):
     """min(a, b), which is b only where b < a; a number over Q(n) may keep it as a node."""
     return a.minimum(b) if isinstance(a, RationalFunction) else min(a, b)
@@ -86,9 +92,7 @@ class Poly:
     __slots__ = ("numerators", "denominator", "_coeffs")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [rat(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
-        _normalise(self, [c.numerator * (den // c.denominator) for c in cs], den)
+        _normalise(self, *over_common_denominator([rat(c) for c in coeffs]))
 
     @classmethod
     def from_integers(cls, numerators: Iterable[int], denominator: int) -> "Poly":
@@ -152,9 +156,7 @@ class Poly:
             g = math.gcd(den, other.denominator)
             fa, fb = other.denominator // g, den // g
             a, b, den = [x * fa for x in a], [y * fb for y in b], den * fa
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly.from_integers([x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
+        return Poly.from_integers(_poly_add(a, b), den)
 
     __radd__ = __add__
 
@@ -169,15 +171,7 @@ class Poly:
             p, q = other.numerator, other.denominator
             return Poly.from_integers([x * p for x in self.numerators], self.denominator * q)
         other = _as_poly(other)
-        a, b = self.numerators, other.numerators
-        if not a or not b:
-            return Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return Poly.from_integers(out, self.denominator * other.denominator)
+        return Poly.from_integers(_poly_mul(self.numerators, other.numerators), self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -236,8 +230,7 @@ def _normalise(poly: Poly, nums: list[int], den: int) -> None:
     """Set poly to nums / den without trailing zeros, over a positive denominator
     coprime to the numerators (nums is trimmed in place).  Where the numbers are
     over Q(n), den is a unit of that field and is folded into the numerators."""
-    while nums and not nums[-1]:
-        nums.pop()
+    _trim(nums)
     if type(den) is not int:
         nums, den = [ratio(x, den) for x in nums], 1
     elif den != 1:

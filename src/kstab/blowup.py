@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .arith import RationalLike, gcd, rat, ratio
-from .surface import ClassVector, CurveConfig, QuotientSingularity, _over_common_denominator
+from .arith import RationalLike, gcd, over_common_denominator, rat, ratio
+from .surface import ClassVector, CurveConfig, QuotientSingularity
 
 
 class BlowupSpecError(ValueError):
@@ -120,7 +120,7 @@ def transform_config(config: CurveConfig, spec: BlowupSpec) -> BlowupResult:
     # over d q, q = s^2 n a b (g = G / d, o = O / s): g_ij - o_i o_j / (n a b) is
     # G_ij q - d O_i O_j, E.C_i = o_i / (a b) is d s n O_i and E^2 = -n / (a b) is -d s^2 n^2
     den, g = config.integer_gram
-    o, s = _over_common_denominator(orders)
+    o, s = over_common_denominator(orders)
     q = s * s * n * a * b
     e_row = [den * s * n * w for w in o]
     rows = [[x * q - den * w * v for x, v in zip(row, o)] + [e] for row, w, e in zip(g, o, e_row)]

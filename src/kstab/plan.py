@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .arith import PiecewisePoly, Poly, RationalFunction, _poly_at, _poly_mul, _rational_function, _trim, ratio
+from .arith import PiecewisePoly, Poly, RationalFunction, _poly_mul, _rational_function, _trim, over_common_denominator, ratio
 from .catalog import Catalog, CheckItem, FamilyInstance, VerificationReport, _item, _Min, _node_at, _pointwise
 from .catalog import _values, instantiate
 
@@ -62,15 +62,13 @@ def planned_report(catalog: Catalog, instance: FamilyInstance) -> Optional[Verif
 
 class _Plan(NamedTuple):
     family_id: int
-    guards: tuple  # (numerator, denominator or None where it is positive throughout, allowed signs)
+    guards: tuple  # (RationalFunction, allowed signs)
     items: tuple  # a CheckItem where it is the same at every n, else a _Served
 
     def report(self, instance: FamilyInstance) -> Optional[VerificationReport]:
         n = instance.n
-        for num, den, signs in self.guards:
-            s = _poly_at(num, n) if den is None else _poly_at(num, n) * _poly_at(den, n)
-            if (s > 0) - (s < 0) not in signs:
-                return None
+        if any(f.sign_at(n) not in signs for f, signs in self.guards):
+            return None
         items = tuple(item if isinstance(item, CheckItem) else item.at(n) for item in self.items)
         return VerificationReport(self.family_id, n, items)
 
@@ -103,7 +101,7 @@ def _build(catalog: Catalog, instance: FamilyInstance) -> _Plan:
     run = _Run(instance.n, instance.entry.minimum_n)
     symbolic = instantiate(catalog, instance.entry.family_id, _guarded(RF.variable(), run))
     items = tuple(_served(*values) for values in _values(symbolic))
-    return _Plan(instance.entry.family_id, tuple((num, den, signs) for (num, den), signs in run.guards.items()), items)
+    return _Plan(instance.entry.family_id, tuple(run.guards.items()), items)
 
 
 def _served(label: str, expected, computed, anchor: str):
@@ -144,7 +142,7 @@ class _Run:
 
     def __init__(self, n0: int, lo: int):
         self.n0, self.lo = n0, lo
-        self.guards: dict = {}  # (numerator, denominator or None where it is positive) -> allowed signs
+        self.guards: dict = {}  # RationalFunction -> allowed signs
         self.results: dict = {}  # (op, operands' numerators and denominators) -> op's result
 
     def apply(self, op, a: RF, b: RF) -> "Guarded":
@@ -161,7 +159,7 @@ class _Run:
         if x.uses_n():
             signs = signs if ok else SIGNS - signs
             if not _possible_signs(x.num, x.den, self.lo) <= signs:
-                key = x.num, None if _possible_signs(x.den, (1,), self.lo) == POS else x.den
+                key = _rational_function(x.num, x.den)
                 self.guards[key] = self.guards.get(key, SIGNS) & signs
         return ok
 
@@ -268,8 +266,7 @@ def _sqrt(x: RF) -> Optional[RF]:
     root = [Fraction(0)] * half + [Fraction(top)]
     for i in reversed(range(half)):  # from the top down: 2 top root_i = p_(half + i) - the known products
         root[i] = (p[half + i] - sum(root[j] * root[half + i - j] for j in range(i + 1, half + 1))) / (2 * top)
-    den = math.lcm(*(c.denominator for c in root))
-    nums = [c.numerator * (den // c.denominator) for c in root]
+    nums, den = over_common_denominator(root)
     return RF(nums, x.den) / RF((den,)) if _trim(_poly_mul(nums, nums)) == [c * den * den for c in p] else None
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .arith import Poly, RationalLike, gcd, rat, ratio
+from .arith import Poly, RationalLike, gcd, over_common_denominator, rat, ratio
 
 
 class DimensionMismatchError(ValueError):
@@ -227,7 +227,7 @@ class CurveConfig:
         singular_points: Iterable[SingularPointRecord] = (),
     ) -> "CurveConfig":
         basis = tuple(basis)
-        ints, den = _over_common_denominator([rat(x) for row in gram for x in row])
+        ints, den = over_common_denominator([rat(x) for row in gram for x in row])
         ints = iter(ints)
         rows = [[next(ints) for _ in row] for row in gram]
         cfg_vec = (
@@ -273,8 +273,8 @@ class CurveConfig:
                 f"vectors of length {len(v)}, {len(w)} against basis of size {self.size}"
             )
         den, _ = self.integer_gram
-        a, scale_v = _over_common_denominator(v)
-        b, scale_w = _over_common_denominator(w)
+        a, scale_v = over_common_denominator(v)
+        b, scale_w = over_common_denominator(w)
         total = sum(map(operator.mul, a, self._gram_times(b)))
         return ratio(total, den * scale_v * scale_w)
 
@@ -290,7 +290,7 @@ class CurveConfig:
             raise DimensionMismatchError(f"vector of length {len(coords)} against basis of size {self.size}")
         den, _ = self.integer_gram
         if not isinstance(coords[0], Poly):
-            ints, scale = _over_common_denominator(coords)
+            ints, scale = over_common_denominator(coords)
             return [ratio(t, den * scale) for t in self._gram_times(ints)]
         scale = math.lcm(*(c.denominator for c in coords))
         columns = [[x * (scale // c.denominator) for x in c.numerators] for c in coords]
@@ -393,7 +393,7 @@ def solve_linear_system(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> 
         if _INT.issuperset(map(type, row)):  # an int row is taken as it is, over the tail's denominator
             rows.append([*row, *tail] if tail_den == 1 else [x * tail_den for x in row] + list(tail))
         else:
-            ints, scale = _over_common_denominator(row, tail_den)
+            ints, scale = over_common_denominator(row, tail_den)
             rows.append(ints + [t * (scale // tail_den) for t in tail])
     pivots, y = _eliminate(rows, swap_rows=True)
     if y is None:
@@ -424,7 +424,7 @@ def _eliminate(rows: list[list[int]], swap_rows: bool):
     (pivots, y) with y[b][i] = det * (the i-th unknown for column b); a column
     of M with no usable pivot stops the elimination, returning the pivots
     found so far with y = None.  A linear system's rows are first scaled by
-    the lcm of their denominators (``_over_common_denominator``), a positive
+    the lcm of their denominators (``over_common_denominator``), a positive
     factor that changes neither the solution nor the minors' signs.
     """
     n = len(rows)
@@ -459,9 +459,3 @@ def _quotient_str(num: int, den: int) -> str:
     """str(Fraction(num, den)) for den > 0, with one gcd and no Fraction."""
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
-
-
-def _over_common_denominator(values: Sequence[Fraction], den: int = 1) -> tuple[list[int], int]:
-    """(ints, s): s > 0 the lcm of den and the values' denominators, ints the values times s."""
-    scale = math.lcm(den, *(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale

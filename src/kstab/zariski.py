@@ -14,10 +14,10 @@ certified on its whole interval: S is negative definite, its curves pair
 non-negatively with all other basis curves (as distinct curves do), P(u).C = 0
 identically for C in S, and the linear N coefficients and P(u).C are >= 0 at
 l and r.  By uniqueness the certified decomposition then holds on [l, r].
-Where a chamber ends is decided by signs first: if vol >= 0 at l, vol > 0 at r,
-and a convex vol has no vertex inside (l, r) where it reaches zero, then vol > 0
-on (l, r] and the walk goes on to r.  Only otherwise does it look for a rational
-root of vol, which tau needs.  The walk runs the same code on ``kstab.plan``'s
+One rule, ``_chamber_end``, decides where a chamber ends: at the first root r
+of a falling P(u).C where signs show vol > 0 on (l, r], else at vol's first
+rational root after l, which must come no later than r and is tau; where there
+is none the ray is refused.  The walk runs the same code on ``kstab.plan``'s
 numbers over Q(n), where a sign is a guard and a rational root is a square root
 over Q(n).  ``zariski_decompose_at`` is the walk's independent oracle (tests,
 bench gates).
@@ -31,7 +31,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import PiecewisePoly, Poly, RationalLike, isqrt, rat, ratio
+from .arith import PiecewisePoly, Poly, RationalLike, isqrt, over_common_denominator, rat, ratio
 from .surface import ClassVector, CurveConfig, DimensionMismatchError, solve_linear_system
 
 
@@ -212,9 +212,8 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
 
     k, (den, gram) = config.size, config.integer_gram
     # scale (A - uE) = a + u e on ints; then G a + u G e = scale d (A - uE).C_i, the right-hand side
-    scale = math.lcm(*(x.denominator for x in (*ample, *ray)))
-    a = [x.numerator * (scale // x.denominator) for x in ample]
-    e = [-x.numerator * (scale // x.denominator) for x in ray]
+    ints, scale = over_common_denominator([*ample, *ray])
+    a, e = ints[:k], [-x for x in ints[k:]]
     rhs = [Poly.from_integers(form, scale) for form in zip(config._gram_times(a), config._gram_times(e))]
     support: list[int] = []
     intervals: list[RayInterval] = []
@@ -250,24 +249,10 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
             raise InconsistentConfigError(
                 f"P(u) is not orthogonal to support {_names(config, support)} from u = {left}"
             )
-        # the first root alpha_j / -beta_j of a falling P.C_j, compared by cross-multiplication
-        first = None
-        for x, y in zip(alpha, beta):
-            if y < 0 and (first is None or x * first[1] < -y * first[0]):
-                first = (x, -y)
-        right = None if first is None else ratio(*first)
         p_polys = [Poly.from_integers(form, q) for form in zip(p0, p1)]
         p_dot = [Poly.from_integers(form, den * q) for form in zip(alpha, beta)]
         vol = sum((p * c for p, c in zip(p_polys, p_dot)), Poly())
-        # signs first: where vol > 0 on (left, right] there is no root to look for
-        if right is None or not _positive_on(vol, left, right):
-            root = _smallest_rational_root_at_least(vol, left)
-            if root is not None and (right is None or root <= right):
-                right = tau = root
-            elif right is None:
-                raise RayNeverEffectiveError("volume does not reach zero at a rational parameter")
-            elif _quadratic_negative_on(vol, left, right):
-                raise RayNeverEffectiveError("volume crosses zero at an irrational parameter")
+        right, tau = _chamber_end(alpha, beta, vol, left)
         # N's coefficients and P.C are linear in u: >= 0 at both ends is >= 0 throughout
         forms = [(*c.numerators, 0, 0)[:2] for c in coeffs] + list(zip(alpha, beta))
         if any(_sign_at(x, y, left) < 0 or _sign_at(x, y, right) < 0 for x, y in forms):
@@ -299,39 +284,38 @@ def volume_profile(rd: RayDecomposition) -> PiecewisePoly:
 # -- internals ----------------------------------------------------------------
 
 
-def _quadratic_negative_on(q: Poly, lo: Fraction, hi: Fraction) -> bool:
-    """True iff the (degree <= 2) polynomial dips below zero on [lo, hi].
+def _chamber_end(alpha: Sequence, beta: Sequence, vol: Poly, left: Fraction) -> tuple[Fraction, Optional[Fraction]]:
+    """Where the chamber from ``left`` ends, as (right, tau), with tau = right where vol reaches zero there.
 
-    Decided on q's int numerators c: the sign of q at u = p/r is that of
-    c0 r^2 + c1 p r + c2 p^2, and a convex q dips below zero between its
-    values only at a vertex inside (lo, hi) with a positive discriminant.
+    right is the first root alpha_j / -beta_j of a falling P.C_j, compared by
+    cross-multiplication.  Signs decide first, on vol's int numerators c (vol at
+    u = p/r has the sign of c0 r^2 + c1 p r + c2 p^2): vol >= 0 at left, > 0 at
+    right, and a convex vol with no zero at a vertex -c1 / (2 c2) inside, is
+    vol > 0 on (left, right].  Otherwise vol reaches zero after left, and that
+    zero must be its first rational root, no later than right; else the ray is
+    refused.  No chamber starts with vol = 0 identically: vol(0) = A.A > 0, and
+    each later chamber starts where the one before proved vol > 0.
     """
-    if _quadratic_sign_at(q, lo) < 0 or _quadratic_sign_at(q, hi) < 0:
-        return True
-    c0, c1, c2 = (*q.numerators, 0, 0, 0)[:3]
-    return _vertex_inside(q, lo, hi) and c1 * c1 > 4 * c0 * c2
+    first = None
+    for x, y in zip(alpha, beta):
+        if y < 0 and (first is None or x * first[1] < -y * first[0]):
+            first = (x, -y)
+    right = None if first is None else ratio(*first)
+    c0, c1, c2 = (*vol.numerators, 0, 0, 0)[:3]
 
+    def vol_sign_at(u):
+        return c0 * u.denominator ** 2 + (c1 * u.denominator + c2 * u.numerator) * u.numerator
 
-def _positive_on(q: Poly, lo: Fraction, hi: Fraction) -> bool:
-    """True iff the (degree <= 2) polynomial is positive on (lo, hi], decided on signs alone:
-    q(lo) >= 0, q(hi) > 0, and a convex q reaches no zero at a vertex inside (lo, hi)."""
-    if _quadratic_sign_at(q, lo) < 0 or _quadratic_sign_at(q, hi) <= 0:
-        return False
-    c0, c1, c2 = (*q.numerators, 0, 0, 0)[:3]
-    return not (_vertex_inside(q, lo, hi) and c1 * c1 >= 4 * c0 * c2)
-
-
-def _quadratic_sign_at(q: Poly, u: Fraction):
-    """c0 r^2 + c1 p r + c2 p^2 for u = p/r, q's numerators c: a number with the sign of q(u)."""
-    c0, c1, c2 = (*q.numerators, 0, 0, 0)[:3]
-    return c0 * u.denominator ** 2 + (c1 * u.denominator + c2 * u.numerator) * u.numerator
-
-
-def _vertex_inside(q: Poly, lo: Fraction, hi: Fraction) -> bool:
-    """Whether q is convex with its vertex -c1 / (2 c2) in (lo, hi): q' = c1 + 2 c2 u is
-    negative at lo and positive at hi."""
-    _, c1, c2 = (*q.numerators, 0, 0, 0)[:3]
-    return c2 > 0 and _sign_at(c1, 2 * c2, lo) < 0 < _sign_at(c1, 2 * c2, hi)
+    if right is not None and vol_sign_at(left) >= 0 and vol_sign_at(right) > 0 and not (
+        c2 > 0 and _sign_at(c1, 2 * c2, left) < 0 < _sign_at(c1, 2 * c2, right) and c1 * c1 >= 4 * c0 * c2
+    ):
+        return right, None
+    root = _smallest_rational_root_at_least(vol, left)
+    if root is not None and (right is None or root <= right):
+        return root, root
+    if right is None:
+        raise RayNeverEffectiveError("volume does not reach zero at a rational parameter")
+    raise RayNeverEffectiveError("volume crosses zero at an irrational parameter")
 
 
 def _smallest_rational_root_at_least(q: Poly, lo: Fraction) -> Optional[Fraction]:

@@ -11,8 +11,9 @@ negative-definite subset of the basis and by the Poly-based chamber walk
 Gauss-Jordan kernel on Fractions (the package eliminates fraction-free on
 integers), catalog expressions by a recursive-descent parser that evaluates
 as it parses (the package compiles each text once), a volume's roots and
-dips by its Fraction coefficients (the package decides on its int
-numerators), and random configurations are built as blow-up chains over a
+dips and where a chamber ends by its Fraction coefficients and the walk's
+former three-way rule (the package decides on int numerators, signs
+first), and random configurations are built as blow-up chains over a
 positive base class.
 """
 
@@ -53,6 +54,35 @@ def oracle_quadratic_negative_on(q: Poly, lo: Fraction, hi: Fraction) -> bool:
         if lo < vertex < hi and q(vertex) < 0:
             return True
     return False
+
+
+def oracle_positive_on(q: Poly, lo: Fraction, hi: Fraction) -> bool:
+    """True iff the (degree <= 2) polynomial is >= 0 at lo and > 0 on (lo, hi], on Fractions."""
+    c = [*q.coeffs, 0, 0, 0]
+    vertex = [-c[1] / (2 * c[2])] if c[2] else []
+    return q(lo) >= 0 and all(q(x) > 0 for x in [hi, *vertex] if lo < x <= hi)
+
+
+def oracle_chamber_end(alpha, beta, vol: Poly, left: Fraction) -> tuple[Fraction, Optional[Fraction]]:
+    """The walk's former three-way rule for where a chamber ends, on Fractions: (right, tau).
+
+    right is the least root of a falling form alpha_j + u beta_j.  The chamber
+    ends there where vol is positive on (left, right]; else at vol's first
+    rational root, if it comes no later; else the ray is refused where vol
+    dips below zero on [left, right] or no form falls, and otherwise the walk
+    goes on to right (vol = 0 identically is the only volume that does).
+    """
+    right = min((Fraction(x, -y) for x, y in zip(alpha, beta) if y < 0), default=None)
+    if right is not None and oracle_positive_on(vol, left, right):
+        return right, None
+    root = oracle_smallest_rational_root(vol, left)
+    if root is not None and (right is None or root <= right):
+        return root, root
+    if right is None:
+        raise RayNeverEffectiveError("volume does not reach zero at a rational parameter")
+    if oracle_quadratic_negative_on(vol, left, right):
+        raise RayNeverEffectiveError("volume crosses zero at an irrational parameter")
+    return right, None
 
 
 def oracle_smallest_rational_root(q: Poly, lo: Fraction) -> Optional[Fraction]:

@@ -66,8 +66,8 @@ def _ample_on_z2_vanishing_at_7(data):
 
 
 def _fails_at(guard, ns):
-    num, den, signs = guard
-    at = [sum(c * n**i for i, c in enumerate(num)) * (1 if den is None else sum(c * n**i for i, c in enumerate(den))) for n in ns]
+    f, signs = guard
+    at = [sum(c * n**i for i, c in enumerate(f.num)) * sum(c * n**i for i, c in enumerate(f.den)) for n in ns]
     return [n for n, s in zip(ns, at) if (s > 0) - (s < 0) not in signs]
 
 

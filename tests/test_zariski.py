@@ -22,11 +22,13 @@ from kstab.arith import PiecewisePoly, Poly
 from kstab.catalog import default_n_values, eval_expr
 from kstab.invariants import FlagSupportError, az_s_w, beta, k_basis_bound, s_invariant
 from kstab.surface import ClassVector, DimensionMismatchError
-from kstab.zariski import InconsistentConfigError, NotPseudoeffectiveError
+from kstab.zariski import InconsistentConfigError, NotPseudoeffectiveError, RayNeverEffectiveError
 from tests._oracles import (
     decompose_ray_by_subsets,
+    oracle_chamber_end,
     oracle_decompose_ray,
     oracle_is_negative_definite,
+    oracle_positive_on,
     oracle_quadratic_negative_on,
     oracle_smallest_rational_root,
     oracle_solve_linear_system,
@@ -420,27 +422,44 @@ def test_walk_matches_enumeration_on_catalog_rays(config, ample, ray):
     assert isinstance(_assert_walk_matches_enumeration(config, ample, ray), dict)
 
 
+def _chain_rays(seed, stage_counts):
+    """(config, ample, ray) of random chains from one seeded stream, one per blow-up count."""
+    rng = random.Random(seed)
+    rays = []
+    for stages in stage_counts:
+        config, ample, ray_name = random_chain_config(rng, stages=stages)
+        assert config.size == stages + 1
+        rays.append((config, ample, config.basis_vector(ray_name)))
+    return rays
+
+
 # enumeration costs 2^k subsets, so larger chains are sampled more sparsely
 CHAINS_PER_BASIS_SIZE = {1: 100, 2: 100, 3: 90, 4: 80, 5: 60, 6: 40, 7: 20, 8: 10}
 
 
+def _enumeration_chain_rays(k, count):
+    return _chain_rays(f"walk-vs-subsets/{k}", [k - 1] * count)
+
+
+def _kernel_chain_rays():
+    """40 chains with k = 9..14."""
+    return _chain_rays("integer-kernel-vs-gauss-jordan", [8 + i % 6 for i in range(40)])
+
+
+def _poly_walk_chain_rays():
+    """240 chains with k = 1..24."""
+    return _chain_rays("walk-vs-poly-walk/chains", [i % 24 for i in range(240)])
+
+
 @pytest.mark.parametrize("k, count", sorted(CHAINS_PER_BASIS_SIZE.items()))
 def test_walk_matches_enumeration_on_random_chains(k, count):
-    rng = random.Random(f"walk-vs-subsets/{k}")
-    for _ in range(count):
-        config, ample, ray_name = random_chain_config(rng, stages=k - 1)
-        assert config.size == k
-        _assert_walk_matches_enumeration(config, ample, config.basis_vector(ray_name))
+    for ray in _enumeration_chain_rays(k, count):
+        _assert_walk_matches_enumeration(*ray)
 
 
 def test_walk_is_unchanged_with_the_gauss_jordan_oracle_kernel(monkeypatch):
     """40 chains with k = 9..14 decompose identically with either elimination kernel."""
-    rng = random.Random("integer-kernel-vs-gauss-jordan")
-    rays = []
-    for i in range(40):
-        config, ample, ray_name = random_chain_config(rng, stages=8 + i % 6)
-        assert config.size == 9 + i % 6
-        rays.append((config, ample, config.basis_vector(ray_name)))
+    rays = _kernel_chain_rays()
     fraction_free = [_outcome(decompose_ray, *ray) for ray in rays]
     monkeypatch.setattr(kstab.zariski, "solve_linear_system", oracle_solve_linear_system)
     monkeypatch.setattr(CurveConfig, "is_negative_definite", oracle_is_negative_definite)
@@ -464,11 +483,7 @@ def test_walk_matches_poly_walk_on_catalog_rays():
 
 def test_walk_matches_poly_walk_on_random_chains():
     """240 chains with k = 1..24, irrational-threshold refusals included."""
-    rng = random.Random("walk-vs-poly-walk/chains")
-    outcomes = []
-    for i in range(240):
-        config, ample, ray_name = random_chain_config(rng, stages=i % 24)
-        outcomes.append(_assert_walk_matches_poly_walk(config, ample, config.basis_vector(ray_name)))
+    outcomes = [_assert_walk_matches_poly_walk(*ray) for ray in _poly_walk_chain_rays()]
     decomposed = sum(isinstance(out, dict) for out in outcomes)
     assert decomposed >= 120 and 240 - decomposed >= 40
 
@@ -568,25 +583,64 @@ _volumes = st.one_of(
 )
 
 
+def _end(rule, alpha, beta, vol, left):
+    """Where rule ends the chamber from left, or the type and message of its refusal."""
+    try:
+        return rule(alpha, beta, vol, left)
+    except RayNeverEffectiveError as exc:
+        return type(exc), str(exc)
+
+
 @settings(max_examples=600, deadline=None)
-@given(_volumes, _small, _small)
-def test_volume_roots_and_dips_match_their_fraction_oracles(vol, lo, width):
-    hi = lo + abs(width) + Fraction(1, 7)
+@given(_volumes, _small, st.lists(_small, max_size=3), st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 9)), max_size=2))
+def test_volume_roots_and_dips_match_their_fraction_oracles(vol, lo, widths, rising):
+    """The first rational root, and where a chamber ends after up to three falling P.C (none: right = None)."""
     assert kstab.zariski._smallest_rational_root_at_least(vol, lo) == oracle_smallest_rational_root(vol, lo)
-    assert kstab.zariski._quadratic_negative_on(vol, lo, hi) == oracle_quadratic_negative_on(vol, lo, hi)
+    roots = [lo + abs(w) + Fraction(1, 7) for w in widths]
+    # a falling form (i + 1) (p - r u) has its root at p / r; a rising one none
+    forms = [((i + 1) * r.numerator, -(i + 1) * r.denominator) for i, r in enumerate(roots)] + rising
+    alpha, beta = [x for x, _ in forms], [y for _, y in forms]
+    end = _end(kstab.zariski._chamber_end, alpha, beta, vol, lo)
+    if vol.is_zero() and roots:
+        # the one input where the rules differ, which no chamber has: the former rule walks on
+        # over vol = 0, the single rule refuses it
+        assert _end(oracle_chamber_end, alpha, beta, vol, lo) == (min(roots), None)
+        assert end == (RayNeverEffectiveError, "volume crosses zero at an irrational parameter")
+    else:
+        assert end == _end(oracle_chamber_end, alpha, beta, vol, lo)
 
 
 @settings(max_examples=600, deadline=None)
 @given(_volumes, _small, _small)
 def test_the_sign_first_test_is_positivity_on_the_chamber(vol, lo, width):
     hi = lo + abs(width) + Fraction(1, 7)
-    c = [*vol.coeffs, 0, 0, 0]
-    vertex = [-c[1] / (2 * c[2])] if c[2] else []
-    positive = vol(lo) >= 0 and all(vol(x) > 0 for x in [hi, *vertex] if lo < x <= hi)
-    assert kstab.zariski._positive_on(vol, lo, hi) == positive
+    positive = oracle_positive_on(vol, lo, hi)
+    assert (_end(kstab.zariski._chamber_end, [hi.numerator], [-hi.denominator], vol, lo) == (hi, None)) == positive
     if positive:  # where the walk decides by signs first, it passes over no root and no dip
         root = oracle_smallest_rational_root(vol, lo)
         assert (root is None or root > hi) and not oracle_quadratic_negative_on(vol, lo, hi)
+
+
+@pytest.mark.parametrize("rays", [
+    pytest.param(lambda: [param.values for param in catalog_ray_inputs()], id="catalog rays"),
+    pytest.param(lambda: [ray for k, count in CHAINS_PER_BASIS_SIZE.items() for ray in _enumeration_chain_rays(k, count)],
+                 id="enumeration chains"),
+    pytest.param(_kernel_chain_rays, id="kernel chains"),
+    pytest.param(_poly_walk_chain_rays, id="poly walk chains"),
+    pytest.param(_random_chain_rays, id="pointwise chains"),
+])
+def test_every_volume_piece_starts_positive_and_the_last_ends_at_zero(rays):
+    """No chamber starts where the volume is 0, so the chamber end never meets vol = 0 identically."""
+    decomposed = 0
+    for config, ample, ray in rays():
+        try:
+            rd = decompose_ray(config, ample, ray)
+        except RayNeverEffectiveError:
+            continue
+        assert all(rd.volume(iv.left) > 0 for iv in rd.intervals)
+        assert rd.volume.pieces[-1][2](rd.tau) == 0
+        decomposed += 1
+    assert decomposed >= 20
 
 
 def test_a_chamber_whose_volume_vanishes_at_its_right_end_ends_the_walk_there():
