@@ -49,13 +49,28 @@ def isqrt(x):
 
 
 def gcd(*xs):
-    """math.gcd of ints; 1 where a number over Q(n) is among them, a unit of that field."""
+    """math.gcd of ints, for rescaling only; 1 where a number over Q(n) is among them, a unit of
+    that field.  A test of coprimality goes through ``coprime``."""
     try:
         return math.gcd(*xs)
     except TypeError:
         if any(isinstance(x, RationalFunction) for x in xs):
             return 1
         raise
+
+
+def coprime(*xs) -> bool:
+    """Whether math.gcd(*xs) == 1.  Where a number over Q(n) is among them, its own ``coprime``
+    answers, as at one n, and keeps the test as a condition of the other n."""
+    for x in xs:
+        if isinstance(x, RationalFunction):
+            return x.coprime(xs)
+    return math.gcd(*xs) == 1
+
+
+def is_integer(x) -> bool:
+    """Whether x's denominator is 1; a number over Q(n) answers as ``coprime`` does."""
+    return x.is_integer() if isinstance(x, RationalFunction) else x.denominator == 1
 
 
 def over_common_denominator(values, den: int = 1) -> tuple[list, int]:
@@ -283,7 +298,7 @@ class PiecewisePoly:
                     raise ValueError(
                         f"pieces are not contiguous at {normalized[-1][1]} vs {left}"
                     )
-                if normalized[-1][2] == poly:
+                if _same_poly(normalized[-1][2], poly):
                     prev = normalized.pop()
                     left = prev[0]
             normalized.append((left, right, poly))
@@ -368,6 +383,23 @@ class PiecewisePoly:
 
     def __repr__(self) -> str:
         return f"PiecewisePoly({self.format()})"
+
+
+def _same_poly(a: Poly, b: Poly) -> bool:
+    """a == b, where coefficients over Q(n) are equal only as the same function of n: a
+    comparison that decides nothing at any one n, and so leaves no guard (kstab.plan)."""
+    x, y = a.numerators, b.numerators
+    if len(x) != len(y) or a.denominator != b.denominator:
+        return False
+    return all(
+        RationalFunction.__eq__(_function(c), _function(d))
+        if isinstance(c, RationalFunction) or isinstance(d, RationalFunction) else c == d
+        for c, d in zip(x, y)
+    )
+
+
+def _function(c) -> "RationalFunction":
+    return c if isinstance(c, RationalFunction) else RationalFunction.constant(c)
 
 
 def piecewise_integrate(f: PiecewisePoly, a: RationalLike, b: RationalLike) -> Fraction:

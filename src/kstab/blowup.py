@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .arith import RationalLike, gcd, over_common_denominator, rat, ratio
+from .arith import RationalLike, coprime, over_common_denominator, rat, ratio
 from .surface import ClassVector, CurveConfig, QuotientSingularity
 
 
@@ -151,5 +151,5 @@ def _pullback(v: ClassVector, orders: list[Fraction], n: int) -> ClassVector:
 def _validate_weights(n: int, a: int, b: int) -> None:
     if n < 1 or a < 1 or b < 1:
         raise BlowupSpecError("blow-up data must be positive integers")
-    if gcd(a, n) != 1 or gcd(b, n) != 1:
+    if not (coprime(a, n) and coprime(b, n)):
         raise BlowupSpecError(f"weights ({a},{b}) must be coprime to {n}")

@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .arith import PiecewisePoly, Poly, RationalFunction, minimum, rat
+from .arith import PiecewisePoly, Poly, RationalFunction, is_integer, minimum, rat
 from .blowup import BlowupResult, BlowupSpec, transform_config
 from .invariants import az_s_w, beta, delta_lower_bound, k_basis_bound, proportional_bound, s_invariant
 from .surface import (
@@ -228,7 +228,7 @@ class _Compiler:
 
 def _eval_int(expr, n: Optional[int]) -> int:
     value = eval_expr(expr, n)
-    if value.denominator != 1:
+    if not is_integer(value):
         raise CatalogError(f"expression {expr!r} is not an integer at n={n}")
     return value.numerator
 
@@ -705,18 +705,20 @@ def verify(catalog: Catalog, family_id: int, n: Optional[int] = None) -> Verific
     """Recompute every expected invariant through the pipeline and compare.
 
     A parametric family's reports come from one plan over Q(n) per loaded
-    catalog (``kstab.plan``) wherever its guards hold at n; everywhere else,
-    and for the fixed families, ``verify_pointwise`` runs the pipeline at n.
-    Both give the same report.
+    catalog (``kstab.plan``) wherever its guards and conditions hold at n;
+    such an n runs no ``instantiate``.  Everywhere else, and for the fixed
+    families, ``verify_pointwise`` runs the pipeline at n.  Both give the
+    same report, or raise the same error.
     """
-    instance = instantiate(catalog, family_id, n)
-    if instance.entry.parametric:
+    entry = catalog.family(family_id)
+    if entry.parametric:
         from .plan import planned_report
 
-        report = planned_report(catalog, instance)
+        check_parameter(entry, n)
+        report = planned_report(catalog, entry, n)
         if report is not None:
             return report
-    return _pointwise(instance)
+    return verify_pointwise(catalog, family_id, n)
 
 
 def verify_pointwise(catalog: Catalog, family_id: int, n: Optional[int] = None) -> VerificationReport:

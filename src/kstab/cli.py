@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Optional
 
@@ -74,9 +75,50 @@ def _emit(text: str, output: Optional[str]):
         click.echo(text, nl=False)
 
 
+def _json(doc) -> str:
+    """json.dumps(doc, indent=1) and a newline.  An indent sends the json module to its
+    pure-Python encoder; this writes the same text with its C string escaper instead."""
+    out: list[str] = []
+    _write_json(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(x, out: list, newline: str) -> None:
+    """Append x as json.dumps(x, indent=1) writes it at the depth that newline indents; every
+    object key is a string."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif x is None or x is True or x is False:
+        out.append("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, (list, tuple)) and x:
+        inner = newline + " "
+        separator = "[" + inner
+        for v in x:
+            out.append(separator)
+            _write_json(v, out, inner)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(x, dict) and x:
+        inner = newline + " "
+        separator = "{" + inner
+        for key, v in x.items():
+            out.append(separator + _quote(key) + ": ")
+            if type(v) is str:  # most values: no call for them
+                out.append(_quote(v))
+            else:
+                _write_json(v, out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:  # an empty list or object, a float, or what json.dumps refuses with its own TypeError
+        out.append(json.dumps(x))
+
+
 def _render_reports(reports: list[VerificationReport], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps({"reports": [r.to_json_dict() for r in reports]}, indent=1) + "\n"
+        return _json({"reports": [r.to_json_dict() for r in reports]})
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -178,7 +220,7 @@ def cmd_table(fmt, output, catalog_path):
         for q in catalog.non_ke_quintuples
     ]
     if fmt == "json":
-        _emit(json.dumps({"families": rows, "non_ke_quintuples": extra}, indent=1) + "\n", output)
+        _emit(_json({"families": rows, "non_ke_quintuples": extra}), output)
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -210,7 +252,7 @@ def cmd_export(output, catalog_path):
         "families": [dict(e.data) for e in catalog.families],
         "non_ke_quintuples": [dict(q) for q in catalog.non_ke_quintuples],
     }
-    _emit(json.dumps(doc, indent=1) + "\n", output)
+    _emit(_json(doc), output)
     sys.exit(0)
 
 
@@ -233,7 +275,7 @@ def cmd_analyze(input_path, fmt, output):
     except (ValueError, KeyError) as exc:
         click.echo(f"analysis failed: {exc}", err=True)
         sys.exit(1)
-    _emit(json.dumps(result, indent=1) + "\n" if fmt == "json" else _render_analysis(result), output)
+    _emit(_json(result) if fmt == "json" else _render_analysis(result), output)
     sys.exit(0)
 
 

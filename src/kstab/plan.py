@@ -2,22 +2,33 @@
 
 ``planned_report`` builds a family's plan once per loaded catalog, at the
 first n it is asked for, n0.  The pipeline runs at n0, and that is the report
-returned; then the same code runs once more at a symbolic n.  There every
-number is a ``Guarded``, a rational function of n that the pipeline computes
-with as with ints and Fractions.  Each comparison it makes on one (a divisor,
-definiteness, each step of a chamber walk) answers as at n0 and is kept as a
-guard, a rational function whose sign must stay in a set, unless the
-coefficients of p(min + m) and q(min + m), m >= 0, settle it for the whole
-family.  A min() that they do not settle stays a node, to be taken at each n;
-computing with one raises.  The plan keeps each item's expected and computed
-values, as the symbolic run hands them to ``catalog._item``.
+returned; then the same code runs once more at a symbolic n, ``instantiate``
+included.  There every number is a ``Guarded``, a rational function of n that
+the pipeline computes with as with ints and Fractions.  Each test it makes on
+one answers as at n0 and is kept for the other n, unless it is settled for the
+whole family (every n >= min):
 
-At a later n, ``instantiate`` has validated the family at n (its gcd and
-integrality tests pass over Q(n), where each nonzero number is a unit).  If
-every guard holds, the item values are taken at n and compared by ``_item``.
-A failed guard, or a symbolic run that raised (a square root that is no
-rational function of n, say), sends n through the pointwise pipeline, the
-oracle.  Each n is checked on its own: nothing here is a proof for all n.
+- a comparison (definiteness, each step of a chamber walk, a positive weight)
+  and every divisor that uses n becomes a guard, a rational function whose sign
+  must stay in a set; the coefficients of p(min + m) and q(min + m), m >= 0,
+  settle some, and a denominator they show positive is divided out;
+- an integrality test (``arith.is_integer``, as ``_eval_int`` makes it) and a
+  coprimality test (``arith.coprime``: well-formedness, a quotient point, a
+  blow-up's weights) becomes a condition, an integer test to answer the same
+  at n; where the arguments are integer polynomials over one constant c (or
+  with one among them), the answer depends on n mod c, and one period settles
+  it.
+
+A min() that the coefficients do not settle stays a node, to be taken at each
+n; computing with one raises.  The plan keeps each item's expected and
+computed values, as the symbolic run hands them to ``catalog._item``.
+
+At a later n, if every guard and condition holds, the item values are taken at
+n and compared by ``_item``; nothing else runs, ``instantiate`` included.  A
+failed guard or condition, or a symbolic run that raised (a square root that
+is no rational function of n, say), sends n through the pointwise pipeline,
+the oracle, which then gives the report or raises its own error.  Each n is
+checked on its own: nothing here is a proof for all n.
 """
 
 from __future__ import annotations
@@ -27,8 +38,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .arith import PiecewisePoly, Poly, RationalFunction, _poly_mul, _rational_function, _trim, over_common_denominator, ratio
-from .catalog import Catalog, CheckItem, FamilyInstance, VerificationReport, _item, _Min, _node_at, _pointwise
+from .arith import PiecewisePoly, Poly, RationalFunction, _poly_at, _poly_mul, _rational_function, _trim, over_common_denominator, ratio
+from .catalog import Catalog, CheckItem, FamilyEntry, FamilyInstance, VerificationReport, _item, _Min, _node_at, _pointwise
 from .catalog import _values, instantiate
 
 RF = RationalFunction
@@ -38,24 +49,26 @@ NONNEG, NONPOS, NONZERO = frozenset({0, 1}), frozenset({-1, 0}), frozenset({-1, 
 SIGNS = frozenset({-1, 0, 1})
 
 
-def planned_report(catalog: Catalog, instance: FamilyInstance) -> Optional[VerificationReport]:
-    """The report at instance.n from the family's plan, built on first use; None where a
-    guard fails or no plan could be built, and the pointwise pipeline must run instead.
-    catalog.plan_counts counts the plans built and refused and the n served and sent back."""
-    family_id, counts = instance.entry.family_id, catalog.plan_counts
+def planned_report(catalog: Catalog, entry: FamilyEntry, n: int) -> Optional[VerificationReport]:
+    """The report at n (which ``check_parameter`` accepted) from the family's plan, built on
+    first use; None where a guard or condition fails or no plan could be built, and the
+    pointwise pipeline must run instead.  catalog.plan_counts counts the plans built and
+    refused and the n served and sent back."""
+    family_id, counts = entry.family_id, catalog.plan_counts
     if family_id not in catalog.plans:
+        instance = instantiate(catalog, family_id, n)
         report = _pointwise(instance)  # raises as the pointwise path does; no plan is kept then
         try:
             plan = _build(catalog, instance)
         except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError):
             plan = None  # a step the symbolic run cannot follow: the family runs pointwise
-        if plan is not None and plan.report(instance) != report:  # a plan must reproduce its own n
+        if plan is not None and plan.report(n) != report:  # a plan must reproduce its own n
             plan = None
         catalog.plans[family_id] = plan
         counts["plans built" if plan else "plans refused"] += 1
         return report
     plan = catalog.plans[family_id]
-    report = None if plan is None else plan.report(instance)
+    report = None if plan is None else plan.report(n)
     counts["n served" if report else "n fell back"] += 1
     return report
 
@@ -63,11 +76,13 @@ def planned_report(catalog: Catalog, instance: FamilyInstance) -> Optional[Verif
 class _Plan(NamedTuple):
     family_id: int
     guards: tuple  # (RationalFunction, allowed signs)
+    conditions: tuple  # ((test, arguments), its answer): an integrality or coprimality test
     items: tuple  # a CheckItem where it is the same at every n, else a _Served
 
-    def report(self, instance: FamilyInstance) -> Optional[VerificationReport]:
-        n = instance.n
+    def report(self, n: int) -> Optional[VerificationReport]:
         if any(f.sign_at(n) not in signs for f, signs in self.guards):
+            return None
+        if any(test(args, n) is not answer for (test, args), answer in self.conditions):
             return None
         items = tuple(item if isinstance(item, CheckItem) else item.at(n) for item in self.items)
         return VerificationReport(self.family_id, n, items)
@@ -101,7 +116,7 @@ def _build(catalog: Catalog, instance: FamilyInstance) -> _Plan:
     run = _Run(instance.n, instance.entry.minimum_n)
     symbolic = instantiate(catalog, instance.entry.family_id, _guarded(RF.variable(), run))
     items = tuple(_served(*values) for values in _values(symbolic))
-    return _Plan(instance.entry.family_id, tuple(run.guards.items()), items)
+    return _Plan(instance.entry.family_id, tuple(run.guards.items()), tuple(run.conditions.items()), items)
 
 
 def _served(label: str, expected, computed, anchor: str):
@@ -138,11 +153,13 @@ def _pieces(profile: PiecewisePoly) -> tuple:
 
 
 class _Run:
-    """The decisions of one symbolic run: each answers as at n0 and is a guard unless settled for n >= lo."""
+    """The decisions of one symbolic run: each answers as at n0, and is a guard or a condition
+    unless it is settled for every n >= lo."""
 
     def __init__(self, n0: int, lo: int):
         self.n0, self.lo = n0, lo
         self.guards: dict = {}  # RationalFunction -> allowed signs
+        self.conditions: dict = {}  # (test, arguments) -> its answer at n0
         self.results: dict = {}  # (op, operands' numerators and denominators) -> op's result
 
     def apply(self, op, a: RF, b: RF) -> "Guarded":
@@ -160,8 +177,21 @@ class _Run:
             signs = signs if ok else SIGNS - signs
             if not _possible_signs(x.num, x.den, self.lo) <= signs:
                 key = _rational_function(x.num, x.den)
+                if _poly_signs(x.den, self.lo) == POS:  # one guard per numerator, up to a constant factor
+                    c = math.gcd(*x.num) * (1 if x.num[-1] > 0 else -1)
+                    key = _rational_function([a // c for a in x.num], (1,))
+                    signs = signs if c > 0 else frozenset(-s for s in signs)
                 self.guards[key] = self.guards.get(key, SIGNS) & signs
         return ok
+
+    def holds(self, test, xs: tuple) -> bool:
+        """test(arguments, n0) for ``_is_integer_at`` or ``_coprime_at``; a condition to give the same
+        answer at every n, unless one period of the arguments' residues settles it for n >= lo."""
+        args = tuple(map(_frozen, xs))
+        answer = test(args, self.n0)
+        if _possible_answers(test, args, self.lo) != {answer}:
+            self.conditions[test, args] = answer
+        return answer
 
 
 def _lift(x) -> Optional[RF]:
@@ -191,7 +221,12 @@ def _operator(op, unit=None, reflected=False):
         if type(other) is int and other == unit:
             return self
         x = _lift(other)
-        return NotImplemented if x is None else self.run.apply(op, *((x, self) if reflected else (self, x)))
+        if x is None:
+            return NotImplemented
+        a, b = (x, self) if reflected else (self, x)
+        if op is RF.__truediv__:
+            self.run.test(b, NONZERO)  # a divisor stays nonzero: where it vanishes, n runs pointwise
+        return self.run.apply(op, a, b)
 
     return apply
 
@@ -229,6 +264,14 @@ class Guarded(RationalFunction):
 
     def __bool__(self) -> bool:
         return self.run.test(self, NONZERO)
+
+    def is_integer(self) -> bool:
+        """Whether the value at n0 is an integer, for ``arith.is_integer``; kept as a condition."""
+        return self.run.holds(_is_integer_at, (self,))
+
+    def coprime(self, xs: tuple) -> bool:
+        """Whether the gcd of xs at n0 is 1, for ``arith.coprime``; kept as a condition."""
+        return self.run.holds(_coprime_at, xs)
 
     def compose(self, f: RF) -> "Guarded":
         """f(self) for ``RationalFunction.__call__``, where self is the run's n: f itself."""
@@ -268,6 +311,37 @@ def _sqrt(x: RF) -> Optional[RF]:
         root[i] = (p[half + i] - sum(root[j] * root[half + i - j] for j in range(i + 1, half + 1))) / (2 * top)
     nums, den = over_common_denominator(root)
     return RF(nums, x.den) / RF((den,)) if _trim(_poly_mul(nums, nums)) == [c * den * den for c in p] else None
+
+
+def _is_integer_at(args: tuple, n: int) -> bool:
+    """Whether the one rational function in args is an integer at n."""
+    (f,) = args
+    q = _poly_at(f.den, n)
+    return q != 0 and _poly_at(f.num, n) % q == 0
+
+
+def _coprime_at(args: tuple, n: int) -> bool:
+    """Whether the rational functions in args are integers at n whose gcd is 1."""
+    return all(_is_integer_at((f,), n) for f in args) and math.gcd(*(int(f(n)) for f in args)) == 1
+
+
+# the longest period of residues that _possible_answers tries in full
+_PERIOD_LIMIT = 1024
+
+
+def _possible_answers(test, args: tuple, lo: int) -> frozenset:
+    """Answers that test(args, n) may give at integers n >= lo.  Where args are integer polynomials
+    over a constant denominator c (for ``_is_integer_at``), or over 1 with a nonzero constant c
+    among them (for ``_coprime_at``), the answer at n depends on n mod c only: one period settles it."""
+    if test is _is_integer_at:
+        period = args[0].den[0] if len(args[0].den) == 1 else 0
+    elif all(f.den == (1,) for f in args):
+        period = math.gcd(*(f.num[0] if f.num else 0 for f in args if not f.uses_n()))
+    else:
+        period = 0
+    if not 0 < period <= _PERIOD_LIMIT:
+        return frozenset({False, True})
+    return frozenset(test(args, n) for n in range(lo, lo + period))
 
 
 @functools.lru_cache(maxsize=4096)

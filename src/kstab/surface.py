@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .arith import Poly, RationalLike, gcd, over_common_denominator, rat, ratio
+from .arith import Poly, RationalLike, coprime, gcd, over_common_denominator, rat, ratio
 
 
 class DimensionMismatchError(ValueError):
@@ -53,7 +53,7 @@ class Quintuple:
         """True iff every three of the four weights are coprime."""
         w = self.weights
         triples = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-        return all(gcd(w[i], w[j], w[k]) == 1 for i, j, k in triples)
+        return all(coprime(w[i], w[j], w[k]) for i, j, k in triples)
 
     def ambient_pairing(self, m: int, k: int) -> Fraction:
         """O(m).O(k) restricted to the hypersurface: m*k*d / (a0*a1*a2*a3)."""
@@ -90,7 +90,7 @@ class QuotientSingularity:
         a, b = self.local_weights
         if self.order < 1 or a < 1 or b < 1:
             raise ValueError("order and local weights must be positive")
-        if gcd(a, self.order) != 1 or gcd(b, self.order) != 1:
+        if not (coprime(a, self.order) and coprime(b, self.order)):
             raise ValueError(f"local weights ({a},{b}) must be coprime to {self.order}")
         if math.gcd(a, b) != 1:
             raise ValueError(f"local weights ({a},{b}) must be coprime")

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kstab.catalog import VerificationReport
-from kstab.cli import main
+from kstab.cli import _json, main
 from tests._oracles import random_chain_config
 
 runner = CliRunner()
@@ -133,6 +133,67 @@ def test_corrupting_an_expected_value_names_it(tmp_path):
     result = invoke(["verify", "--family", "4", "--catalog", str(out)])
     assert result.exit_code == 1
     assert "exceptional ray: tau" in result.output
+
+
+def test_an_n_that_a_plan_serves_raises_as_when_it_runs_alone(tmp_path):
+    # with O(n/2).O(2), n/2 is an integer at even n only: n = 3 after n = 2, served by
+    # the plan that n = 2 built, raises the error that n = 3 alone raises
+    def half(family):
+        next(c for c in family["checks"] if c["kind"] == "ambient")["m"] = "n/2"
+
+    args = _exported_catalog_with(tmp_path, half)
+    alone, swept = invoke(args), invoke([*args[:-4], "--n", "2..3", *args[-2:]])
+    assert alone.exit_code == swept.exit_code == 2
+    assert alone.stderr == swept.stderr
+    assert "expression 'n/2' is not an integer at n=3" in alone.stderr
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_the_json_writer_writes_what_json_dumps_writes(doc):
+    assert _json(doc) == json.dumps(doc, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), {"a": {}, "b": [], "c": [{}]}, [[[]]], "", "\u00e9\u2028\U0001f600\x00\"\\/",
+    {"\u00e9": "caf\u00e9"}, [True, 1, False, 0, None, 1.0, float("nan"), float("-inf"), 10**40],
+    (1, (2, ())),
+])
+def test_the_json_writer_on_empty_containers_non_ascii_text_and_bool_against_int(doc):
+    assert _json(doc) == json.dumps(doc, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("doc", [{"a": {1, 2}}, [object()]])
+def test_the_json_writer_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(TypeError) as refused:
+        json.dumps(doc, indent=1)
+    with pytest.raises(TypeError, match=re.escape(str(refused.value))):
+        _json(doc)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--all", "--format", "json"],
+    ["verify", "--family", "2", "--n", "1000000..1000040", "--format", "json"],
+    ["table", "--format", "json"],
+    ["export"],
+    ["analyze", "--input", "readme", "--format", "json"],
+], ids=" ".join)
+def test_every_json_document_of_the_cli_is_written_as_json_dumps_writes_it(tmp_path, args):
+    if "readme" in args:
+        fixture = tmp_path / "readme.json"
+        fixture.write_text(json.dumps(README_FIXTURE))
+        args = [str(fixture) if a == "readme" else a for a in args]
+    result = invoke(args)
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert result.output == _json(doc) == json.dumps(doc, indent=1) + "\n"
 
 
 def test_env_var_overrides_catalog(tmp_path):

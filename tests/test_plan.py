@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kstab import catalog as catalog_module
 from kstab import plan
 from kstab.arith import RationalFunction
-from kstab.catalog import _CHECK_KINDS, Catalog, FamilyEntry, load_catalog, verify, verify_pointwise
+from kstab.catalog import _CHECK_KINDS, Catalog, CatalogError, FamilyEntry, load_catalog, verify, verify_pointwise
 
 CATALOG = load_catalog()
 PARAMETRIC = [entry.family_id for entry in CATALOG.families if entry.parametric]
@@ -52,7 +52,8 @@ def test_plan_serves_every_n_as_the_pointwise_pipeline_does(family_id):
     ns = list(range(lo, lo + 301)) + [rng.randrange(lo, 10**15) for _ in range(200)]
     catalog = _fresh(family_id)
     assert _sweep(catalog, family_id, ns) == {"plans built": 1, "n served": len(ns) - 1}
-    assert catalog.plans[family_id].guards == ()  # on the shipped catalog no guard survives
+    # on the shipped catalog no guard and no integrality or coprimality condition survives
+    assert catalog.plans[family_id].guards == () and catalog.plans[family_id].conditions == ()
     # a plan built at a large n serves the small ones as well
     assert _sweep(_fresh(family_id), family_id, ns[::-1]) == {"plans built": 1, "n served": len(ns) - 1}
 
@@ -74,8 +75,9 @@ def _fails_at(guard, ns):
 def test_a_guard_that_fails_at_one_n_sends_that_n_to_the_pointwise_path():
     catalog = _fresh(2, _ample_on_z2_vanishing_at_7)
     assert _sweep(catalog, 2, range(0, 60)) == {"plans built": 1, "n served": 58, "n fell back": 1}
-    # A.Z2 >= 0, where Z2 enters, and the join of the two volume pieces: each fails at n = 7 only
-    assert catalog.plans[2].guards
+    # A.Z2 >= 0, where Z2 enters, seen over two positive denominators, is one guard on its
+    # numerator 2 (n-7)^2; the join of the two volume pieces, equal at n = 7 only, keeps none
+    assert len(catalog.plans[2].guards) == 1
     assert all(_fails_at(guard, range(0, 60)) == [7] for guard in catalog.plans[2].guards)
     ray = "split-fiber ray: nef_threshold"
     assert next(i for i in verify(catalog, 2, 7).items if i.name == ray).computed == "0"
@@ -96,6 +98,7 @@ def test_a_chamber_that_ends_at_tau_at_one_n_sends_that_n_to_the_pointwise_path(
     }
     catalog = Catalog(1, (FamilyEntry(9, data),), (), "in-memory")
     assert _sweep(catalog, 9, range(0, 60)) == {"plans built": 1, "n served": 58, "n fell back": 1}
+    assert len(catalog.plans[9].guards) == 4  # one per numerator, such as (n-5)^2 > 0
     assert {n for guard in catalog.plans[9].guards for n in _fails_at(guard, range(0, 60))} == {5}
     assert [item.match for item in verify(catalog, 9, 5).items] == [True] * 3
     assert [item.match for item in verify(catalog, 9, 6).items] == [True, True, False]
@@ -104,9 +107,11 @@ def test_a_chamber_that_ends_at_tau_at_one_n_sends_that_n_to_the_pointwise_path(
 def test_n_where_the_pipeline_raises_raise_the_same_and_the_plan_starts_after_them():
     # C^2 = (n-7)/n on the pencil: no positive anticanonical square up to n = 7
     catalog = _fresh(1, lambda data: data["configs"]["pencil"]["gram"][0].__setitem__(0, "(n-7)/n"))
-    # n = 2 .. 7 raise in instantiate, n = 8 builds the plan, and 5, 7 and 3 raise again before it
-    assert _sweep(catalog, 1, [*range(2, 60), 5, 7, 3]) == {"plans built": 1, "n served": 51}
-    assert catalog.plans[1].guards  # A^2 = 4 (n-7) / n > 0 and the rest are checked at each n
+    # n = 2 .. 7 raise in instantiate, n = 8 builds the plan, and 5, 7 and 3 fail its guard
+    # A^2 > 0, run pointwise and raise again
+    assert _sweep(catalog, 1, [*range(2, 60), 5, 7, 3]) == {"plans built": 1, "n served": 51, "n fell back": 3}
+    # A^2 = 4 (n-7) / n > 0, C^2 > 0 and the divisor n - 7 are one guard, n - 7 > 0
+    assert catalog.plans[1].guards == ((RationalFunction((-7, 1)), plan.POS),)
 
 
 def test_a_mismatch_at_a_served_n_is_reported_as_the_pipeline_reports_it():
@@ -120,6 +125,74 @@ def test_a_mismatch_at_a_served_n_is_reported_as_the_pipeline_reports_it():
     assert [i.name for i in report.mismatches] == ["node exceptional ray: s"]
     with pytest.raises(ValueError, match="division by zero"):
         verify(catalog, 1, 40)
+
+
+def _raised(run, catalog, family_id, n):
+    with pytest.raises(CatalogError) as exc:
+        run(catalog, family_id, n)
+    return type(exc.value), str(exc.value)
+
+
+def _half_ambient(data):
+    # O(n/2).O(2): n/2 is an integer, as _eval_int requires, at even n only
+    next(c for c in data["checks"] if c["kind"] == "ambient")["m"] = "n/2"
+
+
+def test_an_expression_that_is_an_integer_at_some_n_only_is_a_condition_of_the_plan():
+    catalog = _fresh(1, _half_ambient)
+    verify(catalog, 1, 2)  # builds the plan
+    assert _raised(verify, catalog, 1, 3) == _raised(verify_pointwise, catalog, 1, 3)
+    assert "expression 'n/2' is not an integer at n=3" in _raised(verify, catalog, 1, 3)[1]
+    assert _sweep(_fresh(1, _half_ambient), 1, range(2, 60)) == {"plans built": 1, "n served": 28, "n fell back": 29}
+
+
+def _weight_2_at_order_n_plus_2(data):
+    data["configs"]["cx"]["singular_points"][0]["weights"] = [1, 2]  # 1/(n+2)(1,2): odd n only
+
+
+def _blowup_weight_2_at_order_n(data):
+    # the node blow-up, moved to the point p_t of order n with weights (1, 2): odd n only
+    data["blowups"][0].update(center={"label": "p_t", "order": "n", "weights": [1, 1]}, weights=[1, 2])
+
+
+def _weights_1_2_n_plus_2_2n_plus_4(data):
+    data.update(weights=["1", "2", "n+2", "2*n+4"], degree="3*n+7")  # index 2; well-formed at odd n only
+
+
+@pytest.mark.parametrize("family_id, mutate, message", [
+    (2, _weight_2_at_order_n_plus_2, lambda n: f"local weights (1,2) must be coprime to {n + 2}"),
+    (1, _blowup_weight_2_at_order_n, lambda n: f"weights (1,2) must be coprime to {n}"),
+    (2, _weights_1_2_n_plus_2_2n_plus_4, lambda n: "quintuple not well-formed"),
+], ids=["point", "blow-up", "well-formedness"])
+def test_a_coprimality_that_fails_at_even_n_sends_only_those_n_to_the_pointwise_path(family_id, mutate, message):
+    lo = CATALOG.family(family_id).minimum_n
+    ns = range(lo + 1, lo + 41)  # built at an odd n
+    catalog = _fresh(family_id, mutate)
+    assert _sweep(catalog, family_id, ns) == {"plans built": 1, "n served": 19, "n fell back": 20}
+    assert [test for (test, _), _ in catalog.plans[family_id].conditions] == [plan._coprime_at]
+    for n in ns:
+        if n % 2 == 0:
+            assert _raised(verify, catalog, family_id, n)[1].endswith(message(n)), n
+
+
+def test_a_sweep_of_41_n_instantiates_the_family_at_its_first_n_only(monkeypatch):
+    calls = []
+
+    def counted(catalog, family_id, n=None):
+        calls.append(type(n).__name__)
+        return instantiate(catalog, family_id, n)
+
+    instantiate = catalog_module.instantiate
+    monkeypatch.setattr(catalog_module, "instantiate", counted)
+    monkeypatch.setattr(plan, "instantiate", counted)
+    for family_id in PARAMETRIC:
+        lo = CATALOG.family(family_id).minimum_n + 10**6
+        catalog = _fresh(family_id)
+        calls.clear()
+        for n in range(lo, lo + 41):
+            verify(catalog, family_id, n)
+        assert calls == ["int", "Guarded"]  # the plan's first n, and its symbolic run
+        assert catalog.plan_counts == {"plans built": 1, "n served": 40}
 
 
 def test_a_family_without_a_plan_runs_pointwise(monkeypatch):
@@ -172,6 +245,14 @@ def test_the_plan_follows_a_changed_pointwise_rule(monkeypatch):
         assert not verify(catalog, family_id, lo + 59).overall
 
 
+def test_a_divisor_that_uses_n_is_guarded_to_stay_nonzero():
+    run = plan._Run(2, 0)
+    n = plan._guarded(RationalFunction.variable(), run)
+    assert (1 / (n - 5)) * (n - 5) == 1 and (n + 1) // (2 * n - 6) != 0
+    # n - 5 and 2n - 6 (kept as n - 3) may vanish; 1, 2 and the recorded n + 1 never do
+    assert run.guards == {RationalFunction((-5, 1)): plan.NONZERO, RationalFunction((-3, 1)): plan.NONZERO}
+
+
 def test_a_square_root_needs_a_square():
     n = RationalFunction.variable()
     assert plan._sqrt(n + RationalFunction.constant(2)) is None
@@ -200,3 +281,36 @@ def test_settled_signs_hold_at_every_n_from_the_minimum(num, den, lo):
     for n in range(lo, lo + 40):
         if sum(c * n**i for i, c in enumerate(x.den)):  # x is defined at n
             assert x.sign_at(n) in signs, n
+
+
+def _answers_hold(test, args, lo):
+    answers = plan._possible_answers(test, args, lo)
+    if len(answers) == 1:  # settled: the plan keeps no condition
+        assert all(test(args, n) in answers for n in range(lo, lo + 301))
+    return answers
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys, st.integers(1, 12), st.integers(-3, 5))
+def test_a_settled_integrality_holds_at_every_n_from_the_minimum(num, den, lo):
+    _answers_hold(plan._is_integer_at, (RationalFunction(num, (den,)),), lo)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_polys, min_size=1, max_size=3), st.integers(-12, 12), st.integers(-3, 5))
+def test_a_settled_coprimality_holds_at_every_n_from_the_minimum(nums, constant, lo):
+    _answers_hold(plan._coprime_at, (RationalFunction((constant,)), *map(RationalFunction, nums)), lo)
+
+
+def test_the_conditions_that_one_period_settles():
+    n, c = RationalFunction.variable(), RationalFunction.constant
+    is_integer, coprime = plan._is_integer_at, plan._coprime_at
+    assert _answers_hold(is_integer, (n * n,), 0) == {True}
+    assert _answers_hold(is_integer, (n * (n + c(1)) / c(2),), 0) == {True}
+    assert _answers_hold(is_integer, (n / c(2),), 0) == {False, True}
+    assert _answers_hold(is_integer, (c(1) / n,), 1) == {False, True}  # no constant denominator
+    assert _answers_hold(coprime, (c(1), n, n), 2) == {True}
+    assert _answers_hold(coprime, (c(2), n + c(2), n + c(3)), 0) == {True}
+    assert _answers_hold(coprime, (c(2), n + c(2)), 0) == {False, True}
+    assert _answers_hold(coprime, (c(6), c(2) * n), 0) == {False}
+    assert _answers_hold(coprime, (n, n + c(1)), 0) == {False, True}  # no constant among them
