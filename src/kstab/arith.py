@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -79,9 +79,21 @@ def over_common_denominator(values, den: int = 1) -> tuple[list, int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
+class _Min(NamedTuple):
+    """min(first, second) where no one side is the smaller at every n, taken at each n."""
+
+    first: object
+    second: object
+
+
 def minimum(a, b):
-    """min(a, b), which is b only where b < a; a number over Q(n) may keep it as a node."""
-    return a.minimum(b) if isinstance(a, RationalFunction) else min(a, b)
+    """min(a, b), which is b only where b < a.  Where a number over Q(n) is on either side, its
+    own ``minimum`` answers and may keep a _Min node; a _Min on either side gives one."""
+    if isinstance(a, _Min) or isinstance(b, _Min):
+        return _Min(a, b)
+    if isinstance(a, RationalFunction) or isinstance(b, RationalFunction):
+        return (a if isinstance(a, RationalFunction) else b).minimum(a, b)
+    return min(a, b)
 
 
 class IntervalNotCoveredError(ValueError):
@@ -100,11 +112,11 @@ class Poly:
     no trailing zero numerator and gcd(denominator, *numerators) == 1, so each
     polynomial has exactly one representation (zero is () over 1) and ``==``
     compares ints.  Arithmetic runs on these ints and normalises each result
-    with one gcd; the coefficients as Fractions, ``coeffs``, are built the
-    first time they are read.
+    with one gcd; ``coeffs`` builds the coefficients as Fractions where they
+    are read.
     """
 
-    __slots__ = ("numerators", "denominator", "_coeffs")
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         _normalise(self, *over_common_denominator([rat(c) for c in coeffs]))
@@ -131,12 +143,8 @@ class Poly:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as reduced Fractions, lowest degree first, no trailing zeros."""
-        cs = self._coeffs
-        if cs is None:
-            den = self.denominator
-            cs = tuple(Fraction(x, den) for x in self.numerators)
-            object.__setattr__(self, "_coeffs", cs)
-        return cs
+        den = self.denominator
+        return tuple(Fraction(x, den) for x in self.numerators)
 
     @property
     def degree(self) -> int:
@@ -201,7 +209,7 @@ class Poly:
         return ratio(acc, self.denominator * scale // q) if self.numerators else Fraction(0)
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if k < len(self.numerators) else Fraction(0)
+        return Fraction(self.numerators[k], self.denominator) if k < len(self.numerators) else Fraction(0)
 
     def derivative(self) -> "Poly":
         return Poly.from_integers([i * x for i, x in enumerate(self.numerators)][1:], self.denominator)
@@ -259,7 +267,6 @@ def _normalise(poly: Poly, nums: list[int], den: int) -> None:
             nums, den = [x // g for x in nums], den // g
     object.__setattr__(poly, "numerators", tuple(nums))
     object.__setattr__(poly, "denominator", den)
-    object.__setattr__(poly, "_coeffs", None)
 
 
 def _as_poly(x) -> Poly:
@@ -460,8 +467,6 @@ class RationalFunction:
         return len(self.num) > 1 or len(self.den) > 1
 
     def __call__(self, n: int) -> Fraction:
-        if type(n) is not int:  # n over Q(n) (kstab.plan): the composition
-            return n.compose(self)
         return Fraction(_poly_at(self.num, n), _poly_at(self.den, n))
 
     def sign_at(self, n: int) -> int:

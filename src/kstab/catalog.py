@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .arith import PiecewisePoly, Poly, RationalFunction, is_integer, minimum, rat
+from .arith import PiecewisePoly, Poly, _Min, is_integer, minimum, rat
 from .blowup import BlowupResult, BlowupSpec, transform_config
 from .invariants import az_s_w, beta, delta_lower_bound, k_basis_bound, proportional_bound, s_invariant
 from .surface import (
@@ -48,112 +48,82 @@ class ParameterError(CatalogError):
 def eval_expr(expr, n: Optional[int] = None) -> Fraction:
     """Evaluate an exact rational expression: integers, n, + - * / ( ), min().
 
-    Each text is compiled once per process into a rational function of n (or
-    a tree of them where a min() stands in the way) and evaluated at n.  What
-    is wrong with a text whatever n is raises one CatalogError when the text
-    compiles, the same at every n: a syntax error, a constant zero divisor, a
+    Each text is parsed once per process into a tree whose parts without n are
+    folded to Fractions, and the tree is evaluated at rat(n) with n's own
+    arithmetic: Fractions at an integer n, numbers over Q(n) at kstab.plan's
+    symbolic n, where each divisor that uses n records its own guard.  What is
+    wrong with a text whatever n is raises one CatalogError when the text is
+    parsed, the same at every n: a syntax error, a constant zero divisor, a
     digit run that int() refuses, and nesting deeper than the interpreter
     allows.  Only parentheses, unary minus and min() nest: each run of + and -
-    (or of * and /) is folded in a loop, so evaluating nests no deeper than
-    compiling.  Only a missing n and a divisor that is zero at this n are
-    raised when evaluating; the compiled text lists its divisors in the order
-    they are evaluated.
+    (or of * and /) is evaluated in a loop, so evaluating nests no deeper than
+    parsing.  Only a missing n and a divisor that is zero at this n are raised
+    when evaluating.
     """
     if isinstance(expr, (int, Fraction)) and not isinstance(expr, bool):
         return rat(expr)
     text = str(expr)
     try:
-        return _compile(text).at(n)
+        tree = _compile(text)
+        if isinstance(tree, Fraction):
+            return tree
+        if n is None:
+            raise ParameterError(f"expression {text!r} needs the parameter n")
+        return _at(tree, rat(n))
     except RecursionError:
         raise CatalogError(f"expression {text!r} is nested too deeply") from None
+    except ZeroDivisionError:
+        raise CatalogError(f"division by zero in {text!r}") from None
 
 
 @functools.lru_cache(maxsize=1024)
-def _compile(text: str) -> "_Expr":
-    """Compile text to an ``_Expr``."""
-    return _Compiler(text).parse()
+def _compile(text: str):
+    """Parse text to its tree: a Fraction, _N, a _Chain or a _Min."""
+    return _Parser(text).parse()
 
 
-class _Min(NamedTuple):
-    """min(first, second) of two nodes that are not both constants."""
-
-    first: object
-    second: object
+_N = "n"  # the parameter, in a parse tree
 
 
 class _Chain(NamedTuple):
     """first op1 x1 op2 x2 ..., a run of + and - (or of * and /) evaluated left to
-    right in one loop; rest holds the (op, node) pairs after the first operand
-    that is no rational function."""
+    right in one loop; first is its longest prefix without n, folded, and rest holds
+    the (op, node) pairs after it."""
 
     first: object
     rest: tuple
 
 
-def _node_at(node, n: int) -> Fraction:
-    """A node's value at n: a RationalFunction, a _Min or a _Chain whose divisors are nonzero at n."""
-    if isinstance(node, RationalFunction):
-        return node(n)
+def _at(node, n):
+    """A parse tree's value at n."""
+    if isinstance(node, Fraction):
+        return node
+    if node is _N:
+        return n
     if isinstance(node, _Min):
-        return minimum(_node_at(node.first, n), _node_at(node.second, n))
-    value = _node_at(node.first, n)
+        return minimum(_at(node.first, n), _at(node.second, n))
+    value = _at(node.first, n)
     for op, x in node.rest:
-        value = op(value, _node_at(x, n))
+        value = op(value, _at(x, n))
     return value
 
 
-def _fold(first, rest):
-    """The node for first op1 x1 op2 x2 ... (rest holds the (op, x) pairs): its prefix of
-    rational functions folded into one, and a _Chain for what is left."""
-    i = 0
-    while i < len(rest) and isinstance(first, RationalFunction) and isinstance(rest[i][1], RationalFunction):
-        op, x = rest[i]
-        if op is operator.truediv and not x.num:  # a divisor that is zero at every n stays in the chain
-            break
-        first, i = op(first, x), i + 1
-    return first if i == len(rest) else _Chain(first, tuple(rest[i:]))
-
-
-class _Expr(NamedTuple):
-    """A compiled expression: its value (a node: a RationalFunction, _Min or _Chain),
-    the divisors that name n, in the order they are evaluated, and whether the
-    text names n at all."""
-
-    text: str
-    value: object
-    divisors: tuple
-    uses_n: bool
-
-    def at(self, n: Optional[int]) -> Fraction:
-        if not self.uses_n:
-            return self.value(0)
-        if n is None:
-            raise ParameterError(f"expression {self.text!r} needs the parameter n")
-        for d in self.divisors:  # each one's own divisors come first, so its value is defined
-            if not _node_at(d, n):
-                raise CatalogError(f"division by zero in {self.text!r}")
-        return _node_at(self.value, n)
-
-
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-_ZERO = RationalFunction()
 
 
-class _Compiler:
-    """Recursive descent over one expression, building rational functions instead of values."""
+class _Parser:
+    """Recursive descent over one expression, building its parse tree."""
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.names_n = 0  # how many times n has been read so far
-        self.divisors: list = []
 
-    def parse(self) -> _Expr:
+    def parse(self):
         node = self._expr()
         self._skip_ws()
         if self.pos != len(self.text):
             raise CatalogError(f"trailing input in expression {self.text!r}")
-        return _Expr(self.text, node, tuple(self.divisors), self.names_n > 0)
+        return node
 
     def _expr(self):
         return self._chain(self._term, "+-")
@@ -162,26 +132,26 @@ class _Compiler:
         return self._chain(self._factor, "*/")
 
     def _chain(self, operand, ops: str):
-        """Operands joined by the operators in ops, folded left to right in a loop,
-        so that a long sum or product nests no deeper than one of its operands."""
+        """Operands joined by the operators in ops, in one _Chain, so that a long sum or
+        product nests no deeper than one of its operands; a prefix without n is folded."""
         node, rest = operand(), []
         while (op := self._peek()) and op in ops:
             self.pos += 1
-            before = self.names_n
             rhs = operand()
-            if op == "/":
-                if self.names_n > before:
-                    self.divisors.append(rhs)
-                elif rhs == _ZERO:  # zero whatever n is
-                    raise CatalogError(f"division by zero in {self.text!r}")
-            rest.append((_OPS[op], rhs))
-        return _fold(node, rest)
+            if op == "/" and isinstance(rhs, Fraction) and not rhs:  # zero whatever n is
+                raise CatalogError(f"division by zero in {self.text!r}")
+            if not rest and isinstance(node, Fraction) and isinstance(rhs, Fraction):
+                node = _OPS[op](node, rhs)
+            else:
+                rest.append((_OPS[op], rhs))
+        return _Chain(node, tuple(rest)) if rest else node
 
     def _factor(self):
         ch = self._peek()
         if ch == "-":
             self.pos += 1
-            return _fold(_ZERO, [(operator.sub, self._factor())])
+            node = self._factor()
+            return -node if isinstance(node, Fraction) else _Chain(Fraction(0), ((operator.sub, node),))
         if ch == "(":
             self.pos += 1
             node = self._expr()
@@ -194,7 +164,7 @@ class _Compiler:
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
             try:
-                return RationalFunction((int(self.text[start : self.pos]),))
+                return Fraction(int(self.text[start : self.pos]))
             except ValueError as exc:  # a superscript, or more digits than int() reads
                 raise CatalogError(f"cannot parse expression {self.text!r} at position {start}: {exc}") from None
         if self.text.startswith("min(", self.pos):
@@ -207,14 +177,12 @@ class _Compiler:
             if self._peek() != ")":
                 raise CatalogError(f"unbalanced min() in {self.text!r}")
             self.pos += 1
-            if isinstance(first, RationalFunction) and isinstance(second, RationalFunction):
-                if not (first.uses_n() or second.uses_n()):  # two constants: min() picks second only if smaller
-                    return second if second(0) < first(0) else first
+            if isinstance(first, Fraction) and isinstance(second, Fraction):
+                return min(first, second)
             return _Min(first, second)
         if ch == "n":
             self.pos += 1
-            self.names_n += 1
-            return RationalFunction.variable()
+            return _N
         raise CatalogError(f"cannot parse expression {self.text!r} at position {self.pos}")
 
     def _peek(self) -> str:

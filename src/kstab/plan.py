@@ -38,8 +38,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .arith import PiecewisePoly, Poly, RationalFunction, _poly_at, _poly_mul, _rational_function, _trim, over_common_denominator, ratio
-from .catalog import Catalog, CheckItem, FamilyEntry, FamilyInstance, VerificationReport, _item, _Min, _node_at, _pointwise
+from .arith import PiecewisePoly, Poly, RationalFunction, _Min, _poly_at, _poly_mul, _rational_function, _trim, minimum
+from .arith import over_common_denominator, ratio
+from .catalog import Catalog, CheckItem, FamilyEntry, FamilyInstance, VerificationReport, _item, _pointwise
 from .catalog import _values, instantiate
 
 RF = RationalFunction
@@ -103,6 +104,11 @@ class _Served(NamedTuple):
         return _item(self.label, expected, computed, self.anchor)
 
 
+def _value_at(x, n: int) -> Fraction:
+    """A frozen value at n: a rational function, or a _Min of them taken with min() there."""
+    return minimum(_value_at(x.first, n), _value_at(x.second, n)) if isinstance(x, _Min) else x(n)
+
+
 def _profile_at(pieces: tuple, n: int) -> PiecewisePoly:
     """A volume profile's pieces (left, right, coefficients) of rational functions, at n."""
     return PiecewisePoly((left(n), right(n), Poly(c(n) for c in coeffs)) for left, right, coeffs in pieces)
@@ -124,7 +130,7 @@ def _served(label: str, expected, computed, anchor: str):
     if isinstance(expected, PiecewisePoly):
         expected, computed, value_at = _pieces(expected), _pieces(computed), _profile_at
     else:
-        expected, computed, value_at = _frozen(expected), _frozen(computed), _node_at
+        expected, computed, value_at = _frozen(expected), _frozen(computed), _value_at
         constants = [x if isinstance(x, bool) else x(0) for x in (expected, computed) if _constant(x)]
         if len(constants) == 2:
             return _item(label, *constants, anchor)
@@ -273,10 +279,6 @@ class Guarded(RationalFunction):
         """Whether the gcd of xs at n0 is 1, for ``arith.coprime``; kept as a condition."""
         return self.run.holds(_coprime_at, xs)
 
-    def compose(self, f: RF) -> "Guarded":
-        """f(self) for ``RationalFunction.__call__``, where self is the run's n: f itself."""
-        return _guarded(f, self.run)
-
     def isqrt(self) -> "Guarded":
         """The square root over Q(n), for ``arith.isqrt``; a ValueError where there is none."""
         root = _sqrt(self)
@@ -284,14 +286,14 @@ class Guarded(RationalFunction):
             raise ValueError(f"{self!r} has no square root over Q(n)")
         return _guarded(root, self.run)
 
-    def minimum(self, other):
-        """min(self, other), for ``arith.minimum``: the one min() takes at every n >= lo (other only
-        where it is smaller) where the coefficients show it, else a _Min node."""
-        x = _difference(_lift(other), self)
+    def minimum(self, a, b):
+        """min(a, b) for ``arith.minimum``, self one of them: the one min() takes at every n >= lo
+        (b only where it is smaller) where the coefficients show it, else a _Min node."""
+        x = _difference(_lift(b), _lift(a))
         signs = _possible_signs(x.num, x.den, self.run.lo)
         if -1 not in signs:
-            return self
-        return other if signs == NEG else _Min(self, other)
+            return a
+        return b if signs == NEG else _Min(a, b)
 
 
 # -- arithmetic over Q(n) --------------------------------------------------------------

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from kstab import catalog as catalog_module
 from kstab import plan
-from kstab.arith import RationalFunction
-from kstab.catalog import _CHECK_KINDS, Catalog, CatalogError, FamilyEntry, load_catalog, verify, verify_pointwise
+from kstab.arith import RationalFunction, _Min, minimum
+from kstab.catalog import _CHECK_KINDS, Catalog, CatalogError, FamilyEntry, eval_expr, load_catalog, verify, verify_pointwise
+from tests.test_catalog import _well_formed
 
 CATALOG = load_catalog()
 PARAMETRIC = [entry.family_id for entry in CATALOG.families if entry.parametric]
@@ -251,6 +252,48 @@ def test_a_divisor_that_uses_n_is_guarded_to_stay_nonzero():
     assert (1 / (n - 5)) * (n - 5) == 1 and (n + 1) // (2 * n - 6) != 0
     # n - 5 and 2n - 6 (kept as n - 3) may vanish; 1, 2 and the recorded n + 1 never do
     assert run.guards == {RationalFunction((-5, 1)): plan.NONZERO, RationalFunction((-3, 1)): plan.NONZERO}
+
+
+def _smooth_point_delta(text):
+    def mutate(data):
+        next(c for c in data["checks"] if c["name"] == "conic-pencil flag at a smooth point")["expect"]["delta"] = text
+
+    return mutate
+
+
+@pytest.mark.parametrize("text", ["min(4, min(3, 3*(n+2)/4))", "min(min(3, 3*(n+2)/4), 4)"])
+def test_a_min_nested_in_a_min_is_served_from_the_plan(text):
+    catalog = _fresh(2, _smooth_point_delta(text))
+    assert _sweep(catalog, 2, range(0, 41)) == {"plans built": 1, "n served": 40}
+    assert catalog.plans[2].guards == () and catalog.plans[2].conditions == ()
+
+
+def test_a_min_with_a_number_over_q_of_n_on_either_side_is_a_node_and_records_no_guard():
+    run = plan._Run(2, 0)
+    n = plan._guarded(RationalFunction.variable(), run)
+    three, x = Fraction(3), 3 * (n + 2) / 4  # 3(n+2)/4 - 3 changes sign at n = 2
+    for a, b in ((three, x), (x, three)):
+        node = minimum(a, b)
+        assert type(node) is _Min and node.first is a and node.second is b
+    assert run.guards == {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_well_formed, st.integers(0, 39))
+def test_an_expression_at_the_symbolic_n_takes_its_value_at_every_n_where_the_guards_hold(text, n0):
+    run = plan._Run(n0, 0)
+    try:
+        value = plan._frozen(eval_expr(text, plan._guarded(RationalFunction.variable(), run)))
+    except (ArithmeticError, TypeError, ValueError):  # arithmetic on a min() node, say
+        return
+    for m in range(0, 40):
+        if any(f.sign_at(m) not in signs for f, signs in run.guards.items()):
+            continue
+        try:
+            expected = eval_expr(text, m)
+        except CatalogError:
+            continue
+        assert plan._value_at(value, m) == expected, m
 
 
 def test_a_square_root_needs_a_square():
