@@ -10,8 +10,9 @@ where they are read.  All operations are pure and all values immutable.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -79,8 +80,10 @@ def over_common_denominator(values, den: int = 1) -> tuple[list, int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-class _Min(NamedTuple):
-    """min(first, second) where no one side is the smaller at every n, taken at each n."""
+@dataclass(frozen=True)
+class _Min:
+    """min(first, second) where no one side is the smaller at every n, taken at each n.  It is
+    no number and no sequence: arithmetic on it raises TypeError."""
 
     first: object
     second: object

@@ -603,13 +603,13 @@ class CheckItem:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "CheckItem":
-        return cls(
-            name=data["name"],
-            expected=data["expected"],
-            computed=data["computed"],
-            match=bool(data["match"]),
-            anchor=data["anchor"],
-        )
+        """The item a ``to_json_dict`` object describes; a CatalogError where a field is
+        missing or has another JSON type."""
+        _require(isinstance(data, dict), "check item", "an object")
+        for key in ("name", "expected", "computed", "anchor"):
+            _require(isinstance(data.get(key), str), f"check item {key}", "a string")
+        _require(isinstance(data.get("match"), bool), "check item match", "true or false")
+        return cls(data["name"], data["expected"], data["computed"], data["match"], data["anchor"])
 
 
 def _approx(text: str) -> Optional[str]:
@@ -649,11 +649,15 @@ class VerificationReport:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "VerificationReport":
-        return cls(
-            family_id=int(data["family"]),
-            n=data["n"] if data["n"] is None else int(data["n"]),
-            items=tuple(CheckItem.from_json_dict(i) for i in data["items"]),
+        """The report a ``to_json_dict`` object describes; a CatalogError where a field is
+        missing or has another JSON type."""
+        _require(isinstance(data, dict), "verification report", "an object")
+        _require(_is_int(data.get("family")), "verification report family", "an integer")
+        _require(
+            "n" in data and (data["n"] is None or _is_int(data["n"])), "verification report n", "an integer or null"
         )
+        _require(isinstance(data.get("items"), list), "verification report items", "a list")
+        return cls(data["family"], data["n"], tuple(CheckItem.from_json_dict(i) for i in data["items"]))
 
 
 def expected_invariants(

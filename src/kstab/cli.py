@@ -39,10 +39,18 @@ from .invariants import az_s_w, beta, delta_lower_bound, k_basis_bound, s_invari
 from .zariski import decompose_ray
 
 
+# each character that str.splitlines splits on, as its escape: an error message echoes names
+# from the input, and stays one line
+_LINE_BREAKS = {ord(c): ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 class _BadInput(click.ClickException):
     """Malformed catalog or fixture: a one-line message and exit code 2."""
 
     exit_code = 2
+
+    def __init__(self, message: str):
+        super().__init__(message.translate(_LINE_BREAKS))
 
 
 @click.group()
@@ -273,7 +281,7 @@ def cmd_analyze(input_path, fmt, output):
     except CatalogError as exc:
         raise _BadInput(str(exc))
     except (ValueError, KeyError) as exc:
-        click.echo(f"analysis failed: {exc}", err=True)
+        click.echo(f"analysis failed: {str(exc).translate(_LINE_BREAKS)}", err=True)
         sys.exit(1)
     _emit(_json(result) if fmt == "json" else _render_analysis(result), output)
     sys.exit(0)

@@ -20,8 +20,9 @@ whole family (every n >= min):
   it.
 
 A min() that the coefficients do not settle stays a node, to be taken at each
-n; computing with one raises.  The plan keeps each item's expected and
-computed values, as the symbolic run hands them to ``catalog._item``.
+n; computing with one raises TypeError, and the family then runs pointwise.
+The plan keeps each item's expected and computed values, as the symbolic run
+hands them to ``catalog._item``.
 
 At a later n, if every guard and condition holds, the item values are taken at
 n and compared by ``_item``; nothing else runs, ``instantiate`` included.  A

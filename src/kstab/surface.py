@@ -223,19 +223,13 @@ class CurveConfig:
         cls,
         basis: Sequence[str],
         gram: Sequence[Sequence[RationalLike]],
-        anticanonical: Sequence[RationalLike] | Mapping[str, RationalLike],
+        anticanonical: Sequence[RationalLike],
         singular_points: Iterable[SingularPointRecord] = (),
     ) -> "CurveConfig":
-        basis = tuple(basis)
         ints, den = over_common_denominator([rat(x) for row in gram for x in row])
         ints = iter(ints)
         rows = [[next(ints) for _ in row] for row in gram]
-        cfg_vec = (
-            tuple(rat(anticanonical.get(name, 0)) for name in basis)
-            if isinstance(anticanonical, Mapping)
-            else tuple(rat(x) for x in anticanonical)
-        )
-        return cls(basis, (den, rows), ClassVector(cfg_vec), tuple(singular_points))
+        return cls(tuple(basis), (den, rows), ClassVector(anticanonical), tuple(singular_points))
 
     @property
     def size(self) -> int:
@@ -349,20 +343,14 @@ class CurveConfig:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "CurveConfig":
-        points = []
-        for rec in data.get("singular_points", []):
-            sing = QuotientSingularity(
-                order=int(rec["order"]),
-                local_weights=tuple(int(w) for w in rec["weights"]),
-                label=rec.get("label", ""),
-            )
-            points.append(SingularPointRecord.make(sing, rec.get("multiplicities", {})))
-        return cls.make(
-            basis=data["basis"],
-            gram=data["gram"],
-            anticanonical=data["anticanonical"],
-            singular_points=points,
-        )
+        """The config that data, a ``to_json_dict`` object, describes.  It is read as
+        ``kstab.catalog`` reads an ``analyze`` fixture's config: the same JSON types,
+        catalog expressions, integer orders and coprime weights, and a one-line
+        CatalogError that names the field where data is malformed."""
+        from .catalog import load_fixture
+
+        config, _ = load_fixture("curve configuration", {"config": data})
+        return config
 
 
 def config_pairing(c: CurveConfig, v, w) -> Fraction:

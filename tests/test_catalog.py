@@ -339,6 +339,22 @@ def test_report_json_round_trip():
     assert VerificationReport.from_json_dict(doc) == report
 
 
+@pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        (lambda doc: doc.update(family=1.9), "verification report family must be an integer"),
+        (lambda doc: doc.update(n=2.7), "verification report n must be an integer or null"),
+        (lambda doc: doc["items"][0].update(match="false"), "check item match must be true or false"),
+    ],
+    ids=["float family", "float n", "text match"],
+)
+def test_report_json_of_another_type_is_refused(corrupt, named):
+    doc = verify(CATALOG, 1, 3).to_json_dict()
+    corrupt(doc)
+    with pytest.raises(CatalogError, match=named):
+        VerificationReport.from_json_dict(doc)
+
+
 def test_catalog_env_override(tmp_path, monkeypatch):
     doc = {
         "version": 1,

@@ -4,15 +4,16 @@ import hashlib
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kstab.catalog import VerificationReport
-from kstab.cli import _json, main
+from kstab.cli import _LINE_BREAKS, _json, main
 from tests._oracles import random_chain_config
 
 runner = CliRunner()
@@ -57,7 +58,7 @@ def test_verify_all_with_range_exits_zero():
 
 
 def test_verify_json_reports_round_trip():
-    result = invoke(["verify", "--family", "5", "--format", "json"])
+    result = invoke(["verify", "--all", "--format", "json"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     for raw in doc["reports"]:
@@ -273,6 +274,19 @@ def test_analyze_refuses_negatively_paired_curves(tmp_path, curves):
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("analysis failed: ") and "pairs negatively" in result.stderr
     assert all(name in result.stderr for name in curves.split(" and "))
+
+
+def test_error_lines_escape_every_line_break(tmp_path):
+    breaks = {chr(i) for i in range(sys.maxunicode + 1) if len(f"a{chr(i)}b".splitlines()) > 1}
+    assert set(map(chr, _LINE_BREAKS)) == breaks
+    fixture = json.loads(json.dumps(NEGATIVELY_PAIRED_FIXTURES["C0 and C1"]))
+    fixture["config"]["basis"][0] = "C\u20280"
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(fixture))
+    result = invoke(["analyze", "--input", str(path)])
+    assert result.exit_code == 1
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("analysis failed: ") and "C\\u20280" in result.stderr
 
 
 # the example fixture in the README's analyze section
@@ -683,6 +697,10 @@ def _catalog_with_deeply_nested_unary_minus(tmp_path):
     return _exported_catalog_with(tmp_path, corrupt)
 
 
+def _fixture_with_line_break_in_label(tmp_path):
+    return _readme_fixture_with(tmp_path, lambda doc: doc["blowups"][0]["center"].update(label="p\nz"))
+
+
 def _fixture_with_superscript_ample(tmp_path):
     return _readme_fixture_with(tmp_path, lambda doc: doc.update(ray={"curve": "E", "ample": {"E": "1\u00b2"}}))
 
@@ -738,6 +756,7 @@ NAMED_IN_ERROR = {
     "_fixture_in_latin_1": "fixture.json: not valid UTF-8",
     "_fixture_with_deeply_nested_gram": "fixture.json: config 'config' gram: expression '((((",
     "_catalog_with_deeply_nested_unary_minus": "family 1: config 'pencil' gram: expression '----",
+    "_fixture_with_line_break_in_label": "fixture.json: center p\\nz: 1/13(2,5) is not a recorded singular point",
     "_fixture_with_superscript_ample": "ray.ample: cannot parse expression '1\u00b2' at position 0",
     "_fixture_with_4301_digit_log_discrepancy": "log_discrepancy: cannot parse expression '1111",
     "_catalog_with_5000_digit_integer": "catalog.json is not valid JSON: Exceeds the limit (4300 digits)",
@@ -799,6 +818,7 @@ NAMED_IN_ERROR = {
         _analyze_output_in_a_missing_directory,
         _fixture_with_deeply_nested_gram,
         _catalog_with_deeply_nested_unary_minus,
+        _fixture_with_line_break_in_label,
         _fixture_with_superscript_ample,
         _fixture_with_4301_digit_log_discrepancy,
         _catalog_with_5000_digit_integer,
@@ -899,6 +919,7 @@ FIXTURE_FIELDS = list(_field_paths(FULL_FIXTURE, ()))[1:]
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(FIXTURE_FIELDS), _json_values)
+@example(path=("blowups", 0, "center", "label"), value="\x1e")  # a line break to str.splitlines
 def test_fuzzed_fixture_never_gives_a_traceback(tmp_path, path, value):
     doc = json.loads(json.dumps(FULL_FIXTURE))
     target = doc

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kstab import catalog as catalog_module
@@ -278,8 +278,19 @@ def test_a_min_with_a_number_over_q_of_n_on_either_side_is_a_node_and_records_no
     assert run.guards == {}
 
 
+def test_arithmetic_on_min_nodes_refuses_the_plan_and_every_n_runs_pointwise():
+    def corrupt(data):  # min(3, n) and min(n, 4) both stay nodes at the symbolic n, which cannot be added
+        next(c for c in data["checks"] if c["name"] == "anticanonical degree")["expect"] = "min(3,n)+min(n,4)"
+
+    catalog = _fresh(1, corrupt)
+    assert _sweep(catalog, 1, range(2, 13)) == {"plans refused": 1, "n fell back": 10}
+    mismatches = verify(catalog, 1, 5).mismatches
+    assert [(i.name, i.expected, i.computed) for i in mismatches] == [("anticanonical degree", "7", "8/5")]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_well_formed, st.integers(0, 39))
+@example(text="min(1,n)+min(n,0)", n0=0)  # two min() nodes added
 def test_an_expression_at_the_symbolic_n_takes_its_value_at_every_n_where_the_guards_hold(text, n0):
     run = plan._Run(n0, 0)
     try:

@@ -21,6 +21,7 @@ from kstab import (
     is_well_formed,
 )
 from kstab.arith import Poly
+from kstab.catalog import CatalogError, instantiate, load_catalog
 from kstab.surface import DimensionMismatchError, solve_linear_system
 from tests._oracles import (
     FractionPoly,
@@ -403,21 +404,52 @@ def test_quotient_singularity_validation():
         QuotientSingularity(5, (2, 4))  # gcd(2, 4) != 1
 
 
+P_Z = CurveConfig.make(
+    basis=["C_x"],
+    gram=[[F(1, 52)]],
+    anticanonical=[2],
+    singular_points=[SingularPointRecord.make(QuotientSingularity(13, (2, 5), "p_z"), {"C_x": 10})],
+)
+
+
 def test_config_json_round_trip():
-    config = CurveConfig.make(
-        basis=["C_x"],
-        gram=[[F(1, 52)]],
-        anticanonical=[2],
-        singular_points=[
-            SingularPointRecord.make(
-                QuotientSingularity(13, (2, 5), "p_z"), {"C_x": 10}
-            )
-        ],
-    )
-    round_tripped = CurveConfig.from_json_dict(config.to_json_dict())
-    assert round_tripped == config
+    round_tripped = CurveConfig.from_json_dict(P_Z.to_json_dict())
+    assert round_tripped == P_Z
     assert round_tripped.singular_point("p_z").multiplicity("C_x") == 10
     assert round_tripped.singular_point("p_z").multiplicity("other") == 0
+    # every stage of every catalog family, a parametric one at its minimum n and at 10^6
+    catalog = load_catalog()
+    for entry in catalog.families:
+        for n in (entry.minimum_n, 10**6) if entry.parametric else (None,):
+            for name, stage in instantiate(catalog, entry.family_id, n).stages.items():
+                assert CurveConfig.from_json_dict(stage.to_json_dict()) == stage, (entry.family_id, n, name)
+
+
+@pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        (lambda data: data.update(basis="LR"), "basis must be a list of curve names"),
+        (lambda data: data.pop("gram"), "gram must be a list of rows of expressions"),
+        (lambda data: data["singular_points"][0].update(order=13.9), "singular point order must be an expression"),
+        (lambda data: data["singular_points"][0].update(order=True), "singular point order must be an expression"),
+        (lambda data: data["singular_points"][0].update(weights=[2.7, 5]), "singular point weights must be two integers"),
+    ],
+    ids=["text basis", "no gram", "float order", "boolean order", "float weight"],
+)
+def test_config_json_is_read_by_the_catalog_rules(corrupt, named):
+    data = P_Z.to_json_dict()
+    corrupt(data)
+    with pytest.raises(CatalogError, match=named) as exc:
+        CurveConfig.from_json_dict(data)
+    assert len(str(exc.value).splitlines()) == 1
+
+
+def test_config_json_rationals_are_catalog_expressions():
+    data = P_Z.to_json_dict()
+    data["gram"] = [["1/(4*13)"]]
+    assert CurveConfig.from_json_dict(data) == P_Z
+    data["gram"] = [["(1+2)/3"]]
+    assert CurveConfig.from_json_dict(data).gram == ((1,),)
 
 
 @st.composite
