@@ -62,7 +62,7 @@ def gcd(*xs):
 
 def coprime(*xs) -> bool:
     """Whether math.gcd(*xs) == 1.  Where a number over Q(n) is among them, its own ``coprime``
-    answers, as at one n, and keeps the test as a condition of the other n."""
+    answers, as at one n, and keeps the test as a guard of the other n."""
     for x in xs:
         if isinstance(x, RationalFunction):
             return x.coprime(xs)
@@ -426,22 +426,22 @@ class RationalFunction:
     """An exact rational function p(n) / q(n) of one integer parameter n.
 
     p and q are int coefficient tuples, lowest degree first, with no trailing
-    zeros.  They are coprime as polynomials, the gcd of all their coefficients
-    is 1 and q's leading coefficient is positive, so each function has one
-    representation and ``==`` compares ints; zero is () over (1,).  Values at
-    an integer n are Fractions, one per evaluation.
+    zeros.  The constructor divides out their common factors, polynomial and
+    integer, and makes q's leading coefficient positive, so each function has
+    one representation and ``==`` compares ints; zero is () over (1,).  Values
+    at an integer n are Fractions, one per evaluation.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Iterable[int] = (), den: Iterable[int] = (1,), coprime: bool = False):
-        """num / den in normal form; coprime says that num and den are coprime as polynomials."""
+    def __init__(self, num: Iterable[int] = (), den: Iterable[int] = (1,)):
+        """num / den in normal form."""
         num, den = _trim(list(num)), _trim(list(den))
         if not den:
             raise ZeroDivisionError("rational function with a zero denominator")
         if not num:
             num, den = [], [1]
-        elif len(num) > 1 and len(den) > 1 and not coprime:
+        elif len(num) > 1 and len(den) > 1:
             g = _poly_gcd(num, den)
             if len(g) > 1:
                 num, den = _poly_div_exact(num, g), _poly_div_exact(den, g)
@@ -493,12 +493,8 @@ class RationalFunction:
             return self
         if not self.num:
             return other
-        if self.den == other.den == (1,):
-            return RationalFunction(_poly_add(self.num, other.num))
         return RationalFunction(
-            _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den)),
-            _poly_mul(self.den, other.den),
-            not (self.uses_n() and other.uses_n()),  # a constant changes no common factor
+            _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den)), _poly_mul(self.den, other.den)
         )
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
@@ -507,16 +503,12 @@ class RationalFunction:
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         if not (self.num and other.num):
             return _ZERO_FUNCTION
-        if self.den == other.den == (1,):  # a product of integer polynomials is one over 1
-            return _rational_function(_poly_mul(self.num, other.num), (1,))
-        coprime = not (self.uses_n() and other.uses_n())
-        return RationalFunction(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den), coprime)
+        return RationalFunction(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if not other.num:
             raise ZeroDivisionError("division by the zero rational function")
-        coprime = not (self.uses_n() and other.uses_n())
-        return RationalFunction(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num), coprime)
+        return RationalFunction(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num}, {self.den})"

@@ -279,16 +279,15 @@ def load_catalog(path: Optional[str | Path] = None) -> Catalog:
     except (ValueError, RecursionError) as exc:  # a huge integer or deep nesting too
         raise CatalogError(f"catalog at {source} is not valid JSON: {exc}") from exc
     malformed = f"catalog at {source} is malformed"
-    try:
-        catalog = Catalog(
-            version=int(doc["version"]),
-            families=tuple(FamilyEntry(int(f["id"]), f) for f in doc["families"]),
-            non_ke_quintuples=tuple(doc.get("non_ke_quintuples", [])),
-            source=source,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CatalogError(f"{malformed}: {type(exc).__name__}: {exc}") from exc
-    _require(_is_int(doc["version"]), f"{malformed}: version", "an integer")
+    _require(isinstance(doc, dict), f"{malformed}: the document", "an object")
+    _require(_is_int(doc.get("version")), f"{malformed}: version", "an integer")
+    families, rows = doc.get("families"), doc.get("non_ke_quintuples", [])
+    _require(
+        isinstance(families, list) and all(isinstance(f, dict) and _is_int(f.get("id")) for f in families),
+        f"{malformed}: families", "a list of objects with integer ids",
+    )
+    _require(isinstance(rows, list), f"{malformed}: non_ke_quintuples", "a list")
+    catalog = Catalog(doc["version"], tuple(FamilyEntry(f["id"], f) for f in families), tuple(rows), source)
     for row in catalog.non_ke_quintuples:
         _require(
             isinstance(row, dict) and isinstance(row.get("constraints", ""), str)
@@ -337,7 +336,6 @@ def _require(ok: bool, where: str, what: str) -> None:
 def _validate_family(where: str, data: Mapping) -> None:
     """Raise CatalogError unless a family's own fields have the JSON types that
     ``instantiate``, ``check_parameter`` and the table read."""
-    _require(_is_int(data["id"]), f"{where} id", "an integer")
     _require(_is_expr_list(data.get("weights")), f"{where} weights", "a list of expressions")
     _require(_is_expr(data.get("degree")), f"{where} degree", "an expression")
     _require(isinstance(data.get("ke"), str), f"{where} ke", "a string")
@@ -399,10 +397,6 @@ def _validate_structures(where: str, data: Mapping) -> None:
         bases.add(f"blowup:{spec['name']}")
 
 
-# the check fields whose values must be strings where present
-_CHECK_STRING_FIELDS = ("kind", "name", "config", "ray", "curve", "blowup", "point", "anchor")
-
-
 def _is_ray_expect(x, check) -> bool:
     """A ray expect: expressions keyed by ray scalar names, and optionally a
     volume profile, a list of pieces with expression ends and coefficients."""
@@ -420,27 +414,23 @@ def _is_keyed_exprs(x, keys, but=None) -> bool:
 
 def _validate_checks(where: str, entry: FamilyEntry) -> None:
     """Raise CatalogError unless every check is an object of a known kind
-    whose fields have the JSON types its entry in ``_CHECK_KINDS`` reads."""
+    that has each field its entry in ``_CHECK_KINDS`` requires, and every
+    field that entry names has the JSON shape its items read."""
     checks = entry.data.get("checks", [])
     _require(isinstance(checks, list), f"{where}: checks", "a list")
     for check in checks:
         if not isinstance(check, dict):
             raise CatalogError(f"{where}: check {check!r} is not an object")
         name = f"{where} check {check.get('name')!r}"
-        for field in _CHECK_STRING_FIELDS:
-            _require(isinstance(check.get(field, ""), str), f"{name}: {field}", "a string")
-        kind = _CHECK_KINDS.get(check.get("kind"))
+        kind = check.get("kind")
+        kind = _CHECK_KINDS.get(kind) if isinstance(kind, str) else None
         if kind is None:
             raise CatalogError(f"{name}: unknown check kind {check.get('kind')!r}")
-        for field in kind.vectors:
-            _require(_is_expr_map(check.get(field, {})), f"{name}: {field}", "an object of expressions")
-        _require(_is_name_list(check.get("subset", [])), f"{name}: subset", "a list of curve names")
-        params = check.get("params", {})
-        _require(isinstance(params, dict), f"{name}: params", "an object")
-        for param, vec in params.items():
-            _require(_is_expr_map(vec), f"{name}: params.{param}", "an object of expressions")
-        is_expect, expect = kind.expect
-        _require(is_expect(check.get("expect"), check), f"{name}: expect", expect)
+        expect = check.get("expect")
+        keys = expect if isinstance(expect, dict) else {}
+        for field, (fits, what, required) in {**_CHECK_FIELDS, **kind.fields}.items():
+            if field in check or required is True or required in keys:
+                _require(fits(check.get(field), check), f"{name}: {field}", what)
 
 
 # -- instantiation -------------------------------------------------------------
@@ -677,7 +667,7 @@ def verify(catalog: Catalog, family_id: int, n: Optional[int] = None) -> Verific
     """Recompute every expected invariant through the pipeline and compare.
 
     A parametric family's reports come from one plan over Q(n) per loaded
-    catalog (``kstab.plan``) wherever its guards and conditions hold at n;
+    catalog (``kstab.plan``) wherever its guards hold at n;
     such an n runs no ``instantiate``.  Everywhere else, and for the fixed
     families, ``verify_pointwise`` runs the pipeline at n.  Both give the
     same report, or raise the same error.
@@ -744,9 +734,9 @@ def ample_class(
     return config.vector({k: _located(at, eval_expr, v, n) for k, v in ample.items()})
 
 
-def _get_ray(instance: FamilyInstance, check: Mapping, rays: dict) -> RayDecomposition:
-    """The check's ray, decomposed once per (config, curve, ample) in rays."""
-    curve, ample = check.get("ray") or check.get("curve"), check.get("ample")
+def _get_ray(instance: FamilyInstance, check: Mapping, rays: dict, curve: str) -> RayDecomposition:
+    """The check's ray towards curve, decomposed once per (config, curve, ample) in rays."""
+    ample = check.get("ample")
     key = (check["config"], curve, None if ample is None else tuple(sorted(ample.items())))
     if key not in rays:
         config = instance.config(check["config"])
@@ -800,7 +790,7 @@ def _once(compute):
 
 def _ray_items(instance, check, rays):
     n, name, expect = instance.n, check["name"], check["expect"]
-    ray = _once(functools.partial(_get_ray, instance, check, rays))
+    ray = _once(functools.partial(_get_ray, instance, check, rays, check["ray"]))
     for key, scalar in _RAY_SCALARS.items():
         if key in expect:
             yield f"{name}: {key}", eval_expr(expect[key], n), functools.partial(scalar, ray, check, n)
@@ -818,7 +808,7 @@ _FLAG_SCALARS = ("s_w", "delta")
 
 def _flag_items(instance, check, rays):
     n, name, expect = instance.n, check["name"], check["expect"]
-    ray = _once(functools.partial(_get_ray, instance, check, rays))
+    ray = _once(functools.partial(_get_ray, instance, check, rays, check["curve"]))
 
     @_once
     def s_w():
@@ -855,39 +845,64 @@ class _Kind(NamedTuple):
     several items share (a ray, a flag's s_w, an identity's pair_with) runs
     once per check."""
 
-    vectors: tuple[str, ...]  # the fields that hold objects of expressions
-    expect: tuple  # (predicate(expect, check), what it must be) for the JSON value of expect
+    fields: dict  # field -> its shape, (fits(value, check), what the value must be, required)
     items: Callable
 
 
-_EXPRESSION = (lambda x, check: _is_expr(x), "an expression")
-_BOOLEAN = (lambda x, check: isinstance(x, bool), "true or false")
+# a required field's shape; required is True, False where the field is optional, or the
+# expect key whose item reads the field
+_STRING = (lambda x, check: isinstance(x, str), "a string", True)
+_EXPRESSION = (lambda x, check: _is_expr(x), "an expression", True)
+_BOOLEAN = (lambda x, check: isinstance(x, bool), "true or false", True)
+_CLASS = (lambda x, check: _is_expr_map(x), "an object of expressions", True)
+_CURVES = (lambda x, check: _is_name_list(x), "a list of curve names", True)
+_PARAMS = (lambda x, check: isinstance(x, dict) and all(map(_is_expr_map, x.values())), "an object of classes", True)
 _RAY_EXPECT = (
     _is_ray_expect,
     f"an object of expressions keyed by {', '.join(_RAY_SCALARS)}, with an optional volume (a list of pieces)",
+    True,
 )
 _FLAG_EXPECT = (
     lambda x, check: _is_keyed_exprs(x, _FLAG_SCALARS),
     f"an object of expressions keyed by {', '.join(_FLAG_SCALARS)}",
+    True,
 )
 _IDENTITY_EXPECT = (
     lambda x, check: _is_keyed_exprs(x, {"const", *check.get("params", {})}),
     "an object of expressions keyed by const and the names in params",
+    True,
 )
 
+
+def _optional(shape: tuple, unless=False) -> tuple:
+    """shape for a field a check may leave out, unless its expect has the key unless."""
+    return shape[:2] + (unless,)
+
+
+_CHECK_FIELDS = {"name": _STRING, "anchor": _optional(_STRING)}  # the fields of every kind
 _CHECK_KINDS = {
-    "ambient": _Kind((), _EXPRESSION, _one_item(_ambient)),
-    "pairing": _Kind(("v", "w"), _EXPRESSION, _one_item(_pairing)),
-    "negdef": _Kind((), _BOOLEAN, _one_item(_negdef, expected=lambda check, n: check["expect"])),
-    "log_discrepancy": _Kind((), _EXPRESSION, _one_item(
+    "ambient": _Kind({"m": _EXPRESSION, "k": _EXPRESSION, "expect": _EXPRESSION}, _one_item(_ambient)),
+    "pairing": _Kind({"config": _STRING, "v": _CLASS, "w": _CLASS, "expect": _EXPRESSION}, _one_item(_pairing)),
+    "negdef": _Kind({"config": _STRING, "subset": _CURVES, "expect": _BOOLEAN}, _one_item(
+        _negdef, expected=lambda check, n: check["expect"]
+    )),
+    "log_discrepancy": _Kind({"blowup": _STRING, "expect": _EXPRESSION}, _one_item(
         lambda instance, check: instance.blowups[check["blowup"]].log_discrepancy_e
     )),
-    "proportional": _Kind((), _EXPRESSION, _one_item(
+    "proportional": _Kind({"mu": _EXPRESSION, "expect": _EXPRESSION}, _one_item(
         lambda instance, check: proportional_bound(eval_expr(check["mu"], instance.n))
     )),
-    "ray": _Kind(("ample",), _RAY_EXPECT, _ray_items),
-    "flag": _Kind(("ample", "mults"), _FLAG_EXPECT, _flag_items),
-    "identity": _Kind(("base", "pair_with"), _IDENTITY_EXPECT, _identity_items),
+    "ray": _Kind({
+        "config": _STRING, "ray": _STRING, "ample": _optional(_CLASS), "expect": _RAY_EXPECT,
+        "a_value": _optional(_EXPRESSION, unless="beta"),
+    }, _ray_items),
+    "flag": _Kind({
+        "config": _STRING, "curve": _STRING, "ample": _optional(_CLASS), "mults": _optional(_CLASS),
+        "point": _optional(_STRING), "expect": _FLAG_EXPECT, "a_value": _optional(_EXPRESSION, unless="delta"),
+    }, _flag_items),
+    "identity": _Kind({
+        "config": _STRING, "base": _CLASS, "pair_with": _CLASS, "params": _optional(_PARAMS), "expect": _IDENTITY_EXPECT,
+    }, _identity_items),
 }
 
 

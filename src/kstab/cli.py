@@ -142,11 +142,12 @@ def _render_reports(reports: list[VerificationReport], fmt: str) -> str:
     for r in reports:
         tag = f"family {r.family_id}" + ("" if r.n is None else f", n = {r.n}")
         lines.append(f"== {tag} ==")
-        width = max((len(item.name) for item in r.items), default=0)
-        for item in r.items:
+        names = [item.name.translate(_LINE_BREAKS) for item in r.items]
+        width = max(map(len, names), default=0)
+        for name, item in zip(names, r.items):
             status = "ok " if item.match else "FAIL"
             lines.append(
-                f"  [{status}] {item.name.ljust(width)}  "
+                f"  [{status}] {name.ljust(width)}  "
                 f"expected {_pretty(item.expected)}  computed {_pretty(item.computed)}"
             )
         lines.append(f"  overall: {'PASS' if r.overall else 'FAIL'}")
@@ -198,7 +199,8 @@ def cmd_verify(family, all_families, n_text, fmt, output, catalog_path):
     bad = [(r, item) for r in reports for item in r.mismatches]
     for r, item in bad:
         tag = f"family {r.family_id}" + ("" if r.n is None else f", n = {r.n}")
-        click.echo(f"MISMATCH [{tag}] {item.name}: expected {item.expected}, computed {item.computed}", err=True)
+        name = item.name.translate(_LINE_BREAKS)
+        click.echo(f"MISMATCH [{tag}] {name}: expected {item.expected}, computed {item.computed}", err=True)
     sys.exit(1 if bad else 0)
 
 
@@ -299,10 +301,10 @@ def _analyze(where: str, doc) -> dict:
     ray, point, log_discrepancy = doc.get("ray"), doc.get("point"), doc.get("log_discrepancy")
     _require(ray is None or isinstance(ray, dict), f"{where}: ray", "an object")
     _require(point is None or isinstance(point, dict), f"{where}: point", "an object")
-    if not ray:
+    if ray is None:
         return results
     curve = ray.get("curve")
-    mults = point.get("multiplicities", {}) if point else {}
+    mults = {} if point is None else point.get("multiplicities", {})
     _require(curve in config.basis, f"{where}: ray.curve {curve!r}", "a basis curve")
     for field, vec in (("ray.ample", ray.get("ample", {})), ("point.multiplicities", mults)):
         _require(
@@ -310,7 +312,7 @@ def _analyze(where: str, doc) -> dict:
             f"{where}: {field}", "an object of expressions over basis curves",
         )
     _require(log_discrepancy is None or _is_expr(log_discrepancy), f"{where}: log_discrepancy", "an expression")
-    if point:
+    if point is not None:
         _require(_is_expr(point.get("a_value")), f"{where}: point.a_value", "an expression")
         _require(isinstance(point.get("label", ""), str), f"{where}: point.label", "a string")
         a_value = _located(f"{where}: point.a_value", eval_expr, point["a_value"])
@@ -325,7 +327,7 @@ def _analyze(where: str, doc) -> dict:
     ray_out["volume_display"] = rd.volume.format()
     if log_discrepancy is not None:
         ray_out["beta"] = str(beta(rd, log_discrepancy))
-    if point:
+    if point is not None:
         s_w = az_s_w(rd, curve, mults)
         report = delta_lower_bound(s_invariant(rd), a_value, s_w, point.get("label", ""))
         ray_out["s_w"] = str(s_w)

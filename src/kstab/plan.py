@@ -5,31 +5,31 @@ first n it is asked for, n0.  The pipeline runs at n0, and that is the report
 returned; then the same code runs once more at a symbolic n, ``instantiate``
 included.  There every number is a ``Guarded``, a rational function of n that
 the pipeline computes with as with ints and Fractions.  Each test it makes on
-one answers as at n0 and is kept for the other n, unless it is settled for the
-whole family (every n >= min):
+one answers as at n0 and is kept as a guard, the test and the answers it may
+give at another n, unless it is settled for the whole family (every n >= min):
 
 - a comparison (definiteness, each step of a chamber walk, a positive weight)
-  and every divisor that uses n becomes a guard, a rational function whose sign
-  must stay in a set; the coefficients of p(min + m) and q(min + m), m >= 0,
-  settle some, and a denominator they show positive is divided out;
-- an integrality test (``arith.is_integer``, as ``_eval_int`` makes it) and a
+  or a divisor that uses n gives ``RationalFunction.sign_at`` of a rational
+  function, whose sign must stay in a set; the coefficients of p(min + m) and
+  q(min + m), m >= 0, settle some, and a denominator they show positive is
+  divided out;
+- an integrality test (``arith.is_integer``, as ``_eval_int`` makes it) or a
   coprimality test (``arith.coprime``: well-formedness, a quotient point, a
-  blow-up's weights) becomes a condition, an integer test to answer the same
-  at n; where the arguments are integer polynomials over one constant c (or
-  with one among them), the answer depends on n mod c, and one period settles
-  it.
+  blow-up's weights) gives an integer test that must answer as at n0; where
+  the arguments are integer polynomials over one constant c (or with one
+  among them), the answer depends on n mod c, and one period settles it.
 
 A min() that the coefficients do not settle stays a node, to be taken at each
 n; computing with one raises TypeError, and the family then runs pointwise.
 The plan keeps each item's expected and computed values, as the symbolic run
-hands them to ``catalog._item``.
+hands them to ``catalog._item``, in one frozen form that ``_at`` takes at n.
 
-At a later n, if every guard and condition holds, the item values are taken at
-n and compared by ``_item``; nothing else runs, ``instantiate`` included.  A
-failed guard or condition, or a symbolic run that raised (a square root that
-is no rational function of n, say), sends n through the pointwise pipeline,
-the oracle, which then gives the report or raises its own error.  Each n is
-checked on its own: nothing here is a proof for all n.
+At a later n, if every guard holds, the item values are taken at n and
+compared by ``_item``; nothing else runs, ``instantiate`` included.  A failed
+guard, or a symbolic run that raised (a square root that is no rational
+function of n, say), sends n through the pointwise pipeline, the oracle, which
+then gives the report or raises its own error.  Each n is checked on its own:
+nothing here is a proof for all n.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ SIGNS = frozenset({-1, 0, 1})
 
 def planned_report(catalog: Catalog, entry: FamilyEntry, n: int) -> Optional[VerificationReport]:
     """The report at n (which ``check_parameter`` accepted) from the family's plan, built on
-    first use; None where a guard or condition fails or no plan could be built, and the
-    pointwise pipeline must run instead.  catalog.plan_counts counts the plans built and
-    refused and the n served and sent back."""
+    first use; None where a guard fails or no plan could be built, and the pointwise pipeline
+    must run instead.  catalog.plan_counts counts the plans built and refused and the n served
+    and sent back."""
     family_id, counts = entry.family_id, catalog.plan_counts
     if family_id not in catalog.plans:
         instance = instantiate(catalog, family_id, n)
@@ -77,42 +77,40 @@ def planned_report(catalog: Catalog, entry: FamilyEntry, n: int) -> Optional[Ver
 
 class _Plan(NamedTuple):
     family_id: int
-    guards: tuple  # (RationalFunction, allowed signs)
-    conditions: tuple  # ((test, arguments), its answer): an integrality or coprimality test
+    guards: tuple  # ((test, arguments), the answers test(arguments, n) may give at a served n)
     items: tuple  # a CheckItem where it is the same at every n, else a _Served
 
     def report(self, n: int) -> Optional[VerificationReport]:
-        if any(f.sign_at(n) not in signs for f, signs in self.guards):
-            return None
-        if any(test(args, n) is not answer for (test, args), answer in self.conditions):
+        if any(test(args, n) not in answers for (test, args), answers in self.guards):
             return None
         items = tuple(item if isinstance(item, CheckItem) else item.at(n) for item in self.items)
         return VerificationReport(self.family_id, n, items)
 
 
 class _Served(NamedTuple):
-    """An item whose values change with n, taken at n by value_at; computed is None where it is expected."""
+    """An item whose frozen values change with n; computed is None where it is expected."""
 
     label: str
     anchor: str
     expected: object
     computed: object
-    value_at: object
 
     def at(self, n: int) -> CheckItem:
-        expected = self.value_at(self.expected, n)
-        computed = expected if self.computed is None else self.value_at(self.computed, n)
+        expected = _at(self.expected, n)
+        computed = expected if self.computed is None else _at(self.computed, n)
         return _item(self.label, expected, computed, self.anchor)
 
 
-def _value_at(x, n: int) -> Fraction:
-    """A frozen value at n: a rational function, or a _Min of them taken with min() there."""
-    return minimum(_value_at(x.first, n), _value_at(x.second, n)) if isinstance(x, _Min) else x(n)
-
-
-def _profile_at(pieces: tuple, n: int) -> PiecewisePoly:
-    """A volume profile's pieces (left, right, coefficients) of rational functions, at n."""
-    return PiecewisePoly((left(n), right(n), Poly(c(n) for c in coeffs)) for left, right, coeffs in pieces)
+def _at(x, n: int):
+    """A frozen value at n: a rational function's Fraction, a _Min taken with min(), a bool as it
+    is, or a volume profile's pieces as a PiecewisePoly."""
+    if isinstance(x, RF):
+        return x(n)
+    if isinstance(x, _Min):
+        return minimum(_at(x.first, n), _at(x.second, n))
+    if isinstance(x, bool):
+        return x
+    return PiecewisePoly((left(n), right(n), Poly(c(n) for c in coeffs)) for left, right, coeffs in x)
 
 
 # -- building ----------------------------------------------------------------------
@@ -123,50 +121,41 @@ def _build(catalog: Catalog, instance: FamilyInstance) -> _Plan:
     run = _Run(instance.n, instance.entry.minimum_n)
     symbolic = instantiate(catalog, instance.entry.family_id, _guarded(RF.variable(), run))
     items = tuple(_served(*values) for values in _values(symbolic))
-    return _Plan(instance.entry.family_id, tuple(run.guards.items()), tuple(run.conditions.items()), items)
+    return _Plan(instance.entry.family_id, tuple(run.guards.items()), items)
 
 
 def _served(label: str, expected, computed, anchor: str):
     """A plan item from the values the symbolic run hands ``_item``: a CheckItem where neither uses n."""
-    if isinstance(expected, PiecewisePoly):
-        expected, computed, value_at = _pieces(expected), _pieces(computed), _profile_at
-    else:
-        expected, computed, value_at = _frozen(expected), _frozen(computed), _value_at
-        constants = [x if isinstance(x, bool) else x(0) for x in (expected, computed) if _constant(x)]
-        if len(constants) == 2:
-            return _item(label, *constants, anchor)
-    return _Served(label, anchor, expected, None if expected == computed else computed, value_at)
+    expected, computed = _frozen(expected), _frozen(computed)
+    if all(isinstance(x, bool) or isinstance(x, RF) and not x.uses_n() for x in (expected, computed)):
+        return _item(label, _at(expected, 0), _at(computed, 0), anchor)
+    return _Served(label, anchor, expected, None if expected == computed else computed)
 
 
 def _frozen(x):
-    """A value of the symbolic run as the plan keeps it: a bool, or a RationalFunction that is no
-    Guarded (holds no run), or a _Min of them."""
-    if isinstance(x, (bool, _Min)):
-        return x if isinstance(x, bool) else _Min(_frozen(x.first), _frozen(x.second))
+    """A value of the symbolic run as the plan keeps it: a bool, a RationalFunction that holds no
+    run, a _Min of them, or a volume profile's (left, right, coefficients) pieces of them."""
+    if isinstance(x, bool):
+        return x
+    if isinstance(x, _Min):
+        return _Min(_frozen(x.first), _frozen(x.second))
+    if isinstance(x, PiecewisePoly):
+        return tuple(
+            (_frozen(left), _frozen(right), tuple(_frozen(ratio(c, poly.denominator)) for c in poly.numerators))
+            for left, right, poly in x.pieces
+        )
     x = _lift(x)
     return _rational_function(x.num, x.den) if type(x) is Guarded else x
 
 
-def _constant(x) -> bool:
-    return isinstance(x, bool) or isinstance(x, RF) and not x.uses_n()
-
-
-def _pieces(profile: PiecewisePoly) -> tuple:
-    """A volume profile over Q(n) as frozen (left, right, coefficients) pieces."""
-    return tuple(
-        (_frozen(left), _frozen(right), tuple(_frozen(ratio(x, poly.denominator)) for x in poly.numerators))
-        for left, right, poly in profile.pieces
-    )
-
-
 class _Run:
-    """The decisions of one symbolic run: each answers as at n0, and is a guard or a condition
-    unless it is settled for every n >= lo."""
+    """The decisions of one symbolic run: each answers as at n0 and is kept as a guard, a test and
+    the answers it may give at a served n (a sign from ``test``, an integer test's answer at n0
+    from ``holds``), unless it is settled for every n >= lo."""
 
     def __init__(self, n0: int, lo: int):
         self.n0, self.lo = n0, lo
-        self.guards: dict = {}  # RationalFunction -> allowed signs
-        self.conditions: dict = {}  # (test, arguments) -> its answer at n0
+        self.guards: dict = {}  # (test, arguments) -> the answers it may give
         self.results: dict = {}  # (op, operands' numerators and denominators) -> op's result
 
     def apply(self, op, a: RF, b: RF) -> "Guarded":
@@ -183,21 +172,22 @@ class _Run:
         if x.uses_n():
             signs = signs if ok else SIGNS - signs
             if not _possible_signs(x.num, x.den, self.lo) <= signs:
-                key = _rational_function(x.num, x.den)
+                f = _rational_function(x.num, x.den)
                 if _poly_signs(x.den, self.lo) == POS:  # one guard per numerator, up to a constant factor
                     c = math.gcd(*x.num) * (1 if x.num[-1] > 0 else -1)
-                    key = _rational_function([a // c for a in x.num], (1,))
+                    f = _rational_function([a // c for a in x.num], (1,))
                     signs = signs if c > 0 else frozenset(-s for s in signs)
+                key = RF.sign_at, f
                 self.guards[key] = self.guards.get(key, SIGNS) & signs
         return ok
 
     def holds(self, test, xs: tuple) -> bool:
-        """test(arguments, n0) for ``_is_integer_at`` or ``_coprime_at``; a condition to give the same
+        """test(arguments, n0) for ``_is_integer_at`` or ``_coprime_at``; a guard to give the same
         answer at every n, unless one period of the arguments' residues settles it for n >= lo."""
         args = tuple(map(_frozen, xs))
         answer = test(args, self.n0)
         if _possible_answers(test, args, self.lo) != {answer}:
-            self.conditions[test, args] = answer
+            self.guards[test, args] = frozenset({answer})
         return answer
 
 
@@ -273,11 +263,11 @@ class Guarded(RationalFunction):
         return self.run.test(self, NONZERO)
 
     def is_integer(self) -> bool:
-        """Whether the value at n0 is an integer, for ``arith.is_integer``; kept as a condition."""
+        """Whether the value at n0 is an integer, for ``arith.is_integer``; kept as a guard."""
         return self.run.holds(_is_integer_at, (self,))
 
     def coprime(self, xs: tuple) -> bool:
-        """Whether the gcd of xs at n0 is 1, for ``arith.coprime``; kept as a condition."""
+        """Whether the gcd of xs at n0 is 1, for ``arith.coprime``; kept as a guard."""
         return self.run.holds(_coprime_at, xs)
 
     def isqrt(self) -> "Guarded":

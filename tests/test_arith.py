@@ -370,3 +370,4 @@ def test_rational_functions_agree_with_their_values(p, q, r, s, n):
     if y.num:
         assert (x * y) / y == x
     assert RationalFunction(tuple(2 * c for c in x.num), tuple(2 * c for c in x.den)) == x
+    assert all(RationalFunction(z.num, z.den) == z for z in (x + y, x - y, x * y, x / y if y.num else x))

@@ -605,6 +605,29 @@ def _catalog_with_check_field(kind, field, value, family_id=1, label=None):
     return make_args
 
 
+def _catalog_without_check_field(kind, field, family_id=3):
+    """Arguments for a catalog whose first check of kind in family family_id has no field."""
+
+    def make_args(tmp_path):
+        def corrupt(family):
+            del next(c for c in family["checks"] if c["kind"] == kind)[field]
+
+        return _exported_catalog_with(tmp_path, corrupt, family_id)
+
+    make_args.__name__ = f"_catalog_with_{kind}_without_{field}"
+    return make_args
+
+
+def _catalog_with_top_level_field(field, value, label):
+    """Arguments for verify --all against an exported catalog whose top-level field is value."""
+
+    def make_args(tmp_path):
+        return ["verify", "--all", "--catalog", _exported_catalog(tmp_path, lambda doc: doc.update({field: value}))]
+
+    make_args.__name__ = f"_catalog_with_{label}"
+    return make_args
+
+
 def _catalog_with_zero_denominator_in_config(tmp_path):
     def corrupt(family):
         family["configs"]["lr"]["gram"][0][1] = family["configs"]["lr"]["gram"][1][0] = "1/0"
@@ -685,6 +708,14 @@ def _fixture_in_latin_1(tmp_path):
     return ["analyze", "--input", str(path)]
 
 
+def _fixture_with_empty_ray(tmp_path):
+    return _readme_fixture_with(tmp_path, lambda doc: doc.update(ray={}))
+
+
+def _fixture_with_empty_point(tmp_path):
+    return _readme_fixture_with(tmp_path, lambda doc: doc.update(point={}))
+
+
 def _fixture_with_deeply_nested_gram(tmp_path):
     deep = "(" * 3000 + "1/52" + ")" * 3000
     return _readme_fixture_with(tmp_path, lambda doc: doc["config"].update(gram=[[deep]]))
@@ -745,7 +776,25 @@ NAMED_IN_ERROR = {
     "_catalog_with_n_in_fixed_family_config": "family 3: config 'lr' gram: expression 'n' needs the parameter n",
     "_catalog_with_n_in_fixed_family_weights": "family 3 weights: expression 'n' needs the parameter n",
     "_catalog_with_repeated_family_id": "family 3 id must be unique",
-    "_catalog_with_float_family_id": "family 3 id must be an integer",
+    "_catalog_with_float_family_id": "catalog.json is malformed: families must be a list of objects with integer ids",
+    "_catalog_without_families": "catalog.json is malformed: families must be a list of objects with integer ids",
+    "_catalog_with_object_families": "catalog.json is malformed: families must be a list of objects with integer ids",
+    "_catalog_with_text_families": "catalog.json is malformed: families must be a list of objects with integer ids",
+    "_catalog_with_text_version": "catalog.json is malformed: version must be an integer",
+    "_catalog_with_text_non_ke_quintuples": "catalog.json is malformed: non_ke_quintuples must be a list",
+    "_catalog_with_ambient_without_m": "check 'anticanonical degree': m must be an expression",
+    "_catalog_with_ambient_m_bool": "check 'anticanonical degree': m must be an expression",
+    "_catalog_with_pairing_without_v": ": v must be an object of expressions",
+    "_catalog_with_negdef_without_subset": ": subset must be a list of curve names",
+    "_catalog_with_log_discrepancy_without_blowup": ": blowup must be a string",
+    "_catalog_with_proportional_without_mu": ": mu must be an expression",
+    "_catalog_with_ray_without_ray": ": ray must be a string",
+    "_catalog_with_ray_without_a_value": ": a_value must be an expression",
+    "_catalog_with_flag_without_curve": ": curve must be a string",
+    "_catalog_with_flag_without_a_value": ": a_value must be an expression",
+    "_catalog_with_identity_without_pair_with": ": pair_with must be an object of expressions",
+    "_fixture_with_empty_ray": "fixture.json: ray.curve None must be a basis curve",
+    "_fixture_with_empty_point": "fixture.json: point.a_value must be an expression",
     "_catalog_with_boolean_version": "version must be an integer",
     "_catalog_without_ke": "family 3 ke must be a string",
     "_catalog_with_text_parameter_min": "family 1 parameter must be an object with an integer min",
@@ -800,6 +849,21 @@ NAMED_IN_ERROR = {
         _catalog_with_check_field("flag", "expect", {"s_W": "1"}, family_id=2, label="misspelt"),
         _catalog_with_check_field("flag", "expect", {"s_w": "1", "volume": []}, family_id=2, label="volume"),
         _catalog_with_check_field("identity", "expect", {"const": "0", "x": "1"}, family_id=3, label="x"),
+        _catalog_without_check_field("ambient", "m"),
+        _catalog_with_check_field("ambient", "m", True, family_id=3),
+        _catalog_without_check_field("pairing", "v"),
+        _catalog_without_check_field("negdef", "subset"),
+        _catalog_without_check_field("log_discrepancy", "blowup"),
+        _catalog_without_check_field("proportional", "mu"),
+        _catalog_without_check_field("ray", "ray"),
+        _catalog_without_check_field("ray", "a_value", family_id=1),
+        _catalog_without_check_field("flag", "curve", family_id=2),
+        _catalog_without_check_field("flag", "a_value", family_id=2),
+        _catalog_without_check_field("identity", "pair_with"),
+        _catalog_with_top_level_field("families", {}, "object_families"),
+        _catalog_with_top_level_field("families", "", "text_families"),
+        _catalog_with_top_level_field("version", "x", "text_version"),
+        _catalog_with_top_level_field("non_ke_quintuples", "", "text_non_ke_quintuples"),
         _catalog_with_zero_denominator_in_config,
         _catalog_with_zero_denominator_in_blowup,
         _catalog_with_n_in_fixed_family_config,
@@ -819,6 +883,8 @@ NAMED_IN_ERROR = {
         _fixture_with_deeply_nested_gram,
         _catalog_with_deeply_nested_unary_minus,
         _fixture_with_line_break_in_label,
+        _fixture_with_empty_ray,
+        _fixture_with_empty_point,
         _fixture_with_superscript_ample,
         _fixture_with_4301_digit_log_discrepancy,
         _catalog_with_5000_digit_integer,
@@ -847,6 +913,20 @@ def test_expectation_beyond_float_range_is_one_mismatch(tmp_path, fmt):
     assert huge in result.stdout
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith(f"MISMATCH [family 3] anticanonical degree: expected {huge}, computed ")
+
+
+def test_a_check_name_with_a_line_break_stays_on_one_line(tmp_path):
+    def corrupt(family):
+        next(c for c in family["checks"] if c["name"] == "anticanonical degree").update(
+            name="anticanonical\ndegree", expect="5"
+        )
+
+    result = invoke([*_exported_catalog_with(tmp_path, corrupt, family_id=3), "--format", "text"])
+    assert result.exit_code == 1
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("MISMATCH [family 3] anticanonical\\ndegree: expected 5, computed ")
+    row = next(line for line in result.stdout.splitlines() if "[FAIL]" in line)
+    assert row.startswith("  [FAIL] anticanonical\\ndegree  ")
 
 
 # -- fuzzing an exported catalog and a fixture ---------------------------------

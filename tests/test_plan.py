@@ -53,8 +53,8 @@ def test_plan_serves_every_n_as_the_pointwise_pipeline_does(family_id):
     ns = list(range(lo, lo + 301)) + [rng.randrange(lo, 10**15) for _ in range(200)]
     catalog = _fresh(family_id)
     assert _sweep(catalog, family_id, ns) == {"plans built": 1, "n served": len(ns) - 1}
-    # on the shipped catalog no guard and no integrality or coprimality condition survives
-    assert catalog.plans[family_id].guards == () and catalog.plans[family_id].conditions == ()
+    # on the shipped catalog no guard survives, a sign, integrality or coprimality test
+    assert catalog.plans[family_id].guards == ()
     # a plan built at a large n serves the small ones as well
     assert _sweep(_fresh(family_id), family_id, ns[::-1]) == {"plans built": 1, "n served": len(ns) - 1}
 
@@ -68,7 +68,8 @@ def _ample_on_z2_vanishing_at_7(data):
 
 
 def _fails_at(guard, ns):
-    f, signs = guard
+    (test, f), signs = guard
+    assert test is RationalFunction.sign_at
     at = [sum(c * n**i for i, c in enumerate(f.num)) * sum(c * n**i for i, c in enumerate(f.den)) for n in ns]
     return [n for n, s in zip(ns, at) if (s > 0) - (s < 0) not in signs]
 
@@ -112,7 +113,7 @@ def test_n_where_the_pipeline_raises_raise_the_same_and_the_plan_starts_after_th
     # A^2 > 0, run pointwise and raise again
     assert _sweep(catalog, 1, [*range(2, 60), 5, 7, 3]) == {"plans built": 1, "n served": 51, "n fell back": 3}
     # A^2 = 4 (n-7) / n > 0, C^2 > 0 and the divisor n - 7 are one guard, n - 7 > 0
-    assert catalog.plans[1].guards == ((RationalFunction((-7, 1)), plan.POS),)
+    assert catalog.plans[1].guards == (((RationalFunction.sign_at, RationalFunction((-7, 1))), plan.POS),)
 
 
 def test_a_mismatch_at_a_served_n_is_reported_as_the_pipeline_reports_it():
@@ -170,7 +171,7 @@ def test_a_coprimality_that_fails_at_even_n_sends_only_those_n_to_the_pointwise_
     ns = range(lo + 1, lo + 41)  # built at an odd n
     catalog = _fresh(family_id, mutate)
     assert _sweep(catalog, family_id, ns) == {"plans built": 1, "n served": 19, "n fell back": 20}
-    assert [test for (test, _), _ in catalog.plans[family_id].conditions] == [plan._coprime_at]
+    assert [test for (test, _), _ in catalog.plans[family_id].guards] == [plan._coprime_at]
     for n in ns:
         if n % 2 == 0:
             assert _raised(verify, catalog, family_id, n)[1].endswith(message(n)), n
@@ -251,7 +252,8 @@ def test_a_divisor_that_uses_n_is_guarded_to_stay_nonzero():
     n = plan._guarded(RationalFunction.variable(), run)
     assert (1 / (n - 5)) * (n - 5) == 1 and (n + 1) // (2 * n - 6) != 0
     # n - 5 and 2n - 6 (kept as n - 3) may vanish; 1, 2 and the recorded n + 1 never do
-    assert run.guards == {RationalFunction((-5, 1)): plan.NONZERO, RationalFunction((-3, 1)): plan.NONZERO}
+    sign = RationalFunction.sign_at
+    assert run.guards == {(sign, RationalFunction((-5, 1))): plan.NONZERO, (sign, RationalFunction((-3, 1))): plan.NONZERO}
 
 
 def _smooth_point_delta(text):
@@ -265,7 +267,7 @@ def _smooth_point_delta(text):
 def test_a_min_nested_in_a_min_is_served_from_the_plan(text):
     catalog = _fresh(2, _smooth_point_delta(text))
     assert _sweep(catalog, 2, range(0, 41)) == {"plans built": 1, "n served": 40}
-    assert catalog.plans[2].guards == () and catalog.plans[2].conditions == ()
+    assert catalog.plans[2].guards == ()
 
 
 def test_a_min_with_a_number_over_q_of_n_on_either_side_is_a_node_and_records_no_guard():
@@ -298,13 +300,13 @@ def test_an_expression_at_the_symbolic_n_takes_its_value_at_every_n_where_the_gu
     except (ArithmeticError, TypeError, ValueError):  # arithmetic on a min() node, say
         return
     for m in range(0, 40):
-        if any(f.sign_at(m) not in signs for f, signs in run.guards.items()):
+        if any(test(args, m) not in answers for (test, args), answers in run.guards.items()):
             continue
         try:
             expected = eval_expr(text, m)
         except CatalogError:
             continue
-        assert plan._value_at(value, m) == expected, m
+        assert plan._at(value, m) == expected, m
 
 
 def test_a_square_root_needs_a_square():
@@ -339,7 +341,7 @@ def test_settled_signs_hold_at_every_n_from_the_minimum(num, den, lo):
 
 def _answers_hold(test, args, lo):
     answers = plan._possible_answers(test, args, lo)
-    if len(answers) == 1:  # settled: the plan keeps no condition
+    if len(answers) == 1:  # settled: the plan keeps no guard
         assert all(test(args, n) in answers for n in range(lo, lo + 301))
     return answers
 
