@@ -278,159 +278,65 @@ def load_catalog(path: Optional[str | Path] = None) -> Catalog:
         raise CatalogError(f"catalog at {source} is not valid UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # a huge integer or deep nesting too
         raise CatalogError(f"catalog at {source} is not valid JSON: {exc}") from exc
-    malformed = f"catalog at {source} is malformed"
-    _require(isinstance(doc, dict), f"{malformed}: the document", "an object")
-    _require(_is_int(doc.get("version")), f"{malformed}: version", "an integer")
-    families, rows = doc.get("families"), doc.get("non_ke_quintuples", [])
-    _require(
-        isinstance(families, list) and all(isinstance(f, dict) and _is_int(f.get("id")) for f in families),
-        f"{malformed}: families", "a list of objects with integer ids",
-    )
-    _require(isinstance(rows, list), f"{malformed}: non_ke_quintuples", "a list")
+    malformed = f"catalog at {source} is malformed: "
+    _check(f"{malformed}the document", doc, _OBJECT)
+    _walk(malformed, doc, _DOCUMENT)
+    families, rows = doc["families"], doc.get("non_ke_quintuples", [])
     catalog = Catalog(doc["version"], tuple(FamilyEntry(f["id"], f) for f in families), tuple(rows), source)
-    for row in catalog.non_ke_quintuples:
-        _require(
-            isinstance(row, dict) and isinstance(row.get("constraints", ""), str)
-            and all(isinstance(row.get(f), str) for f in ("weights_display", "degree_display", "ke")),
-            f"{malformed}: each non_ke_quintuples row", "an object with string weights_display, degree_display and ke",
-        )
+    for row in rows:
+        _check(f"{malformed}each non_ke_quintuples row", row, _NON_KE_ROW)
     for entry in catalog.families:
-        where = f"{malformed}: family {entry.family_id}"
-        _require(catalog.family(entry.family_id) is entry, f"{where} id", "unique")
-        _validate_family(where, entry.data)
-        _validate_structures(where, entry.data)
-        _validate_checks(where, entry)
+        where, data = f"{malformed}family {entry.family_id}", entry.data
+        if catalog.family(entry.family_id) is not entry:
+            raise CatalogError(f"{where} id must be unique")
+        _walk(f"{where} ", data, _FAMILY)
+        stages = _walk_structures(where, data.get("configs", {}), data.get("blowups", []))
+        for check in data.get("checks", []):
+            at = f"{where} check {check.get('name')!r}: "
+            _walk(at, check, _CHECK_FIELDS)
+            _walk(at, check, _CHECK_KINDS[check["kind"]].fields, stages)
     return catalog
 
 
-def _is_expr(x) -> bool:
-    """A catalog expression: text or an integer (a JSON true or false is neither)."""
-    return isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool))
+_ABSENT = object()  # the value of a field that an object leaves out
 
 
-def _is_expr_list(x) -> bool:
-    return isinstance(x, list) and all(_is_expr(e) for e in x)
-
-
-def _is_expr_map(x) -> bool:
-    return isinstance(x, dict) and all(_is_expr(e) for e in x.values())
-
-
-def _is_name_list(x) -> bool:
-    return isinstance(x, list) and all(isinstance(c, str) for c in x)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_int_pair(x) -> bool:
-    return isinstance(x, list) and len(x) == 2 and all(_is_int(w) for w in x)
-
-
-def _require(ok: bool, where: str, what: str) -> None:
-    if not ok:
+def _check(where: str, value, shape: tuple, obj=None, names=None) -> None:
+    """Raise CatalogError "<where> must be <what>" unless value fits shape, a
+    ``(fits, what, required)`` whose fits(value, obj, names) sees the object
+    that holds value and the names it may refer to.  _ABSENT fits no shape."""
+    fits, what, _ = shape
+    if value is _ABSENT or not fits(value, obj, names):
         raise CatalogError(f"{where} must be {what}")
 
 
-def _validate_family(where: str, data: Mapping) -> None:
-    """Raise CatalogError unless a family's own fields have the JSON types that
-    ``instantiate``, ``check_parameter`` and the table read."""
-    _require(_is_expr_list(data.get("weights")), f"{where} weights", "a list of expressions")
-    _require(_is_expr(data.get("degree")), f"{where} degree", "an expression")
-    _require(isinstance(data.get("ke"), str), f"{where} ke", "a string")
-    parameter = data.get("parameter")
-    _require(
-        parameter is None or isinstance(parameter, dict) and _is_int(parameter.get("min")),
-        f"{where} parameter", "an object with an integer min",
-    )
+def _walk(where: str, obj: Mapping, table: Mapping, names=None) -> None:
+    """_check each field of table that obj has, or must have: where its shape's
+    required is True, or is a key of obj's expect (the key of the item that
+    reads the field).  where ends with what joins it to a field name."""
+    expect = obj.get("expect")
+    keys = expect if isinstance(expect, dict) else ()
+    for field, shape in table.items():
+        if field in obj or shape[2] is True or shape[2] in keys:
+            _check(where + field, obj.get(field, _ABSENT), shape, obj, names)
 
 
-def _validate_point(where: str, point) -> None:
-    _require(isinstance(point, dict), where, "an object")
-    _require(_is_expr(point.get("order")), f"{where} order", "an expression")
-    _require(_is_int_pair(point.get("weights")), f"{where} weights", "two integers")
-    _require(isinstance(point.get("label", ""), str), f"{where} label", "a string")
-
-
-def _validate_structures(where: str, data: Mapping) -> None:
-    """Raise CatalogError unless a family's (or a fixture's) configs and
-    blow-ups have the shapes ``_build_structures`` reads, and each blow-up's
-    base names a config or an earlier blow-up.  Expressions are only
-    type-checked here; they compile on first use."""
-    configs = data.get("configs", {})
-    _require(isinstance(configs, dict), f"{where}: configs", "an object")
+def _walk_structures(where: str, configs: Mapping, blowups: list) -> set:
+    """_walk a family's (or a fixture's) configs, blow-ups and their points, where a
+    blow-up's base names a config or an earlier blow-up; the stage names a check
+    may use.  Expressions are only type-checked here; they compile on first use."""
     for name, cfg in configs.items():
         at = f"{where}: config {name!r}"
-        _require(isinstance(cfg, dict), at, "an object")
-        _require(_is_name_list(cfg.get("basis")), f"{at} basis", "a list of curve names")
-        gram = cfg.get("gram")
-        _require(
-            isinstance(gram, list) and all(_is_expr_list(row) for row in gram),
-            f"{at} gram", "a list of rows of expressions",
-        )
-        _require(_is_expr_list(cfg.get("anticanonical")), f"{at} anticanonical", "a list of expressions")
-        points = cfg.get("singular_points", [])
-        _require(isinstance(points, list), f"{at} singular_points", "a list")
-        for point in points:
-            _validate_point(f"{at} singular point", point)
-            _require(
-                _is_expr_map(point.get("multiplicities", {})),
-                f"{at} singular point multiplicities", "an object of expressions",
-            )
-    blowups = data.get("blowups", [])
-    _require(isinstance(blowups, list), f"{where}: blowups", "a list")
-    bases = set(configs)
+        _walk(f"{at} ", cfg, _CONFIG)
+        for point in cfg.get("singular_points", []):
+            _walk(f"{at} singular point ", point, _SINGULAR_POINT)
+    stages = set(configs)
     for spec in blowups:
-        _require(isinstance(spec, dict), f"{where}: each blow-up", "an object")
         at = f"{where}: blow-up {spec.get('name')!r}"
-        _require(isinstance(spec.get("name"), str), f"{at} name", "a string")
-        base = spec.get("base")
-        _require(
-            isinstance(base, str) and base in bases,
-            f"{at} base", "a config or an earlier 'blowup:<name>'",
-        )
-        _validate_point(f"{at} center", spec.get("center"))
-        _require(_is_int_pair(spec.get("weights")), f"{at} weights", "two integers")
-        _require(_is_expr_map(spec.get("curve_orders", {})), f"{at} curve_orders", "an object of expressions")
-        _require(isinstance(spec.get("exceptional", ""), str), f"{at} exceptional", "a string")
-        bases.add(f"blowup:{spec['name']}")
-
-
-def _is_ray_expect(x, check) -> bool:
-    """A ray expect: expressions keyed by ray scalar names, and optionally a
-    volume profile, a list of pieces with expression ends and coefficients."""
-    pieces = x.get("volume", []) if isinstance(x, dict) else None
-    return isinstance(pieces, list) and _is_keyed_exprs(x, _RAY_SCALARS, but="volume") and all(
-        isinstance(p, dict) and _is_expr_list([p.get("left"), p.get("right")]) and _is_expr_list(p.get("coeffs"))
-        for p in pieces
-    )
-
-
-def _is_keyed_exprs(x, keys, but=None) -> bool:
-    """An object of expressions whose every key is one of keys, apart from the key but."""
-    return isinstance(x, dict) and all(k in keys and _is_expr(v) for k, v in x.items() if k != but)
-
-
-def _validate_checks(where: str, entry: FamilyEntry) -> None:
-    """Raise CatalogError unless every check is an object of a known kind
-    that has each field its entry in ``_CHECK_KINDS`` requires, and every
-    field that entry names has the JSON shape its items read."""
-    checks = entry.data.get("checks", [])
-    _require(isinstance(checks, list), f"{where}: checks", "a list")
-    for check in checks:
-        if not isinstance(check, dict):
-            raise CatalogError(f"{where}: check {check!r} is not an object")
-        name = f"{where} check {check.get('name')!r}"
-        kind = check.get("kind")
-        kind = _CHECK_KINDS.get(kind) if isinstance(kind, str) else None
-        if kind is None:
-            raise CatalogError(f"{name}: unknown check kind {check.get('kind')!r}")
-        expect = check.get("expect")
-        keys = expect if isinstance(expect, dict) else {}
-        for field, (fits, what, required) in {**_CHECK_FIELDS, **kind.fields}.items():
-            if field in check or required is True or required in keys:
-                _require(fits(check.get(field), check), f"{name}: {field}", what)
+        _walk(f"{at} ", spec, _BLOWUP, stages)
+        _walk(f"{at} center ", spec["center"], _POINT)
+        stages.add(f"blowup:{spec['name']}")
+    return stages
 
 
 # -- instantiation -------------------------------------------------------------
@@ -498,7 +404,7 @@ def _located(at: str, evaluate, expr, n: Optional[int] = None):
 
 def _build_structures(where: str, data: Mapping, n: Optional[int]) -> tuple[dict, dict]:
     """The stages (each config, and each blow-up's upstairs as ``blowup:<name>``) and blow-ups
-    of data that ``_validate_structures`` accepted, evaluated at n.  An expression error names
+    of data that ``_walk_structures`` accepted, evaluated at n.  An expression error names
     where and its field; data that is no valid configuration or blow-up is a CatalogError."""
     stages: dict[str, CurveConfig] = {}
     blowups: dict[str, BlowupResult] = {}
@@ -526,18 +432,24 @@ def _build_structures(where: str, data: Mapping, n: Optional[int]) -> tuple[dict
 def load_fixture(where: str, doc) -> tuple[CurveConfig, list[BlowupResult]]:
     """The config of an ``analyze`` fixture and its blow-ups, read as a
     one-family document at n = None where blow-up i, named i, is based on
-    blow-up i - 1 and the first on the config.  where names the fixture in errors."""
-    _require(isinstance(doc, dict), where, "a JSON object")
-    blowups = doc.get("blowups", [])
-    if isinstance(blowups, list):
-        blowups = [
-            dict(spec, name=str(i), base=f"blowup:{i - 1}" if i else "config")
-            if isinstance(spec, dict) else spec
-            for i, spec in enumerate(blowups)
-        ]
-    data = {"configs": {"config": doc.get("config")}, "blowups": blowups}
-    _validate_structures(where, data)
+    blow-up i - 1 and the first on the config.  Its ray and point are checked
+    against the basis of the last stage.  where names the fixture in errors."""
+    _check(where, doc, _OBJECT)
+    _walk(f"{where}: ", doc, _FIXTURE)
+    blowups = [
+        dict(spec, name=str(i), base=f"blowup:{i - 1}" if i else "config") for i, spec in enumerate(doc.get("blowups", []))
+    ]
+    data = {"configs": {"config": doc["config"]}, "blowups": blowups}
+    _walk_structures(where, data["configs"], blowups)
     stages, results = _build_structures(where, data, None)
+    basis = stages[f"blowup:{len(blowups) - 1}" if blowups else "config"].basis
+    ray, point = doc.get("ray"), doc.get("point")
+    if ray is not None:
+        if ray.get("curve") not in basis:
+            raise CatalogError(f"{where}: ray.curve {ray.get('curve')!r} must be a basis curve")
+        _walk(f"{where}: ray.", ray, _RAY, basis)
+    if point is not None:
+        _walk(f"{where}: point.", point, _FIXTURE_POINT, basis)
     return stages["config"], list(results.values())
 
 
@@ -595,10 +507,8 @@ class CheckItem:
     def from_json_dict(cls, data: Mapping) -> "CheckItem":
         """The item a ``to_json_dict`` object describes; a CatalogError where a field is
         missing or has another JSON type."""
-        _require(isinstance(data, dict), "check item", "an object")
-        for key in ("name", "expected", "computed", "anchor"):
-            _require(isinstance(data.get(key), str), f"check item {key}", "a string")
-        _require(isinstance(data.get("match"), bool), "check item match", "true or false")
+        _check("check item", data, _OBJECT)
+        _walk("check item ", data, _CHECK_ITEM)
         return cls(data["name"], data["expected"], data["computed"], data["match"], data["anchor"])
 
 
@@ -641,12 +551,8 @@ class VerificationReport:
     def from_json_dict(cls, data: Mapping) -> "VerificationReport":
         """The report a ``to_json_dict`` object describes; a CatalogError where a field is
         missing or has another JSON type."""
-        _require(isinstance(data, dict), "verification report", "an object")
-        _require(_is_int(data.get("family")), "verification report family", "an integer")
-        _require(
-            "n" in data and (data["n"] is None or _is_int(data["n"])), "verification report n", "an integer or null"
-        )
-        _require(isinstance(data.get("items"), list), "verification report items", "a list")
+        _check("verification report", data, _OBJECT)
+        _walk("verification report ", data, _REPORT)
         return cls(data["family"], data["n"], tuple(CheckItem.from_json_dict(i) for i in data["items"]))
 
 
@@ -706,8 +612,9 @@ def _values(instance: FamilyInstance):
             for label, expected, compute in _CHECK_KINDS[check["kind"]].items(instance, check, rays):
                 yield label, expected, compute(), anchor
         except (ValueError, KeyError) as exc:  # name the check that failed to run
+            reason = exc.args[0] if isinstance(exc, KeyError) else exc  # a KeyError's str() quotes its text
             raise CatalogError(
-                f"family {instance.entry.family_id} check {check.get('name')!r} failed to run: {exc}"
+                f"family {instance.entry.family_id} check {check.get('name')!r} failed to run: {reason}"
             ) from exc
 
 
@@ -845,64 +752,163 @@ class _Kind(NamedTuple):
     several items share (a ray, a flag's s_w, an identity's pair_with) runs
     once per check."""
 
-    fields: dict  # field -> its shape, (fits(value, check), what the value must be, required)
+    fields: dict  # the table of the fields its checks read, walked by _walk
     items: Callable
 
 
-# a required field's shape; required is True, False where the field is optional, or the
-# expect key whose item reads the field
-_STRING = (lambda x, check: isinstance(x, str), "a string", True)
-_EXPRESSION = (lambda x, check: _is_expr(x), "an expression", True)
-_BOOLEAN = (lambda x, check: isinstance(x, bool), "true or false", True)
-_CLASS = (lambda x, check: _is_expr_map(x), "an object of expressions", True)
-_CURVES = (lambda x, check: _is_name_list(x), "a list of curve names", True)
-_PARAMS = (lambda x, check: isinstance(x, dict) and all(map(_is_expr_map, x.values())), "an object of classes", True)
+# -- the JSON that kstab reads -------------------------------------------------------
+#
+# A table gives each field of an object its shape, (fits(value, obj, names), what the value must
+# be, required): fits sees the object that holds the value and the names the value may refer to;
+# required is True, False where the object may leave the field out, or the expect key whose item
+# reads the field.  ``_walk`` checks an object against its table.
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_expr(x) -> bool:
+    """A catalog expression: text or an integer (a JSON true or false is neither)."""
+    return isinstance(x, str) or _is_int(x)
+
+
+def _is_exprs(x) -> bool:
+    return isinstance(x, list) and all(map(_is_expr, x))
+
+
+def _is_class(x, keys=None) -> bool:
+    """An object of expressions, each keyed by one of keys where keys is given."""
+    return isinstance(x, dict) and all(_is_expr(v) and (keys is None or k in keys) for k, v in x.items())
+
+
+def _is_ray_expect(x) -> bool:
+    """A ray expect: expressions keyed by ray scalar names, and optionally a
+    volume profile, a list of pieces with expression ends and coefficients."""
+    pieces = x.get("volume", []) if isinstance(x, dict) else None
+    return isinstance(pieces, list) and _is_class({k: v for k, v in x.items() if k != "volume"}, _RAY_SCALARS) and all(
+        isinstance(p, dict) and _is_exprs([p.get("left"), p.get("right")]) and _is_exprs(p.get("coeffs")) for p in pieces
+    )
+
+
+def _optional(shape: tuple, unless=False) -> tuple:
+    """shape for a field an object may leave out, unless its expect has the key unless."""
+    return shape[:2] + (unless,)
+
+
+_OBJECT = (lambda x, *_: isinstance(x, dict), "an object", True)
+_OBJECTS = (lambda x, *_: isinstance(x, list) and all(isinstance(e, dict) for e in x), "a list of objects", True)
+_LIST = (lambda x, *_: isinstance(x, list), "a list", True)
+_STRING = (lambda x, *_: isinstance(x, str), "a string", True)
+_BOOLEAN = (lambda x, *_: isinstance(x, bool), "true or false", True)
+_INTEGER = (lambda x, *_: _is_int(x), "an integer", True)
+_INTEGER_PAIR = (lambda x, *_: isinstance(x, list) and len(x) == 2 and all(map(_is_int, x)), "two integers", True)
+_EXPRESSION = (lambda x, *_: _is_expr(x), "an expression", True)
+_EXPRESSIONS = (lambda x, *_: _is_exprs(x), "a list of expressions", True)
+_GRAM = (lambda x, *_: isinstance(x, list) and all(map(_is_exprs, x)), "a list of rows of expressions", True)
+_CLASS = (lambda x, *_: _is_class(x), "an object of expressions", True)
+_CURVES = (lambda x, *_: isinstance(x, list) and all(isinstance(c, str) for c in x), "a list of curve names", True)
+# a class of an analyze fixture, whose names are the basis of its last stage
+_OVER_BASIS = (lambda x, obj, basis: _is_class(x, basis), "an object of expressions over basis curves", False)
+
+_DOCUMENT = {
+    "version": _INTEGER,
+    "families": (
+        lambda x, *_: isinstance(x, list) and all(isinstance(f, dict) and _is_int(f.get("id")) for f in x),
+        "a list of objects with integer ids", True,
+    ),
+    "non_ke_quintuples": _optional(_LIST),
+}
+_NON_KE_ROW = (  # one shape for the whole row
+    lambda x, *_: isinstance(x, dict) and isinstance(x.get("constraints", ""), str)
+    and all(isinstance(x.get(f), str) for f in ("weights_display", "degree_display", "ke")),
+    "an object with string weights_display, degree_display and ke", True,
+)
+_FAMILY = {
+    "weights": _EXPRESSIONS,
+    "degree": _EXPRESSION,
+    "ke": _STRING,
+    "parameter": (
+        lambda x, *_: x is None or isinstance(x, dict) and _is_int(x.get("min")), "an object with an integer min", False
+    ),
+    "configs": (
+        lambda x, *_: isinstance(x, dict) and all(isinstance(c, dict) for c in x.values()), "an object of objects", False
+    ),
+    "blowups": _optional(_OBJECTS),
+    "checks": _optional(_OBJECTS),
+}
+_CONFIG = {"basis": _CURVES, "gram": _GRAM, "anticanonical": _EXPRESSIONS, "singular_points": _optional(_OBJECTS)}
+_POINT = {"order": _EXPRESSION, "weights": _INTEGER_PAIR, "label": _optional(_STRING)}
+_SINGULAR_POINT = {**_POINT, "multiplicities": _optional(_CLASS)}
+_BLOWUP = {
+    "name": _STRING,
+    "base": (lambda x, spec, stages: isinstance(x, str) and x in stages, "a config or an earlier 'blowup:<name>'", True),
+    "center": _OBJECT,
+    "weights": _INTEGER_PAIR,
+    "curve_orders": _optional(_CLASS),
+    "exceptional": _optional(_STRING),
+}
+_FIXTURE = {
+    "config": _OBJECT,
+    "blowups": _optional(_OBJECTS),
+    "ray": (lambda x, *_: x is None or isinstance(x, dict), "an object", False),
+    "point": (lambda x, *_: x is None or isinstance(x, dict), "an object", False),
+    "log_discrepancy": (lambda x, *_: x is None or _is_expr(x), "an expression", False),
+}
+_RAY = {"ample": _OVER_BASIS}  # and a curve of the basis
+_FIXTURE_POINT = {"multiplicities": _OVER_BASIS, "a_value": _EXPRESSION, "label": _optional(_STRING)}
+_REPORT = {"family": _INTEGER, "n": (lambda x, *_: x is None or _is_int(x), "an integer or null", True), "items": _LIST}
+_CHECK_ITEM = {"name": _STRING, "expected": _STRING, "computed": _STRING, "anchor": _STRING, "match": _BOOLEAN}
+
+# the shapes of check fields that name a stage of the family (see FamilyInstance), or a blow-up
+_STAGE = (
+    lambda x, check, stages: isinstance(x, str) and x in stages,
+    "a string naming a config or a blow-up as 'blowup:<name>'", True,
+)
+_BLOWUP_NAME = (lambda x, check, stages: isinstance(x, str) and f"blowup:{x}" in stages, "a string naming a blow-up", True)
+_PARAMS = (lambda x, *_: isinstance(x, dict) and all(map(_is_class, x.values())), "an object of classes", True)
 _RAY_EXPECT = (
-    _is_ray_expect,
+    lambda x, *_: _is_ray_expect(x),
     f"an object of expressions keyed by {', '.join(_RAY_SCALARS)}, with an optional volume (a list of pieces)",
     True,
 )
 _FLAG_EXPECT = (
-    lambda x, check: _is_keyed_exprs(x, _FLAG_SCALARS),
-    f"an object of expressions keyed by {', '.join(_FLAG_SCALARS)}",
-    True,
+    lambda x, *_: _is_class(x, _FLAG_SCALARS), f"an object of expressions keyed by {', '.join(_FLAG_SCALARS)}", True
 )
 _IDENTITY_EXPECT = (
-    lambda x, check: _is_keyed_exprs(x, {"const", *check.get("params", {})}),
+    lambda x, check, _: _is_class(x, {"const", *check.get("params", {})}),
     "an object of expressions keyed by const and the names in params",
     True,
 )
 
-
-def _optional(shape: tuple, unless=False) -> tuple:
-    """shape for a field a check may leave out, unless its expect has the key unless."""
-    return shape[:2] + (unless,)
-
-
-_CHECK_FIELDS = {"name": _STRING, "anchor": _optional(_STRING)}  # the fields of every kind
 _CHECK_KINDS = {
     "ambient": _Kind({"m": _EXPRESSION, "k": _EXPRESSION, "expect": _EXPRESSION}, _one_item(_ambient)),
-    "pairing": _Kind({"config": _STRING, "v": _CLASS, "w": _CLASS, "expect": _EXPRESSION}, _one_item(_pairing)),
-    "negdef": _Kind({"config": _STRING, "subset": _CURVES, "expect": _BOOLEAN}, _one_item(
+    "pairing": _Kind({"config": _STAGE, "v": _CLASS, "w": _CLASS, "expect": _EXPRESSION}, _one_item(_pairing)),
+    "negdef": _Kind({"config": _STAGE, "subset": _CURVES, "expect": _BOOLEAN}, _one_item(
         _negdef, expected=lambda check, n: check["expect"]
     )),
-    "log_discrepancy": _Kind({"blowup": _STRING, "expect": _EXPRESSION}, _one_item(
+    "log_discrepancy": _Kind({"blowup": _BLOWUP_NAME, "expect": _EXPRESSION}, _one_item(
         lambda instance, check: instance.blowups[check["blowup"]].log_discrepancy_e
     )),
     "proportional": _Kind({"mu": _EXPRESSION, "expect": _EXPRESSION}, _one_item(
         lambda instance, check: proportional_bound(eval_expr(check["mu"], instance.n))
     )),
     "ray": _Kind({
-        "config": _STRING, "ray": _STRING, "ample": _optional(_CLASS), "expect": _RAY_EXPECT,
+        "config": _STAGE, "ray": _STRING, "ample": _optional(_CLASS), "expect": _RAY_EXPECT,
         "a_value": _optional(_EXPRESSION, unless="beta"),
     }, _ray_items),
     "flag": _Kind({
-        "config": _STRING, "curve": _STRING, "ample": _optional(_CLASS), "mults": _optional(_CLASS),
+        "config": _STAGE, "curve": _STRING, "ample": _optional(_CLASS), "mults": _optional(_CLASS),
         "point": _optional(_STRING), "expect": _FLAG_EXPECT, "a_value": _optional(_EXPRESSION, unless="delta"),
     }, _flag_items),
     "identity": _Kind({
-        "config": _STRING, "base": _CLASS, "pair_with": _CLASS, "params": _optional(_PARAMS), "expect": _IDENTITY_EXPECT,
+        "config": _STAGE, "base": _CLASS, "pair_with": _CLASS, "params": _optional(_PARAMS), "expect": _IDENTITY_EXPECT,
     }, _identity_items),
+}
+_CHECK_FIELDS = {  # the fields of every kind
+    "kind": (lambda x, *_: isinstance(x, str) and x in _CHECK_KINDS, f"one of {', '.join(_CHECK_KINDS)}", True),
+    "name": _STRING,
+    "anchor": _optional(_STRING),
 }
 
 

@@ -24,9 +24,6 @@ from .catalog import (
     VerificationReport,
     _approx,
     _located,
-    _is_expr,
-    _is_expr_map,
-    _require,
     ample_class,
     check_parameter,
     default_n_values,
@@ -299,24 +296,13 @@ def _analyze(where: str, doc) -> dict:
         for b in blowups
     ]}
     ray, point, log_discrepancy = doc.get("ray"), doc.get("point"), doc.get("log_discrepancy")
-    _require(ray is None or isinstance(ray, dict), f"{where}: ray", "an object")
-    _require(point is None or isinstance(point, dict), f"{where}: point", "an object")
     if ray is None:
         return results
-    curve = ray.get("curve")
-    mults = {} if point is None else point.get("multiplicities", {})
-    _require(curve in config.basis, f"{where}: ray.curve {curve!r}", "a basis curve")
-    for field, vec in (("ray.ample", ray.get("ample", {})), ("point.multiplicities", mults)):
-        _require(
-            _is_expr_map(vec) and set(vec) <= set(config.basis),
-            f"{where}: {field}", "an object of expressions over basis curves",
-        )
-    _require(log_discrepancy is None or _is_expr(log_discrepancy), f"{where}: log_discrepancy", "an expression")
+    curve, mults = ray["curve"], {}
     if point is not None:
-        _require(_is_expr(point.get("a_value")), f"{where}: point.a_value", "an expression")
-        _require(isinstance(point.get("label", ""), str), f"{where}: point.label", "a string")
         a_value = _located(f"{where}: point.a_value", eval_expr, point["a_value"])
-        mults = {k: _located(f"{where}: point.multiplicities", eval_expr, v) for k, v in mults.items()}
+        mults = {k: _located(f"{where}: point.multiplicities", eval_expr, v)
+                 for k, v in point.get("multiplicities", {}).items()}
     if log_discrepancy is not None:
         log_discrepancy = _located(f"{where}: log_discrepancy", eval_expr, log_discrepancy)
     ample = ample_class(config, ray.get("ample"), None, f"{where}: ray.ample")

@@ -2,11 +2,13 @@
 
 import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstab import catalog as catalog_module
 from kstab import expected_invariants, instantiate, load_catalog, verify
 from kstab.catalog import (
     CatalogError,
@@ -15,8 +17,11 @@ from kstab.catalog import (
     _approx,
     _compile,
     eval_expr,
+    load_fixture,
 )
+from kstab.surface import CurveConfig
 from tests._oracles import oracle_eval_expr
+from tests.test_cli import README_FIXTURE
 
 F = Fraction
 
@@ -353,6 +358,96 @@ def test_report_json_of_another_type_is_refused(corrupt, named):
     corrupt(doc)
     with pytest.raises(CatalogError, match=named):
         VerificationReport.from_json_dict(doc)
+
+
+def _field_tables() -> dict:
+    """Every field table of kstab.catalog by name: each module-level dict whose values are all
+    shapes (fits, what, required), and each check kind's fields."""
+    def is_shape(s):
+        return isinstance(s, tuple) and len(s) == 3 and callable(s[0]) and isinstance(s[1], str)
+
+    tables = {
+        name: value for name, value in vars(catalog_module).items()
+        if isinstance(value, dict) and value and all(map(is_shape, value.values()))
+    }
+    tables.update({f"_CHECK_KINDS[{kind}]": k.fields for kind, k in catalog_module._CHECK_KINDS.items()})
+    return tables
+
+
+EMBEDDED = json.loads(resources.files("kstab").joinpath("data/catalog.json").read_text(encoding="utf-8"))
+
+
+def _family(doc, family_id=1):
+    return next(f for f in doc["families"] if f["id"] == family_id)
+
+
+def _first_check(kind):
+    return lambda doc: next(c for f in doc["families"] for c in f["checks"] if c["kind"] == kind)
+
+
+def _read_catalog(doc, tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    load_catalog(path)
+
+
+_CATALOG_INPUT = (lambda: json.loads(json.dumps(EMBEDDED)), _read_catalog)
+_FIXTURE_INPUT = (
+    lambda: dict(json.loads(json.dumps(README_FIXTURE)), point={"a_value": "1"}, log_discrepancy="1"),
+    lambda doc, tmp_path: load_fixture("fixture.json", doc),
+)
+_CONFIG_INPUT = (
+    lambda: instantiate(CATALOG, 3).stages["cx"].to_json_dict(),
+    lambda data, tmp_path: CurveConfig.from_json_dict(data),
+)
+_REPORT_INPUT = (
+    lambda: verify(CATALOG, 1, 3).to_json_dict(),
+    lambda doc, tmp_path: VerificationReport.from_json_dict(doc),
+)
+# table -> (a valid input and the entry point that reads it, where the table's object sits in it)
+READERS = {
+    "_DOCUMENT": (_CATALOG_INPUT, lambda doc: doc),
+    "_FAMILY": (_CATALOG_INPUT, _family),
+    "_BLOWUP": (_CATALOG_INPUT, lambda doc: _family(doc)["blowups"][0]),
+    "_POINT": (_CATALOG_INPUT, lambda doc: _family(doc)["blowups"][0]["center"]),
+    "_CHECK_FIELDS": (_CATALOG_INPUT, lambda doc: _family(doc)["checks"][0]),
+    **{f"_CHECK_KINDS[{kind}]": (_CATALOG_INPUT, _first_check(kind)) for kind in catalog_module._CHECK_KINDS},
+    "_CONFIG": (_CONFIG_INPUT, lambda data: data),
+    "_SINGULAR_POINT": (_CONFIG_INPUT, lambda data: data["singular_points"][0]),
+    "_FIXTURE": (_FIXTURE_INPUT, lambda doc: doc),
+    "_RAY": (_FIXTURE_INPUT, lambda doc: doc["ray"]),
+    "_FIXTURE_POINT": (_FIXTURE_INPUT, lambda doc: doc["point"]),
+    "_REPORT": (_REPORT_INPUT, lambda doc: doc),
+    "_CHECK_ITEM": (_REPORT_INPUT, lambda doc: doc["items"][0]),
+}
+
+
+LEFT_OUT = object()  # a case that removes the field
+
+
+@pytest.mark.parametrize(
+    "table, field", [(name, field) for name, table in _field_tables().items() for field in table]
+)
+def test_each_table_field_that_is_missing_or_of_another_type_is_refused_by_name(table, field, tmp_path):
+    assert table in READERS, f"no entry point reaches the table {table}"
+    (make, read), locate = READERS[table]
+    read(make(), tmp_path)  # the input as it is reads
+    required = _field_tables()[table][field][2]
+    valid = locate(make())
+    expect = valid.get("expect")
+    cases = [1.5] if isinstance(valid.get(field), bool) else [1.5, True]
+    if required is True or isinstance(expect, dict) and required in expect:
+        cases.append(LEFT_OUT)
+    for value in cases:
+        data = make()
+        if value is LEFT_OUT:
+            del locate(data)[field]
+        else:
+            locate(data)[field] = value
+        with pytest.raises(CatalogError) as exc:
+            read(data, tmp_path)
+        message = str(exc.value)
+        assert len(message.splitlines()) == 1 and f"{field} must be " in message, (value, message)
 
 
 def test_catalog_env_override(tmp_path, monkeypatch):

@@ -787,6 +787,14 @@ NAMED_IN_ERROR = {
     "_catalog_with_pairing_without_v": ": v must be an object of expressions",
     "_catalog_with_negdef_without_subset": ": subset must be a list of curve names",
     "_catalog_with_log_discrepancy_without_blowup": ": blowup must be a string",
+    "_catalog_with_log_discrepancy_blowup_unknown": (
+        "family 3 check 'first blow-up log discrepancy': blowup must be a string naming a blow-up"
+    ),
+    "_catalog_with_pairing_config_unknown": (
+        "family 1 check 'pencil anticanonical degree': config must be a string naming a config or a blow-up"
+    ),
+    "_catalog_with_ray_ray_unknown": "family 3 check 'component ray' failed to run: no basis curve named 'nope'\n",
+    "_catalog_with_negdef_subset_unknown": "failed to run: no basis curve named 'nope'\n",
     "_catalog_with_proportional_without_mu": ": mu must be an expression",
     "_catalog_with_ray_without_ray": ": ray must be a string",
     "_catalog_with_ray_without_a_value": ": a_value must be an expression",
@@ -860,6 +868,10 @@ NAMED_IN_ERROR = {
         _catalog_without_check_field("flag", "curve", family_id=2),
         _catalog_without_check_field("flag", "a_value", family_id=2),
         _catalog_without_check_field("identity", "pair_with"),
+        _catalog_with_check_field("log_discrepancy", "blowup", "nope", family_id=3, label="unknown"),
+        _catalog_with_check_field("pairing", "config", "nope", label="unknown"),
+        _catalog_with_check_field("ray", "ray", "nope", family_id=3, label="unknown"),
+        _catalog_with_check_field("negdef", "subset", ["nope"], label="unknown"),
         _catalog_with_top_level_field("families", {}, "object_families"),
         _catalog_with_top_level_field("families", "", "text_families"),
         _catalog_with_top_level_field("version", "x", "text_version"),
