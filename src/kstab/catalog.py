@@ -266,18 +266,26 @@ class Catalog:
         return [e.family_id for e in self.families]
 
 
+def read_json(where: str, file) -> object:
+    """The JSON document in file, a Path or a package resource; a CatalogError naming where
+    if it cannot be read or is not UTF-8 JSON."""
+    try:
+        return json.loads(file.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise CatalogError(f"{where} cannot be read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{where} is not valid UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # a huge integer or deep nesting too
+        raise CatalogError(f"{where} is not valid JSON: {exc}") from exc
+
+
 def load_catalog(path: Optional[str | Path] = None) -> Catalog:
     """Load the catalog from path, $KSTAB_CATALOG, or the embedded copy."""
     if path is None:
         path = os.environ.get("KSTAB_CATALOG") or None
     source = "embedded" if path is None else str(path)
     file = resources.files("kstab").joinpath("data/catalog.json") if path is None else Path(path)
-    try:
-        doc = json.loads(file.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise CatalogError(f"catalog at {source} is not valid UTF-8: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # a huge integer or deep nesting too
-        raise CatalogError(f"catalog at {source} is not valid JSON: {exc}") from exc
+    doc = read_json(f"catalog at {source}", file)
     malformed = f"catalog at {source} is malformed: "
     _check(f"{malformed}the document", doc, _OBJECT)
     _walk(malformed, doc, _DOCUMENT)

@@ -1,8 +1,8 @@
 """Command-line front end: verify the catalog, analyze ad-hoc fixtures, export.
 
 Exit codes: 0 when every comparison matches, 1 when any expected invariant
-mismatches (the failing invariant is named on stderr), 2 on bad arguments or
-malformed input.
+mismatches (the failing invariant is named on stderr), 2 on bad arguments,
+malformed input, or an input, output or stdout that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .catalog import (
     eval_expr,
     load_catalog,
     load_fixture,
+    read_json,
     verify,
 )
 from .invariants import az_s_w, beta, delta_lower_bound, k_basis_bound, s_invariant
@@ -71,13 +72,13 @@ def _parse_n_values(text: Optional[str]) -> Optional[list[int]]:
 
 
 def _emit(text: str, output: Optional[str]):
-    if output:
-        try:
-            Path(output).write_text(text)
-        except OSError as exc:
-            raise _BadInput(f"cannot write {output}: {exc.strerror or exc}")
-    else:
-        click.echo(text, nl=False)
+    try:
+        if output:
+            Path(output).write_text(text, encoding="utf-8")
+        else:
+            click.echo(text, nl=False)
+    except OSError as exc:
+        raise _BadInput(f"cannot write {output or 'stdout'}: {exc.strerror or exc}")
 
 
 def _json(doc) -> str:
@@ -163,8 +164,8 @@ def _pretty(value: str) -> str:
 @click.option("--all", "all_families", is_flag=True, help="Verify every family.")
 @click.option("--n", "n_text", default=None, help="Parameter value or range a..b.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-@click.option("--output", default=None, type=click.Path(dir_okay=False))
-@click.option("--catalog", "catalog_path", default=None, type=click.Path(exists=True, dir_okay=False),
+@click.option("--output", default=None, type=click.Path())
+@click.option("--catalog", "catalog_path", default=None, type=click.Path(),
               help="Catalog file (defaults to $KSTAB_CATALOG or the embedded copy).")
 def cmd_verify(family, all_families, n_text, fmt, output, catalog_path):
     """Recompute every catalog invariant and compare bit-exactly."""
@@ -203,8 +204,8 @@ def cmd_verify(family, all_families, n_text, fmt, output, catalog_path):
 
 @main.command(name="table")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-@click.option("--output", default=None, type=click.Path(dir_okay=False))
-@click.option("--catalog", "catalog_path", default=None, type=click.Path(exists=True, dir_okay=False))
+@click.option("--output", default=None, type=click.Path())
+@click.option("--catalog", "catalog_path", default=None, type=click.Path())
 def cmd_table(fmt, output, catalog_path):
     """Render the ten-family classification table."""
     catalog = _load(catalog_path)
@@ -249,8 +250,8 @@ def cmd_table(fmt, output, catalog_path):
 
 
 @main.command(name="export")
-@click.option("--output", default=None, type=click.Path(dir_okay=False))
-@click.option("--catalog", "catalog_path", default=None, type=click.Path(exists=True, dir_okay=False))
+@click.option("--output", default=None, type=click.Path())
+@click.option("--catalog", "catalog_path", default=None, type=click.Path())
 def cmd_export(output, catalog_path):
     """Write the active catalog JSON (embedded by default) to a file or stdout."""
     catalog = _load(catalog_path)
@@ -264,19 +265,13 @@ def cmd_export(output, catalog_path):
 
 
 @main.command(name="analyze")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--output", default=None, type=click.Path(dir_okay=False))
+@click.option("--output", default=None, type=click.Path())
 def cmd_analyze(input_path, fmt, output):
     """Decompose a ray from a JSON fixture and report its invariants."""
     try:
-        doc = json.loads(Path(input_path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise _BadInput(f"{input_path}: not valid UTF-8: {exc}")
-    except (ValueError, RecursionError) as exc:  # a huge integer or deep nesting too
-        raise _BadInput(f"{input_path}: not valid JSON: {exc}")
-    try:
-        result = _analyze(input_path, doc)
+        result = _analyze(input_path, read_json(input_path, Path(input_path)))
     except CatalogError as exc:
         raise _BadInput(str(exc))
     except (ValueError, KeyError) as exc:
@@ -349,7 +344,7 @@ def _render_analysis(result: dict) -> str:
 def _load(catalog_path) -> Catalog:
     try:
         return load_catalog(catalog_path)
-    except (CatalogError, OSError) as exc:
+    except CatalogError as exc:
         raise _BadInput(str(exc))
 
 

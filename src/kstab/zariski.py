@@ -3,11 +3,11 @@
 ``zariski_decompose_at`` splits a single pseudoeffective class D = P + N by
 iteratively enlarging the negative support.  ``decompose_ray`` walks the ray
 A - uE through its Zariski chambers: along the ray the negative support only
-grows, so starting from u = 0 with an empty support it solves once on the
-current support (the negative-part coefficients are linear in u), adds every
-curve whose P(u).C turns negative just to the right, and steps to the next
-root of some P(u).C or to the volume's rational root tau.  That is O(k)
-linear solves for a basis of k curves.  It decides on integer linear forms:
+grows, so starting from u = 0 with an empty support it adds every curve
+whose P(u).C turns negative just to the right, solves once on each support it
+grows to (the negative-part coefficients are linear in u), and steps to the
+next root of some P(u).C or to the volume's rational root tau.  That is at
+most k linear solves for a basis of k curves.  It decides on integer linear forms:
 P(u) = (p0 + u p1) / q and d q P(u).C_j = alpha_j + u beta_j on ints, whose
 sign at u = m/n is that of alpha_j n + beta_j m.  Each chamber [l, r] with support S is
 certified on its whole interval: S is negative definite, its curves pair
@@ -215,35 +215,34 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
     ints, scale = over_common_denominator([*ample, *ray])
     a, e = ints[:k], [-x for x in ints[k:]]
     rhs = [Poly.from_integers(form, scale) for form in zip(config._gram_times(a), config._gram_times(e))]
-    support: list[int] = []
+    support, coeffs = [], []  # the negative support, and its coefficients as polynomials in u
     intervals: list[RayInterval] = []
     vol_pieces: list[tuple[Fraction, Fraction, Poly]] = []
     left, tau = Fraction(0), None
     while tau is None:
-        # grow the support until P(u).C >= 0 just to the right of `left`
-        while True:
-            m = [[gram[i][j] for j in support] for i in support]
-            coeffs = solve_linear_system(m, [rhs[i] for i in support])
-            # P(u) = (p0 + u p1) / q and d q P(u).C_j = alpha_j + u beta_j, all on ints
-            q = math.lcm(scale, *(c.denominator for c in coeffs))
-            p0, p1 = [x * (q // scale) for x in a], [x * (q // scale) for x in e]
-            for i, c in zip(support, coeffs):
-                n0, n1 = (*c.numerators, 0, 0)[:2]
-                p0[i] -= n0 * (q // c.denominator)
-                p1[i] -= n1 * (q // c.denominator)
-            alpha, beta = config._gram_times(p0), config._gram_times(p1)
-            entering = [
-                j for j in range(k)
-                if j not in support and (_sign_at(alpha[j], beta[j], left), beta[j]) < (0, 0)
-            ]
-            if not entering:
-                break
+        # P(u) = (p0 + u p1) / q and d q P(u).C_j = alpha_j + u beta_j, all on ints
+        q = math.lcm(scale, *(c.denominator for c in coeffs))
+        p0, p1 = [x * (q // scale) for x in a], [x * (q // scale) for x in e]
+        for i, c in zip(support, coeffs):
+            n0, n1 = (*c.numerators, 0, 0)[:2]
+            p0[i] -= n0 * (q // c.denominator)
+            p1[i] -= n1 * (q // c.denominator)
+        alpha, beta = config._gram_times(p0), config._gram_times(p1)
+        entering = [
+            j for j in range(k)
+            if j not in support and (_sign_at(alpha[j], beta[j], left), beta[j]) < (0, 0)
+        ]
+        if entering:
+            # P(u).C turns negative just to the right of `left`: grow the support, solve on it, look again
             support = sorted(support + entering)
             if not config.is_negative_definite(support):
                 raise InconsistentConfigError(
                     f"support {_names(config, support)} at u = {left} is not negative definite"
                 )
             _refuse_negative_pairing(config, entering, f" at u = {left}")
+            m = [[gram[i][j] for j in support] for i in support]
+            coeffs = solve_linear_system(m, [rhs[i] for i in support])
+            continue
         # P.C = 0 on the support identically: then P.N = 0, vol = P.P, and only outside curves have slopes
         if any(alpha[i] or beta[i] for i in support):
             raise InconsistentConfigError(

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import kstab
 from kstab.catalog import VerificationReport
 from kstab.cli import _LINE_BREAKS, _json, main
 from tests._oracles import random_chain_config
@@ -80,6 +83,33 @@ def test_verify_output_file(tmp_path):
     result = invoke(["verify", "--family", "8", "--format", "json", "--output", str(out)])
     assert result.exit_code == 0
     assert json.loads(out.read_text())["reports"][0]["overall"] is True
+
+
+def _kstab_process(args, stdout=subprocess.PIPE, **env):
+    """kstab in a process of its own, with env added to the environment; stderr is captured."""
+    path = os.pathsep.join(filter(None, [str(Path(kstab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "kstab.cli", *args], stdout=stdout, stderr=subprocess.PIPE,
+                          encoding="utf-8", env={**os.environ, "PYTHONPATH": path, **env})
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that refuses every write")
+@pytest.mark.parametrize("args", [["verify", "--family", "10", "--format", "csv"], ["export"], ["verify", "--all"]])
+def test_a_failed_write_to_stdout_exits_2_with_one_line(args):
+    with open("/dev/full", "w") as full:
+        process = _kstab_process(args, stdout=full)
+    assert process.returncode == 2
+    assert process.stderr.splitlines() == ["Error: cannot write stdout: No space left on device"]
+
+
+def test_output_file_is_utf_8_in_an_ascii_locale(tmp_path):
+    def rename(doc):
+        next(f for f in doc["families"] if f["id"] == 3)["checks"][0]["name"] = "caf\u00e9 check"
+
+    out = tmp_path / "out.txt"
+    args = ["verify", "--family", "3", "--catalog", _exported_catalog(tmp_path, rename), "--output", str(out)]
+    process = _kstab_process(args, LC_ALL="C", PYTHONUTF8="0")
+    assert (process.returncode, process.stdout, process.stderr) == (0, "", "")
+    assert "  [ok ] caf\u00e9 check " in out.read_bytes().decode("utf-8")
 
 
 def test_table_text_rows():
@@ -762,6 +792,26 @@ def _analyze_output_in_a_missing_directory(tmp_path):
     return ["analyze", "--input", str(path), "--output", str(tmp_path / "missing" / "out.txt")]
 
 
+def _verify_output_to_a_directory(tmp_path):
+    return ["verify", "--family", "3", "--output", str(tmp_path)]
+
+
+def _export_output_to_a_directory(tmp_path):
+    return ["export", "--output", str(tmp_path)]
+
+
+def _analyze_input_that_is_a_directory(tmp_path):
+    return ["analyze", "--input", str(tmp_path)]
+
+
+def _catalog_that_is_a_directory(tmp_path):
+    return ["verify", "--all", "--catalog", str(tmp_path)]
+
+
+def _catalog_that_is_missing(tmp_path):
+    return ["table", "--catalog", str(tmp_path / "missing.json")]
+
+
 # what the one error line must say, where a case's message names a location
 NAMED_IN_ERROR = {
     "_fixture_with_zero_denominator": "fixture.json: config 'config' gram: division by zero in '1/0'",
@@ -810,16 +860,22 @@ NAMED_IN_ERROR = {
     "_catalog_with_non_ke_row_without_ke": "each non_ke_quintuples row must be an object with string",
     "_catalog_with_text_non_ke_row": "each non_ke_quintuples row must be an object with string",
     "_catalog_in_latin_1": "catalog.json is not valid UTF-8",
-    "_fixture_in_latin_1": "fixture.json: not valid UTF-8",
+    "_fixture_in_latin_1": "fixture.json is not valid UTF-8",
     "_fixture_with_deeply_nested_gram": "fixture.json: config 'config' gram: expression '((((",
     "_catalog_with_deeply_nested_unary_minus": "family 1: config 'pencil' gram: expression '----",
     "_fixture_with_line_break_in_label": "fixture.json: center p\\nz: 1/13(2,5) is not a recorded singular point",
     "_fixture_with_superscript_ample": "ray.ample: cannot parse expression '1\u00b2' at position 0",
     "_fixture_with_4301_digit_log_discrepancy": "log_discrepancy: cannot parse expression '1111",
     "_catalog_with_5000_digit_integer": "catalog.json is not valid JSON: Exceeds the limit (4300 digits)",
-    "_fixture_with_100000_nested_arrays": "fixture.json: not valid JSON: maximum recursion depth exceeded",
+    "_fixture_with_100000_nested_arrays": "fixture.json is not valid JSON: maximum recursion depth exceeded",
     "_verify_output_in_a_missing_directory": "out.txt: No such file or directory",
     "_analyze_output_in_a_missing_directory": "out.txt: No such file or directory",
+    # a directory is refused by the reader or the writer, with the OS's reason
+    "_verify_output_to_a_directory": "Error: cannot write ",
+    "_export_output_to_a_directory": "Error: cannot write ",
+    "_analyze_input_that_is_a_directory": " cannot be read: ",
+    "_catalog_that_is_a_directory": " cannot be read: ",
+    "_catalog_that_is_missing": "missing.json cannot be read: No such file or directory",
 }
 
 
@@ -892,6 +948,11 @@ NAMED_IN_ERROR = {
         _fixture_in_latin_1,
         _verify_output_in_a_missing_directory,
         _analyze_output_in_a_missing_directory,
+        _verify_output_to_a_directory,
+        _export_output_to_a_directory,
+        _analyze_input_that_is_a_directory,
+        _catalog_that_is_a_directory,
+        _catalog_that_is_missing,
         _fixture_with_deeply_nested_gram,
         _catalog_with_deeply_nested_unary_minus,
         _fixture_with_line_break_in_label,

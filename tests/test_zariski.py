@@ -467,6 +467,36 @@ def test_walk_is_unchanged_with_the_gauss_jordan_oracle_kernel(monkeypatch):
     assert sum(isinstance(out, dict) for out in fraction_free) >= 20
 
 
+def test_walk_solves_once_on_each_support_it_grows_to(monkeypatch):
+    """The walk solves only where its support grows: never on the empty support, never twice
+    on one support, and once per growth step, each of which runs one definiteness test."""
+    rays = [
+        (LR, LR.anticanonical, LR.basis_vector("L")),
+        *(param.values for param in catalog_ray_inputs()),
+        *_poly_walk_chain_rays(),
+    ]
+    grown, solved = [], []
+    negdef, solve = CurveConfig.is_negative_definite, kstab.zariski.solve_linear_system
+    monkeypatch.setattr(CurveConfig, "is_negative_definite", lambda c, s: grown.append(list(s)) or negdef(c, s))
+    monkeypatch.setattr(kstab.zariski, "solve_linear_system", lambda m, rhs: solved.append(m) or solve(m, rhs))
+    steps = 0
+    for config, ample, ray in rays:
+        grown.clear()
+        solved.clear()
+        outcome = _outcome(decompose_ray, config, ample, ray)
+        assert all(grown) and all(len(s) < len(t) and set(s) < set(t) for s, t in zip(grown, grown[1:]))
+        gram = config.integer_gram[1]
+        restricted = [[[gram[i][j] for j in s] for i in s] for s in grown]
+        if isinstance(outcome, dict):
+            assert solved == restricted
+            named = [[config.basis[i] for i in s] for s in grown]
+            assert all(not iv["support"] or iv["support"] in named for iv in outcome["intervals"])
+        else:  # a refusal may come between a growth step's definiteness test and its solve
+            assert solved in (restricted, restricted[:-1])
+        steps += len(solved)
+    assert steps >= len(rays)
+
+
 # -- the integer walk against the Poly-based walk -------------------------------
 
 
