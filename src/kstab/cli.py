@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -77,7 +78,11 @@ def _emit(text: str, output: Optional[str]):
             Path(output).write_text(text, encoding="utf-8")
         else:
             click.echo(text, nl=False)
+    except BrokenPipeError:
+        raise  # a closed pipe: click's main exits 1 and prints nothing
     except OSError as exc:
+        if not output:  # a failed flush keeps its bytes: the null device takes them at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise _BadInput(f"cannot write {output or 'stdout'}: {exc.strerror or exc}")
 
 

@@ -92,13 +92,31 @@ def _kstab_process(args, stdout=subprocess.PIPE, **env):
                           encoding="utf-8", env={**os.environ, "PYTHONPATH": path, **env})
 
 
+STDOUT_CASES = [["verify", "--family", "10", "--format", "csv"], ["export"], ["verify", "--all"]]
+
+
+# PYTHONUNBUFFERED "" leaves stdout buffered, so that a small output is still held when the
+# interpreter flushes stdout at exit
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that refuses every write")
-@pytest.mark.parametrize("args", [["verify", "--family", "10", "--format", "csv"], ["export"], ["verify", "--all"]])
-def test_a_failed_write_to_stdout_exits_2_with_one_line(args):
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("args", STDOUT_CASES)
+def test_a_failed_write_to_stdout_exits_2_with_one_line(args, unbuffered):
     with open("/dev/full", "w") as full:
-        process = _kstab_process(args, stdout=full)
+        process = _kstab_process(args, stdout=full, PYTHONUNBUFFERED=unbuffered)
     assert process.returncode == 2
     assert process.stderr.splitlines() == ["Error: cannot write stdout: No space left on device"]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("args", STDOUT_CASES)
+def test_a_closed_pipe_on_stdout_exits_1_and_prints_nothing(args, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        process = _kstab_process(args, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (process.returncode, process.stderr) == (1, "")
 
 
 def test_output_file_is_utf_8_in_an_ascii_locale(tmp_path):
