@@ -10,7 +10,7 @@ where they are read.  All operations are pure and all values immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -80,13 +80,43 @@ def over_common_denominator(values, den: int = 1) -> tuple[list, int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-@dataclass(frozen=True)
-class _Min:
-    """min(first, second) where no one side is the smaller at every n, taken at each n.  It is
-    no number and no sequence: arithmetic on it raises TypeError."""
+class Frozen:
+    """An immutable value with named fields, which its class's own ``__init__`` sets with
+    ``object.__setattr__``; the class's ``_fields`` give ``==`` (between values of one class),
+    ``hash`` and the repr ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
+    AttributeError; a ``functools.cached_property`` writes to the instance's ``__dict__``."""
 
-    first: object
-    second: object
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._values = operator.attrgetter(*cls._fields)  # _values(value): the tuple of its fields (two or more)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Min(Frozen):
+    """min(first, second) where no one side is the smaller at every n, taken at each n.  It is
+    no number, no tuple and no sequence: arithmetic on it raises TypeError."""
+
+    _fields = ("first", "second")
+
+    def __init__(self, first, second):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
 
 def minimum(a, b):

@@ -9,11 +9,10 @@ the upstairs one, orthogonal to the new exceptional curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .arith import RationalLike, coprime, over_common_denominator, rat, ratio
+from .arith import Frozen, RationalLike, coprime, over_common_denominator, rat, ratio
 from .surface import ClassVector, CurveConfig, QuotientSingularity
 
 
@@ -33,8 +32,7 @@ def log_discrepancy_of_e(n: int, a: int, b: int) -> Fraction:
     return ratio(a + b, n)
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
+class BlowupSpec(Frozen):
     """Center, blow-up weights, and each basis curve's local vanishing order.
 
     ``curve_orders`` maps a curve name to its weighted vanishing order w at
@@ -42,10 +40,18 @@ class BlowupSpec:
     listed are taken to miss the center (order 0).
     """
 
-    center: QuotientSingularity
-    weights: tuple[int, int]
-    curve_orders: tuple[tuple[str, Fraction], ...]
-    exceptional: str = "E"
+    _fields = ("center", "weights", "curve_orders", "exceptional")
+
+    def __init__(self, center: QuotientSingularity, weights: tuple[int, int], curve_orders: tuple, exceptional="E"):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "curve_orders", curve_orders)
+        object.__setattr__(self, "exceptional", exceptional)
+        a, b = weights
+        _validate_weights(center.order, a, b)
+        for name, w in curve_orders:
+            if w < 0:
+                raise BlowupSpecError(f"negative vanishing order for {name}")
 
     @classmethod
     def make(
@@ -58,13 +64,6 @@ class BlowupSpec:
         orders = tuple(sorted((k, rat(v)) for k, v in curve_orders.items()))
         return cls(center, tuple(weights), orders, exceptional)
 
-    def __post_init__(self):
-        a, b = self.weights
-        _validate_weights(self.center.order, a, b)
-        for name, w in self.curve_orders:
-            if w < 0:
-                raise BlowupSpecError(f"negative vanishing order for {name}")
-
     def order_of(self, curve: str) -> Fraction:
         for name, w in self.curve_orders:
             if name == curve:
@@ -72,8 +71,7 @@ class BlowupSpec:
         return Fraction(0)
 
 
-@dataclass(frozen=True)
-class BlowupResult:
+class BlowupResult(NamedTuple):
     """Upstairs configuration plus the pullback bookkeeping."""
 
     downstairs: CurveConfig

@@ -15,13 +15,12 @@ import json
 import operator
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .arith import PiecewisePoly, Poly, _Min, is_integer, minimum, rat
+from .arith import Frozen, PiecewisePoly, Poly, _Min, is_integer, minimum, rat
 from .blowup import BlowupResult, BlowupSpec, transform_config
 from .invariants import az_s_w, beta, delta_lower_bound, k_basis_bound, proportional_bound, s_invariant
 from .surface import (
@@ -204,8 +203,7 @@ def _eval_int(expr, n: Optional[int]) -> int:
 # -- catalog loading -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(NamedTuple):
     """One catalog row: raw (un-instantiated) family data."""
 
     family_id: int
@@ -244,16 +242,20 @@ class FamilyEntry:
         return str(self.data["degree"])
 
 
-@dataclass(frozen=True)
-class Catalog:
-    version: int
-    families: tuple[FamilyEntry, ...]
-    non_ke_quintuples: tuple[Mapping, ...]
-    source: str
-    # family id -> the plan that serves its n (None where none could be built), and what
-    # the plans did: see kstab.plan
-    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    plan_counts: Counter = field(default_factory=Counter, init=False, repr=False, compare=False)
+class Catalog(Frozen):
+    _fields = ("version", "families", "non_ke_quintuples", "source")
+
+    def __init__(
+        self, version: int, families: tuple[FamilyEntry, ...], non_ke_quintuples: tuple[Mapping, ...], source: str
+    ):
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "families", families)
+        object.__setattr__(self, "non_ke_quintuples", non_ke_quintuples)
+        object.__setattr__(self, "source", source)
+        # family id -> the plan that serves its n (None where none could be built), and what
+        # the plans did, neither compared nor in the repr: see kstab.plan
+        object.__setattr__(self, "plans", {})
+        object.__setattr__(self, "plan_counts", Counter())
 
     def family(self, family_id: int) -> FamilyEntry:
         for entry in self.families:
@@ -350,8 +352,7 @@ def _walk_structures(where: str, configs: Mapping, blowups: list) -> set:
 # -- instantiation -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     """A family with every parametric expression evaluated at a concrete n.
     ``stages`` maps each config a check may name (``blowup:<name>`` is a blow-up's upstairs)."""
 
@@ -487,8 +488,7 @@ def _build_config(at: str, data: Mapping, n: Optional[int]) -> CurveConfig:
 # -- verification --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     name: str
     expected: str
     computed: str
@@ -533,8 +533,7 @@ def _approx(text: str) -> Optional[str]:
         return None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     family_id: int
     n: Optional[int]
     items: tuple[CheckItem, ...]

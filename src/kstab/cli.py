@@ -104,7 +104,7 @@ def _write_json(x, out: list, newline: str) -> None:
         out.append("null" if x is None else "true" if x else "false")
     elif isinstance(x, int):
         out.append(int.__repr__(x))
-    elif isinstance(x, (list, tuple)) and x:
+    elif (type(x) is list or type(x) is tuple) and x:
         inner = newline + " "
         separator = "[" + inner
         for v in x:
@@ -123,6 +123,8 @@ def _write_json(x, out: list, newline: str) -> None:
                 _write_json(v, out, inner)
             separator = "," + inner
         out.append(newline + "}")
+    elif isinstance(x, tuple) and type(x) is not tuple:  # a record, a NamedTuple: json.dumps would write a list
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
     else:  # an empty list or object, a float, or what json.dumps refuses with its own TypeError
         out.append(json.dumps(x))
 

@@ -7,9 +7,8 @@ parts), evaluated exactly over [0, tau].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .arith import Poly, RationalLike, minimum, rat
 from .surface import QuotientSingularity
@@ -77,8 +76,7 @@ def az_s_w(
     return 2 * total / rd.ample_square
 
 
-@dataclass(frozen=True)
-class DeltaBoundReport:
+class DeltaBoundReport(NamedTuple):
     """Local stability-threshold lower bound min(1/S(Y), A_Y(p)/S_W)."""
 
     point_label: str

@@ -39,10 +39,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .arith import PiecewisePoly, Poly, RationalFunction, _Min, _poly_at, _poly_mul, _rational_function, _trim, minimum
+from .arith import PiecewisePoly, Poly, RationalFunction, _Min, _poly_at, _poly_mul, _rational_function, _trim
 from .arith import over_common_denominator, ratio
 from .catalog import Catalog, CheckItem, FamilyEntry, FamilyInstance, VerificationReport, _item, _pointwise
 from .catalog import _values, instantiate
+from .surface import _quotient_str
 
 RF = RationalFunction
 ZERO = RF()
@@ -102,15 +103,26 @@ class _Served(NamedTuple):
 
 
 def _at(x, n: int):
-    """A frozen value at n: a rational function's Fraction, a _Min taken with min(), a bool as it
-    is, or a volume profile's pieces as a PiecewisePoly."""
-    if isinstance(x, RF):
-        return x(n)
-    if isinstance(x, _Min):
-        return minimum(_at(x.first, n), _at(x.second, n))
+    """A frozen value at n: a bool as it is, a volume profile's pieces as a PiecewisePoly, and a
+    rational function or a _Min as the text str() gives its Fraction, which _item compares and
+    shows as it is: equal texts are equal numbers."""
     if isinstance(x, bool):
         return x
+    if isinstance(x, (RF, _Min)):
+        return _quotient_str(*_value(x, n))
     return PiecewisePoly((left(n), right(n), Poly(c(n) for c in coeffs)) for left, right, coeffs in x)
+
+
+def _value(x, n: int) -> tuple[int, int]:
+    """A rational function's value at n as ints (p, q), q > 0, not reduced; a _Min's as min()
+    takes it, the second only where it is smaller."""
+    if isinstance(x, _Min):
+        a, b = _value(x.first, n), _value(x.second, n)
+        return b if b[0] * a[1] < a[0] * b[1] else a
+    p, q = _poly_at(x.num, n), _poly_at(x.den, n)
+    if not q:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    return (-p, -q) if q < 0 else (p, q)
 
 
 # -- building ----------------------------------------------------------------------

@@ -18,26 +18,25 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .arith import Poly, RationalLike, coprime, gcd, over_common_denominator, rat, ratio
+from .arith import Frozen, Poly, RationalLike, coprime, gcd, over_common_denominator, rat, ratio
 
 
 class DimensionMismatchError(ValueError):
     """Class vector length does not match the configuration basis."""
 
 
-@dataclass(frozen=True)
-class Quintuple:
+class Quintuple(Frozen):
     """Ambient weights (a0 <= a1 <= a2 <= a3) and hypersurface degree."""
 
-    weights: tuple[int, int, int, int]
-    degree: int
+    _fields = ("weights", "degree")
 
-    def __post_init__(self):
+    def __init__(self, weights: tuple[int, int, int, int], degree: int):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "degree", degree)
         if len(self.weights) != 4 or any(w <= 0 for w in self.weights):
             raise ValueError("weights must be four positive integers")
         if list(self.weights) != sorted(self.weights):
@@ -78,15 +77,15 @@ def ambient_pairing(q: Quintuple, m: int, k: int) -> Fraction:
     return q.ambient_pairing(m, k)
 
 
-@dataclass(frozen=True)
-class QuotientSingularity:
+class QuotientSingularity(Frozen):
     """Cyclic quotient point of type (1/order)(a, b); order 1 means smooth."""
 
-    order: int
-    local_weights: tuple[int, int]
-    label: str = ""
+    _fields = ("order", "local_weights", "label")
 
-    def __post_init__(self):
+    def __init__(self, order: int, local_weights: tuple[int, int], label: str = ""):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "local_weights", local_weights)
+        object.__setattr__(self, "label", label)
         a, b = self.local_weights
         if self.order < 1 or a < 1 or b < 1:
             raise ValueError("order and local weights must be positive")
@@ -103,8 +102,7 @@ class QuotientSingularity:
         return f"{name}: 1/{self.order}({self.local_weights[0]},{self.local_weights[1]})"
 
 
-@dataclass(frozen=True)
-class SingularPointRecord:
+class SingularPointRecord(NamedTuple):
     """A quotient point together with the incident basis curves.
 
     ``multiplicities`` maps curve names to the local (weighted) intersection
@@ -179,12 +177,11 @@ class ClassVector:
         return f"ClassVector({', '.join(map(str, self.coeffs))})"
 
 
-@dataclass(frozen=True)
-class CurveConfig:
+class CurveConfig(Frozen):
     """Finite basis of curve classes with their exact intersection pairing.
 
     The Gram matrix is stored once, as ``integer_gram`` = (d, G) for G / d:
-    d > 0 and int rows G, which ``__post_init__`` brings to lowest terms so
+    d > 0 and int rows G, which ``__init__`` brings to lowest terms so
     that ``==`` and ``hash`` compare values.  ``gram`` is its Fraction view;
     ``to_json_dict`` renders (d, G) without building it.
 
@@ -194,16 +191,16 @@ class CurveConfig:
     preserved and stays positive).
     """
 
-    basis: tuple[str, ...]
-    integer_gram: tuple[int, tuple[tuple[int, ...], ...]]
-    anticanonical: ClassVector
-    singular_points: tuple[SingularPointRecord, ...] = ()
+    _fields = ("basis", "integer_gram", "anticanonical", "singular_points")
 
-    def __post_init__(self):
-        k = len(self.basis)
-        if len(set(self.basis)) != k or k == 0:
+    def __init__(self, basis: tuple[str, ...], integer_gram: tuple, anticanonical: ClassVector, singular_points=()):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "anticanonical", anticanonical)
+        object.__setattr__(self, "singular_points", singular_points)
+        k = len(basis)
+        if len(set(basis)) != k or k == 0:
             raise ValueError("basis names must be nonempty and distinct")
-        den, gram = self.integer_gram
+        den, gram = integer_gram
         if den <= 0 or len(gram) != k or any(len(row) != k for row in gram):
             raise ValueError("gram matrix must be square of basis size, over a positive denominator")
         g = 1 if den == 1 else gcd(den, *(x for row in gram for x in row))

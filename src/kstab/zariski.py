@@ -26,12 +26,11 @@ bench gates).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .arith import PiecewisePoly, Poly, RationalLike, isqrt, over_common_denominator, rat, ratio
+from .arith import Frozen, PiecewisePoly, Poly, RationalLike, isqrt, over_common_denominator, rat, ratio
 from .surface import ClassVector, CurveConfig, DimensionMismatchError, solve_linear_system
 
 
@@ -95,8 +94,7 @@ def zariski_decompose_at(
     return p_vec, n_vec
 
 
-@dataclass(frozen=True)
-class RayInterval:
+class RayInterval(NamedTuple):
     """One stretch [left, right] of the ray with a fixed negative support.
 
     ``negative_coeffs`` holds the support curves' coefficients as polynomials
@@ -117,17 +115,22 @@ class RayInterval:
         return ClassVector(p(u) for p in self.positive_part)
 
 
-@dataclass(frozen=True)
-class RayDecomposition:
+class RayDecomposition(Frozen):
     """Piecewise-in-u Zariski decomposition of ample - u*ray on a config."""
 
-    config: CurveConfig
-    ample: ClassVector
-    ray: ClassVector
-    intervals: tuple[RayInterval, ...]
-    nef_threshold: Fraction
-    tau: Fraction
-    volume: PiecewisePoly
+    _fields = ("config", "ample", "ray", "intervals", "nef_threshold", "tau", "volume")
+
+    def __init__(
+        self, config: CurveConfig, ample: ClassVector, ray: ClassVector, intervals: tuple[RayInterval, ...],
+        nef_threshold: Fraction, tau: Fraction, volume: PiecewisePoly,
+    ):
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "ample", ample)
+        object.__setattr__(self, "ray", ray)
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "nef_threshold", nef_threshold)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "volume", volume)
 
     @cached_property
     def volume_integral(self) -> Fraction:

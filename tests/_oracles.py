@@ -10,11 +10,12 @@ negative-definite subset of the basis and by the Poly-based chamber walk
 (the package's walk decides on integer linear forms), linear algebra by a
 Gauss-Jordan kernel on Fractions (the package eliminates fraction-free on
 integers), catalog expressions by a recursive-descent parser that evaluates
-as it parses (the package compiles each text once), a volume's roots and
-dips and where a chamber ends by its Fraction coefficients and the walk's
-former three-way rule (the package decides on int numerators, signs
-first), and random configurations are built as blow-up chains over a
-positive base class.
+as it parses (the package compiles each text once), a plan's served values
+through Fractions (the package writes each number from two ints), a
+volume's roots and dips and where a chamber ends by its Fraction
+coefficients and the walk's former three-way rule (the package decides on
+int numerators, signs first), and random configurations are built as
+blow-up chains over a positive base class.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from kstab import (
     QuotientSingularity,
     transform_config,
 )
-from kstab.arith import PiecewisePoly, Poly, RationalLike, rat
+from kstab.arith import PiecewisePoly, Poly, RationalFunction, RationalLike, _Min, minimum, rat
 from kstab.catalog import CatalogError, ParameterError
 from kstab.surface import ClassVector, solve_linear_system
 from kstab.zariski import (
@@ -354,6 +355,19 @@ def oracle_blow_up_gram(config, spec) -> list[list[Fraction]]:
     ]
     rows.append([o / (a * b) for o in orders] + [Fraction(-n, a * b)])
     return rows
+
+
+def oracle_served_at(x, n: int):
+    """A plan's frozen value at n through Fractions, the reference for ``kstab.plan._at``, which
+    writes a number's text from ints: a rational function's Fraction, a _Min taken with min(),
+    a bool as it is, or a volume profile's pieces as a PiecewisePoly."""
+    if isinstance(x, RationalFunction):
+        return x(n)
+    if isinstance(x, _Min):
+        return minimum(oracle_served_at(x.first, n), oracle_served_at(x.second, n))
+    if isinstance(x, bool):
+        return x
+    return PiecewisePoly((left(n), right(n), Poly(c(n) for c in coeffs)) for left, right, coeffs in x)
 
 
 def oracle_eval_expr(expr, n: Optional[int] = None) -> Fraction:

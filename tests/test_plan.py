@@ -12,6 +12,7 @@ from kstab import catalog as catalog_module
 from kstab import plan
 from kstab.arith import RationalFunction, _Min, minimum
 from kstab.catalog import _CHECK_KINDS, Catalog, CatalogError, FamilyEntry, eval_expr, load_catalog, verify, verify_pointwise
+from tests._oracles import oracle_served_at
 from tests.test_catalog import _well_formed
 
 CATALOG = load_catalog()
@@ -306,7 +307,7 @@ def test_an_expression_at_the_symbolic_n_takes_its_value_at_every_n_where_the_gu
             expected = eval_expr(text, m)
         except CatalogError:
             continue
-        assert plan._at(value, m) == expected, m
+        assert plan._at(value, m) == str(expected), m  # a served number is its Fraction's text
 
 
 def test_a_square_root_needs_a_square():
@@ -370,3 +371,38 @@ def test_the_conditions_that_one_period_settles():
     assert _answers_hold(coprime, (c(2), n + c(2)), 0) == {False, True}
     assert _answers_hold(coprime, (c(6), c(2) * n), 0) == {False}
     assert _answers_hold(coprime, (n, n + c(1)), 0) == {False, True}  # no constant among them
+
+
+_ints = st.integers(-(10**20), 10**20)
+_nonzero = _ints.filter(bool)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ints, _nonzero, _ints, _nonzero)
+@example(0, -7, 0, 3)
+@example(6, -4, -3, 2)  # equal values, the first over a negative denominator
+def test_a_served_number_is_the_text_of_its_fraction(p, q, r, s):
+    """A value over a denominator of either sign, and a _Min of two such, formatted from ints
+    and taken by cross-multiplying, is str() of its Fraction."""
+    a, b = plan._rational_function((p,), (q,)), plan._rational_function((r,), (s,))
+    assert plan._at(a, 0) == str(Fraction(p, q))
+    assert plan._at(_Min(a, b), 0) == str(min(Fraction(p, q), Fraction(r, s)))
+    with pytest.raises(ZeroDivisionError):
+        plan._at(plan._rational_function((p,), (0,)), 0)
+
+
+@pytest.mark.parametrize("family_id", PARAMETRIC)
+def test_a_served_item_at_n_is_the_item_of_its_fractions(family_id):
+    """Each item the plan serves, at the first 301 n and at 200 seeded n < 10^15, is the item
+    that ``_item`` makes of the Fraction-valued oracle."""
+    catalog = _fresh(family_id)
+    lo = catalog.family(family_id).minimum_n
+    verify(catalog, family_id, lo)
+    served = [item for item in catalog.plans[family_id].items if isinstance(item, plan._Served)]
+    assert served
+    rng = random.Random(f"served/{family_id}")
+    for n in [*range(lo, lo + 301), *(rng.randrange(lo, 10**15) for _ in range(200))]:
+        for item in served:
+            expected = oracle_served_at(item.expected, n)
+            computed = expected if item.computed is None else oracle_served_at(item.computed, n)
+            assert item.at(n) == catalog_module._item(item.label, expected, computed, item.anchor), (n, item.label)

@@ -1,0 +1,127 @@
+"""kstab's value classes keep the semantics of frozen dataclasses without being dataclasses.
+
+Each sample is compared with a frozen dataclass of the same name and fields, built here
+with the same values: ``==`` and ``hash`` follow the fields, the repr is the dataclass's,
+and assigning an attribute raises AttributeError.  No class is generated at import.
+"""
+
+import dataclasses
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import kstab
+from kstab.arith import _Min
+from kstab.blowup import BlowupSpec, transform_config
+from kstab.catalog import _compile, instantiate, load_catalog, verify
+from kstab.cli import _json
+from kstab.invariants import delta_lower_bound, s_invariant
+from kstab.zariski import decompose_ray
+
+CATALOG = load_catalog()
+INSTANCE = instantiate(CATALOG, 2, 0)
+CONFIG = INSTANCE.config("cx")
+POINT = CONFIG.singular_points[0]
+BLOWUP = transform_config(CONFIG, BlowupSpec.make(POINT.point, (1, 1), dict(POINT.multiplicities)))
+RAY = decompose_ray(CONFIG, CONFIG.anticanonical, CONFIG.basis_vector(CONFIG.basis[0]))
+REPORT = verify(CATALOG, 2, 0)
+
+# one sample of each class, with a field to change and a value for it that the class accepts
+SAMPLES = {
+    "_Min": (_compile("min(n,3)"), "second", Fraction(4)),
+    "BlowupSpec": (BLOWUP.spec, "exceptional", "F"),
+    "BlowupResult": (BLOWUP, "log_discrepancy_e", Fraction(7)),
+    "FamilyEntry": (INSTANCE.entry, "family_id", 99),
+    "Catalog": (CATALOG, "source", "elsewhere"),
+    "FamilyInstance": (INSTANCE, "n", 1),
+    "CheckItem": (REPORT.items[0], "match", False),
+    "VerificationReport": (REPORT, "items", REPORT.items[1:]),
+    "DeltaBoundReport": (delta_lower_bound(s_invariant(RAY), 1, Fraction(1, 2), "p"), "point_label", "q"),
+    "Quintuple": (INSTANCE.quintuple, "degree", INSTANCE.quintuple.degree + 1),
+    "QuotientSingularity": (POINT.point, "label", "other"),
+    "SingularPointRecord": (POINT, "multiplicities", ()),
+    "CurveConfig": (CONFIG, "basis", tuple(name + "'" for name in CONFIG.basis)),
+    "RayInterval": (RAY.intervals[0], "right", RAY.intervals[0].right + 1),
+    "RayDecomposition": (RAY, "tau", RAY.tau + 1),
+}
+
+
+def _values(x) -> tuple:
+    return tuple(getattr(x, name) for name in x._fields)
+
+
+def _twin(x, **changes):
+    """A new value of x's class from x's fields, with changes."""
+    return type(x)(*(changes.get(name, value) for name, value in zip(x._fields, _values(x))))
+
+
+def _as_dataclass(x):
+    """A frozen dataclass of x's class name and fields, holding x's values."""
+    cls = dataclasses.make_dataclass(type(x).__qualname__, x._fields, frozen=True)
+    return cls(*_values(x))
+
+
+def _hash(x):
+    try:
+        return hash(x)
+    except TypeError as exc:  # a field holds a dict
+        return TypeError, str(exc)
+
+
+def test_every_former_dataclass_has_a_sample():
+    assert {type(x).__qualname__ for x, _, _ in SAMPLES.values()} == set(SAMPLES)
+
+
+def test_importing_kstab_defines_no_dataclass():
+    code = (
+        "import dataclasses, sys, kstab.cli, kstab.plan\n"
+        "print(sorted(f'{m.__name__}.{v.__qualname__}' for m in list(sys.modules.values())\n"
+        "      if m.__name__.startswith('kstab') for v in vars(m).values()\n"
+        "      if isinstance(v, type) and v.__module__ == m.__name__ and dataclasses.is_dataclass(v)))"
+    )
+    src = str(Path(kstab.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, cwd=src)
+    assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_equal_fields_give_equal_values_and_hashes(name):
+    x, field, value = SAMPLES[name]
+    twin = _twin(x)
+    assert twin is not x and twin == x and not twin != x
+    assert _hash(twin) == _hash(x) == _hash(_as_dataclass(x))
+    changed = _twin(x, **{field: value})
+    assert changed != x and not changed == x
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_assigning_an_attribute_raises(name):
+    x, field, value = SAMPLES[name]
+    for attr in (field, "new_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, value)
+    assert getattr(x, field) != value
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_the_repr_is_the_dataclass_repr(name):
+    x, _, _ = SAMPLES[name]
+    assert repr(x) == repr(_as_dataclass(x))
+
+
+def test_min_is_no_tuple_and_no_number():
+    node = _compile("min(n,3)")
+    assert type(node) is _Min and not isinstance(node, tuple)
+    with pytest.raises(TypeError):
+        node + node
+
+
+def test_a_record_is_no_json_array():
+    with pytest.raises(TypeError, match="CheckItem is not JSON serializable"):
+        _json({"item": REPORT.items[0]})
+    assert _json({"items": (1, 2)}) == '{\n "items": [\n  1,\n  2\n ]\n}\n'
