@@ -3,10 +3,15 @@
 Exit codes: 0 when every comparison matches, 1 when any expected invariant
 mismatches (the failing invariant is named on stderr), 2 on bad arguments,
 malformed input, or an input, output or stdout that cannot be read or written.
+
+The command line is read against one option table, built at import and needing
+nothing beyond the standard library: a bad argument exits 2 with the command's
+usage line and one ``Error: <message>`` line on stderr.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -15,8 +20,6 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Optional
-
-import click
 
 from .catalog import (
     Catalog,
@@ -43,18 +46,157 @@ from .zariski import decompose_ray
 _LINE_BREAKS = {ord(c): ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
-class _BadInput(click.ClickException):
+class _BadInput(Exception):
     """Malformed catalog or fixture: a one-line message and exit code 2."""
-
-    exit_code = 2
 
     def __init__(self, message: str):
         super().__init__(message.translate(_LINE_BREAKS))
 
 
-@click.group()
-def main():
-    """Exact K-stability invariants for index-2 del Pezzo hypersurfaces."""
+class _UsageError(_BadInput):
+    """A bad argument: the command's usage, then the one-line message; exit code 2."""
+
+
+# the command line: command name -> (function, options, required options), each option
+# "--name" -> (dest, kind, help) with kind "flag", "int", "text", "path" or a tuple of
+# choices, the first of them the default; filled in once, by @_command
+_COMMANDS: dict[str, tuple] = {}
+_METAVARS = {"int": " INTEGER", "text": " TEXT", "path": " PATH", "flag": ""}
+_FORMATS = ("text", "json", "csv")
+_OUTPUT = ("output", "path", "Write to this file (as UTF-8) instead of stdout.")
+_CATALOG = ("catalog_path", "path", "Catalog file (defaults to $KSTAB_CATALOG or the embedded copy).")
+
+
+def _command(options: dict, required: tuple = ()):
+    """Register cmd_<name> as the command <name>, read with these options."""
+    def register(function):
+        _COMMANDS[function.__name__[len("cmd_"):]] = (function, options, required)
+        return function
+    return register
+
+
+def main(args: Optional[list[str]] = None, prog_name: str = "kstab") -> None:
+    """Run one kstab command (``args`` defaults to ``sys.argv[1:]``) and exit with its code."""
+    args = sys.argv[1:] if args is None else list(args)
+    command = args[0] if args and args[0] in _COMMANDS else None
+    try:
+        code = _run(args, prog_name)
+    except _UsageError as exc:
+        usage = f"{prog_name} {command or '<command>'}"
+        again = f"{prog_name} {command}" if command else prog_name
+        _write(sys.stderr, f"Usage: {usage} [OPTIONS]\nTry '{again} --help' for help.\n\nError: {exc}\n")
+        code = 2
+    except _BadInput as exc:
+        _write(sys.stderr, f"Error: {exc}\n")
+        code = 2
+    except BrokenPipeError:  # a reader closed stdout early: exit 1 and print nothing
+        code = 1
+    except KeyboardInterrupt:
+        _write(sys.stderr, "\nAborted!\n")
+        code = 1
+    sys.exit(code)
+
+
+main.main = main  # bench/tracer.py calls main.main(args=..., prog_name="kstab")
+
+
+def _run(args: list[str], prog_name: str) -> int:
+    if not args:
+        raise _UsageError("Missing command.")
+    if args[0] == "--help":
+        _write(sys.stdout, _help(prog_name, None))
+        return 0
+    if args[0] not in _COMMANDS:
+        raise _UsageError(f"No such {'option' if args[0].startswith('-') else 'command'} {args[0]!r}.")
+    function, options, required = _COMMANDS[args[0]]
+    values = _parse(args[1:], options, required)
+    if values is None:
+        _write(sys.stdout, _help(prog_name, args[0]))
+        return 0
+    return function(**values)
+
+
+def _parse(args: list[str], options: dict, required: tuple) -> Optional[dict]:
+    """The values of a command's options (None for --help).  An option's value is the next
+    argument whatever it looks like (--n -5..3), or follows "=" (--n=-5..3); an option is
+    never abbreviated, and a repeated one keeps its last value."""
+    given: dict[str, str] = {}
+    extra: list[str] = []
+    wants_help = False
+    tokens = iter(args)
+    for token in tokens:
+        if not token.startswith("-"):
+            extra.append(token)
+        elif token == "--help":
+            wants_help = True
+        else:
+            name, has_value, value = token.partition("=")
+            if name not in options:
+                raise _UsageError(f"No such option {name!r}.")
+            if options[name][1] == "flag":
+                if has_value:
+                    raise _UsageError(f"Option {name!r} does not take a value.")
+                value = ""
+            elif not has_value:
+                value = next(tokens, None)
+                if value is None:
+                    raise _UsageError(f"Option {name!r} requires an argument.")
+            given[name] = value
+    if wants_help:
+        return None
+    if extra:
+        raise _UsageError(f"Got unexpected extra argument{'s' if len(extra) > 1 else ''} ({' '.join(extra)})")
+    values = {}
+    for name, (dest, kind, _) in options.items():
+        value = given.get(name)
+        if kind == "flag":
+            value = value is not None
+        elif value is None:
+            if name in required:
+                raise _UsageError(f"Missing option {name!r}.")
+            value = kind[0] if isinstance(kind, tuple) else None
+        elif kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"Invalid value for {name!r}: {value!r} is not a valid integer.")
+        elif isinstance(kind, tuple) and value not in kind:
+            choices = ", ".join(map(repr, kind))
+            raise _UsageError(f"Invalid value for {name!r}: {value!r} is not one of {choices}.")
+        values[dest] = value
+    return values
+
+
+def _help(prog_name: str, command: Optional[str]) -> str:
+    if command is None:
+        rows = [(name, function.__doc__.splitlines()[0]) for name, (function, _, _) in _COMMANDS.items()]
+        return (f"Usage: {prog_name} <command> [OPTIONS]\n\n  Exact K-stability invariants for index-2 del Pezzo hypersurfaces.\n\n"
+                f"Commands:\n{_columns(rows)}\nRun '{prog_name} <command> --help' for its options.\n")
+    function, options, required = _COMMANDS[command]
+    rows = [(name + (f" [{'|'.join(kind)}]" if isinstance(kind, tuple) else _METAVARS[kind]),
+             help + ("  [required]" if name in required else ""))
+            for name, (_, kind, help) in options.items()]
+    rows.append(("--help", "Show this message and exit."))
+    return (f"Usage: {prog_name} {command} [OPTIONS]\n\n  {function.__doc__.splitlines()[0]}\n\n"
+            f"Options:\n{_columns(rows)}")
+
+
+def _columns(rows: list[tuple[str, str]]) -> str:
+    width = max(len(left) for left, _ in rows)
+    return "".join(f"  {left.ljust(width)}  {right}".rstrip() + "\n" for left, right in rows)
+
+
+def _write(stream, text: str) -> None:
+    """Write text to stdout or stderr and flush it.  A stream whose encoding is ASCII (an
+    LC_ALL=C locale) gets UTF-8 bytes, as --output does, rather than refusing a non-ASCII name."""
+    buffer = getattr(stream, "buffer", None)
+    if buffer is not None and codecs.lookup(stream.encoding or "ascii").name == "ascii":
+        stream.flush()
+        buffer.write(text.encode("utf-8", "replace"))
+        buffer.flush()
+    else:
+        stream.write(text)
+        stream.flush()
 
 
 def _parse_n_values(text: Optional[str]) -> Optional[list[int]]:
@@ -69,7 +211,7 @@ def _parse_n_values(text: Optional[str]) -> Optional[list[int]]:
             return list(range(lo, hi + 1))
         return [int(text)]
     except ValueError:
-        raise click.UsageError(f"--n expects an integer or a..b range, got {text!r}")
+        raise _UsageError(f"--n expects an integer or a..b range, got {text!r}")
 
 
 def _emit(text: str, output: Optional[str]):
@@ -77,12 +219,12 @@ def _emit(text: str, output: Optional[str]):
         if output:
             Path(output).write_text(text, encoding="utf-8")
         else:
-            click.echo(text, nl=False)
-    except BrokenPipeError:
-        raise  # a closed pipe: click's main exits 1 and prints nothing
+            _write(sys.stdout, text)
     except OSError as exc:
         if not output:  # a failed flush keeps its bytes: the null device takes them at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise  # a closed pipe: main exits 1 and prints nothing
         raise _BadInput(f"cannot write {output or 'stdout'}: {exc.strerror or exc}")
 
 
@@ -166,18 +308,18 @@ def _pretty(value: str) -> str:
     return value if approx is None else f"{value} (~{approx})"
 
 
-@main.command(name="verify")
-@click.option("--family", type=int, default=None, help="Family id 1..10.")
-@click.option("--all", "all_families", is_flag=True, help="Verify every family.")
-@click.option("--n", "n_text", default=None, help="Parameter value or range a..b.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-@click.option("--output", default=None, type=click.Path())
-@click.option("--catalog", "catalog_path", default=None, type=click.Path(),
-              help="Catalog file (defaults to $KSTAB_CATALOG or the embedded copy).")
+@_command({
+    "--family": ("family", "int", "Family id 1..10."),
+    "--all": ("all_families", "flag", "Verify every family."),
+    "--n": ("n_text", "text", "Parameter value or range a..b."),
+    "--format": ("fmt", _FORMATS, "Report format (default text)."),
+    "--output": _OUTPUT,
+    "--catalog": _CATALOG,
+})
 def cmd_verify(family, all_families, n_text, fmt, output, catalog_path):
     """Recompute every catalog invariant and compare bit-exactly."""
     if (family is None) == (not all_families):
-        raise click.UsageError("choose exactly one of --family <id> or --all")
+        raise _UsageError("choose exactly one of --family <id> or --all")
     catalog = _load(catalog_path)
     ids = catalog.family_ids if all_families else [family]
     n_values = _parse_n_values(n_text)
@@ -187,7 +329,7 @@ def cmd_verify(family, all_families, n_text, fmt, output, catalog_path):
         try:
             entry = catalog.family(fid)
         except CatalogError as exc:
-            raise click.UsageError(str(exc))
+            raise _UsageError(str(exc))
         values = n_values if n_values is not None else default_n_values(entry)
         if all_families and n_values is not None:
             values = [v for v in n_values if entry.parametric and v >= entry.minimum_n] or default_n_values(entry)
@@ -195,7 +337,7 @@ def cmd_verify(family, all_families, n_text, fmt, output, catalog_path):
             try:
                 check_parameter(entry, n)
             except ParameterError as exc:
-                raise click.UsageError(str(exc))
+                raise _UsageError(str(exc))
             try:
                 reports.append(verify(catalog, fid, n))
             except CatalogError as exc:  # a ParameterError here is catalog data that needs n
@@ -205,14 +347,11 @@ def cmd_verify(family, all_families, n_text, fmt, output, catalog_path):
     for r, item in bad:
         tag = f"family {r.family_id}" + ("" if r.n is None else f", n = {r.n}")
         name = item.name.translate(_LINE_BREAKS)
-        click.echo(f"MISMATCH [{tag}] {name}: expected {item.expected}, computed {item.computed}", err=True)
-    sys.exit(1 if bad else 0)
+        _write(sys.stderr, f"MISMATCH [{tag}] {name}: expected {item.expected}, computed {item.computed}\n")
+    return 1 if bad else 0
 
 
-@main.command(name="table")
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-@click.option("--output", default=None, type=click.Path())
-@click.option("--catalog", "catalog_path", default=None, type=click.Path())
+@_command({"--format": ("fmt", _FORMATS, "Table format (default text)."), "--output": _OUTPUT, "--catalog": _CATALOG})
 def cmd_table(fmt, output, catalog_path):
     """Render the ten-family classification table."""
     catalog = _load(catalog_path)
@@ -253,12 +392,10 @@ def cmd_table(fmt, output, catalog_path):
             for q in extra
         )
         _emit("\n".join(lines) + "\n", output)
-    sys.exit(0)
+    return 0
 
 
-@main.command(name="export")
-@click.option("--output", default=None, type=click.Path())
-@click.option("--catalog", "catalog_path", default=None, type=click.Path())
+@_command({"--output": _OUTPUT, "--catalog": _CATALOG})
 def cmd_export(output, catalog_path):
     """Write the active catalog JSON (embedded by default) to a file or stdout."""
     catalog = _load(catalog_path)
@@ -268,13 +405,14 @@ def cmd_export(output, catalog_path):
         "non_ke_quintuples": [dict(q) for q in catalog.non_ke_quintuples],
     }
     _emit(_json(doc), output)
-    sys.exit(0)
+    return 0
 
 
-@main.command(name="analyze")
-@click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--output", default=None, type=click.Path())
+@_command({
+    "--input": ("input_path", "path", "Fixture file (JSON)."),
+    "--format": ("fmt", ("text", "json"), "Report format (default text)."),
+    "--output": _OUTPUT,
+}, required=("--input",))
 def cmd_analyze(input_path, fmt, output):
     """Decompose a ray from a JSON fixture and report its invariants."""
     try:
@@ -282,10 +420,10 @@ def cmd_analyze(input_path, fmt, output):
     except CatalogError as exc:
         raise _BadInput(str(exc))
     except (ValueError, KeyError) as exc:
-        click.echo(f"analysis failed: {str(exc).translate(_LINE_BREAKS)}", err=True)
-        sys.exit(1)
+        _write(sys.stderr, f"analysis failed: {str(exc).translate(_LINE_BREAKS)}\n")
+        return 1
     _emit(_json(result) if fmt == "json" else _render_analysis(result), output)
-    sys.exit(0)
+    return 0
 
 
 def _analyze(where: str, doc) -> dict:

@@ -10,7 +10,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from kstab import (
     az_s_w,
@@ -26,12 +25,11 @@ from kstab import (
     zariski_decompose_at,
 )
 from kstab.arith import PiecewisePoly, Poly
-from kstab.cli import main as cli_main
+from tests._cli_runner import invoke
 from tests._oracles import random_chain_config, simpson_matches
 
 F = Fraction
 CATALOG = load_catalog()
-RUNNER = CliRunner()
 
 
 def _report(num: int, label: str, ok: bool) -> None:
@@ -357,10 +355,10 @@ def inst_eval(expr, n):
 
 
 def test_criterion_13_cli_contract(tmp_path):
-    ok = RUNNER.invoke(cli_main, ["verify", "--all"]).exit_code == 0
+    ok = invoke(["verify", "--all"]).exit_code == 0
 
     exported = tmp_path / "catalog.json"
-    ok &= RUNNER.invoke(cli_main, ["export", "--output", str(exported)]).exit_code == 0
+    ok &= invoke(["export", "--output", str(exported)]).exit_code == 0
     doc = json.loads(exported.read_text())
 
     corrupted = 0
@@ -384,17 +382,12 @@ def test_criterion_13_cli_contract(tmp_path):
         path = tmp_path / f"broken_{family['id']}.json"
         path.write_text(json.dumps(victim))
         n_args = ["--n", "3"] if family.get("parameter") else []
-        result = RUNNER.invoke(
-            cli_main,
-            ["verify", "--family", str(family["id"]), *n_args, "--catalog", str(path)],
-        )
+        result = invoke(["verify", "--family", str(family["id"]), *n_args, "--catalog", str(path)])
         ok &= result.exit_code == 1
         ok &= name in result.output
         corrupted += 1
     ok &= corrupted == 10
 
-    env_result = RUNNER.invoke(
-        cli_main, ["verify", "--all"], env={"KSTAB_CATALOG": str(tmp_path / "broken_10.json")}
-    )
+    env_result = invoke(["verify", "--all"], env={"KSTAB_CATALOG": str(tmp_path / "broken_10.json")})
     ok &= env_result.exit_code == 1
     _report(13, "CLI contract: verify --all green; every corrupted copy exits 1 naming the value", ok)

@@ -10,20 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import kstab
+import kstab.cli
 from kstab.catalog import VerificationReport
-from kstab.cli import _LINE_BREAKS, _json, main
+from kstab.cli import _LINE_BREAKS, _json
+from tests._cli_runner import invoke
 from tests._oracles import random_chain_config
-
-runner = CliRunner()
-
-
-def invoke(args, env=None):
-    return runner.invoke(main, args, env=env, catch_exceptions=False)
 
 
 def test_verify_single_fixed_family():
@@ -85,11 +79,16 @@ def test_verify_output_file(tmp_path):
     assert json.loads(out.read_text())["reports"][0]["overall"] is True
 
 
+def _process_env(**env):
+    """os.environ with env added, and the kstab under test first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(Path(kstab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
 def _kstab_process(args, stdout=subprocess.PIPE, **env):
     """kstab in a process of its own, with env added to the environment; stderr is captured."""
-    path = os.pathsep.join(filter(None, [str(Path(kstab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "kstab.cli", *args], stdout=stdout, stderr=subprocess.PIPE,
-                          encoding="utf-8", env={**os.environ, "PYTHONPATH": path, **env})
+                          encoding="utf-8", env=_process_env(**env))
 
 
 STDOUT_CASES = [["verify", "--family", "10", "--format", "csv"], ["export"], ["verify", "--all"]]
@@ -128,6 +127,88 @@ def test_output_file_is_utf_8_in_an_ascii_locale(tmp_path):
     process = _kstab_process(args, LC_ALL="C", PYTHONUTF8="0")
     assert (process.returncode, process.stdout, process.stderr) == (0, "", "")
     assert "  [ok ] caf\u00e9 check " in out.read_bytes().decode("utf-8")
+
+
+# a check name is written as stored, escapes included, whether or not stdout is a terminal (here
+# a pipe); an ASCII locale gets the UTF-8 bytes --output gets
+@pytest.mark.parametrize("locale", [{}, {"LC_ALL": "C", "PYTHONUTF8": "0"}], ids=["utf-8", "ascii"])
+def test_names_with_escapes_reach_a_pipe_as_stored(tmp_path, locale):
+    name = "A\x1b[31mB caf\u00e9"
+
+    def corrupt(family):
+        next(c for c in family["checks"] if c["name"] == "anticanonical degree").update(name=name, expect="5")
+
+    process = _kstab_process([*_exported_catalog_with(tmp_path, corrupt, family_id=3), "--format", "csv"], **locale)
+    assert process.returncode == 1
+    assert f"\n3,,{name},5,2/3,no\n" in process.stdout.replace("\r\n", "\n")
+    assert process.stderr == f"MISMATCH [family 3] {name}: expected 5, computed 2/3\n"
+
+
+def test_importing_the_cli_leaves_click_out():
+    code = "import sys, kstab.cli; sys.exit('click' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=_process_env()).returncode == 0
+
+
+# -- the command line's own rules ------------------------------------------------
+
+def test_option_rules():
+    # a value option takes the next argument whatever it looks like, or the text after "="
+    for args in (["--n", "-5..3"], ["--n=-5..3"]):
+        result = invoke(["verify", "--family", "1", *args])
+        assert result.exit_code == 2
+        assert result.stderr.endswith("\nError: family 1 needs n >= 2, got -5\n")
+    assert invoke(["verify", "--family=10"]).stdout == invoke(["verify", "--family", "10"]).stdout
+    # no option is abbreviated, and --input is required
+    assert invoke(["verify", "--fam", "10"]).stderr.endswith("\nError: No such option '--fam'.\n")
+    assert invoke(["analyze"]).stderr.endswith("\nError: Missing option '--input'.\n")
+
+
+USAGE_ERRORS = {
+    (): "Missing command.",
+    ("bogus",): "No such command 'bogus'.",
+    ("--all",): "No such option '--all'.",
+    ("verify", "--bogus"): "No such option '--bogus'.",
+    ("verify", "--family", "x"): "Invalid value for '--family': 'x' is not a valid integer.",
+    ("verify", "--all", "--format", "xml"): "Invalid value for '--format': 'xml' is not one of 'text', 'json', 'csv'.",
+    ("verify", "--all", "--n"): "Option '--n' requires an argument.",
+    ("verify", "--all=yes"): "Option '--all' does not take a value.",
+    ("verify", "--all", "3", "4"): "Got unexpected extra arguments (3 4)",
+    ("verify", "--all", "3"): "Got unexpected extra argument (3)",
+    ("analyze", "--format", "json"): "Missing option '--input'.",
+    ("export", "--format", "json"): "No such option '--format'.",
+    ("verify",): "choose exactly one of --family <id> or --all",
+    ("verify", "--family", "11"): "no family with id 11",
+    ("verify", "--family", "3", "--n", "x..y"): "--n expects an integer or a..b range, got 'x..y'",
+    ("verify", "--family", "3", "--n", "2"): "family 3 takes no parameter",
+    ("verify", "--family", "1", "--n", "1"): "family 1 needs n >= 2, got 1",
+    ("table", "--format", "x\ny"): "Invalid value for '--format': 'x\\ny' is not one of 'text', 'json', 'csv'.",
+}
+
+
+@pytest.mark.parametrize("args, message", USAGE_ERRORS.items(), ids=[" ".join(args) for args in USAGE_ERRORS])
+def test_a_bad_argument_prints_usage_and_one_error_line(args, message):
+    result = invoke(list(args))
+    command = args[0] if args and args[0] in ("verify", "table", "export", "analyze") else "<command>"
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"Usage: kstab {command} [OPTIONS]\n")
+    assert result.stderr.endswith(f"\n\nError: {message}\n")
+    assert sum(line.startswith("Error:") for line in result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [[], ["verify"], ["table"], ["export"], ["analyze"]], ids=" ".join)
+def test_help_exits_0(command):
+    result = invoke([*command, "--help"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout.startswith(f"Usage: kstab {command[0] if command else '<command>'} [OPTIONS]\n")
+
+
+def test_ctrl_c_prints_aborted_and_exits_1(monkeypatch):
+    def interrupt(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(kstab.cli, "load_catalog", interrupt)
+    result = invoke(["verify", "--all"])
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
 
 
 def test_table_text_rows():
@@ -251,7 +332,7 @@ def test_env_var_overrides_catalog(tmp_path):
     doc = json.loads(out.read_text())
     doc["families"] = [f for f in doc["families"] if f["id"] == 6]
     out.write_text(json.dumps(doc))
-    result = runner.invoke(main, ["verify", "--all"], env={"KSTAB_CATALOG": str(out)})
+    result = invoke(["verify", "--all"], env={"KSTAB_CATALOG": str(out)})
     assert result.exit_code == 0
     assert "family 6" in result.output
     assert "family 7" not in result.output
