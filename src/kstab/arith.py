@@ -260,26 +260,29 @@ class Poly:
         return anti(b) - anti(a)
 
     def format(self, var: str = "u") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        """The text "c0 + c1*u - ...": each coefficient written from its int numerator."""
+        parts, den = [], self.denominator
+        for i, x in enumerate(self.numerators):
+            if not x:
                 continue
-            mag = abs(c)
+            mag = abs(x)
             if i == 0:
-                body = str(mag)
+                body = _quotient_str(mag, den)
             else:
                 power = var if i == 1 else f"{var}^{i}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+                body = power if mag == den else f"{_quotient_str(mag, den)}*{power}"
+            sign = ("" if x > 0 else "-") if not parts else ("+ " if x > 0 else "- ")
+            parts.append(sign + body)
+        return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"Poly({self.format()})"
+
+
+def _quotient_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, with one gcd and no Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _normalise(poly: Poly, nums: list[int], den: int) -> None:

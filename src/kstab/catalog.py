@@ -506,7 +506,8 @@ class CheckItem(NamedTuple):
         approx = _approx(self.expected)
         if approx is not None:
             out["expected_approx"] = approx
-        approx = _approx(self.computed)
+        if self.computed != self.expected:
+            approx = _approx(self.computed)
         if approx is not None:
             out["computed_approx"] = approx
         return out
@@ -546,12 +547,13 @@ class VerificationReport(NamedTuple):
     def mismatches(self) -> list[CheckItem]:
         return [item for item in self.items if not item.match]
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, item_json: Callable = CheckItem.to_json_dict) -> dict:
+        """The report as JSON values, each item as item_json(item) gives it."""
         return {
             "family": self.family_id,
             "n": self.n,
             "overall": self.overall,
-            "items": [item.to_json_dict() for item in self.items],
+            "items": [item_json(item) for item in self.items],
         }
 
     @classmethod

@@ -12,7 +12,6 @@ usage line and one ``Error: <message>`` line on stderr.
 from __future__ import annotations
 
 import codecs
-import csv
 import io
 import json
 import os
@@ -241,7 +240,7 @@ def _write_json(x, out: list, newline: str) -> None:
     """Append x as json.dumps(x, indent=1) writes it at the depth that newline indents; every
     object key is a string."""
     if isinstance(x, str):
-        out.append(_quote(x))
+        out.append(x if type(x) is _Written else _quote(x))
     elif x is None or x is True or x is False:
         out.append("null" if x is None else "true" if x else "false")
     elif isinstance(x, int):
@@ -271,10 +270,26 @@ def _write_json(x, out: list, newline: str) -> None:
         out.append(json.dumps(x))
 
 
+class _Written(str):
+    """JSON text that _write_json has already written, at the depth where it goes."""
+
+
 def _render_reports(reports: list[VerificationReport], fmt: str) -> str:
     if fmt == "json":
-        return _json({"reports": [r.to_json_dict() for r in reports]})
+        written: dict[int, _Written] = {}  # id(item) -> its text; a plan hands back one item at many n
+
+        def item_json(item) -> _Written:
+            text = written.get(id(item))
+            if text is None:
+                out: list[str] = []
+                _write_json(item.to_json_dict(), out, "\n    ")  # {"reports": [{"items": [here
+                text = written[id(item)] = _Written("".join(out))
+            return text
+
+        return _json({"reports": [r.to_json_dict(item_json) for r in reports]})
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["family", "n", "invariant", "expected", "computed", "match"])
@@ -376,6 +391,8 @@ def cmd_table(fmt, output, catalog_path):
     if fmt == "json":
         _emit(_json({"families": rows, "non_ke_quintuples": extra}), output)
     elif fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["family", "weights", "degree", "ke", "bound"])

@@ -39,11 +39,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .arith import PiecewisePoly, Poly, RationalFunction, _Min, _poly_at, _poly_mul, _rational_function, _trim
-from .arith import over_common_denominator, ratio
+from .arith import PiecewisePoly, Poly, RationalFunction, _Min, _poly_at, _poly_mul, _quotient_str, _rational_function
+from .arith import _trim, over_common_denominator, ratio
 from .catalog import Catalog, CheckItem, FamilyEntry, FamilyInstance, VerificationReport, _item, _pointwise
 from .catalog import _values, instantiate
-from .surface import _quotient_str
 
 RF = RationalFunction
 ZERO = RF()
@@ -110,7 +109,15 @@ def _at(x, n: int):
         return x
     if isinstance(x, (RF, _Min)):
         return _quotient_str(*_value(x, n))
-    return PiecewisePoly((left(n), right(n), Poly(c(n) for c in coeffs)) for left, right, coeffs in x)
+    return PiecewisePoly(_piece_at(left, right, coeffs, n) for left, right, coeffs in x)
+
+
+def _piece_at(left: RF, right: RF, coeffs: tuple, n: int) -> tuple:
+    """A volume piece at n: its endpoints as Fractions, its polynomial from the coefficients'
+    int values over the lcm of their denominators."""
+    values = [_value(c, n) for c in coeffs]
+    den = math.lcm(*(q for _, q in values))
+    return left(n), right(n), Poly.from_integers([p * (den // q) for p, q in values], den)
 
 
 def _value(x, n: int) -> tuple[int, int]:

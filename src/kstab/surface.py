@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .arith import Frozen, Poly, RationalLike, coprime, gcd, over_common_denominator, rat, ratio
+from .arith import Frozen, Poly, RationalLike, _quotient_str, coprime, gcd, over_common_denominator, rat, ratio
 
 
 class DimensionMismatchError(ValueError):
@@ -438,9 +438,3 @@ def _eliminate(rows: list[list[int]], swap_rows: bool):
             col[i] = acc // row[i]
         y.append(col)
     return pivots, y
-
-
-def _quotient_str(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0, with one gcd and no Fraction."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"

@@ -30,7 +30,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import Frozen, PiecewisePoly, Poly, RationalLike, isqrt, over_common_denominator, rat, ratio
+from .arith import Frozen, PiecewisePoly, Poly, RationalLike, _quotient_str, isqrt, over_common_denominator, rat, ratio
 from .surface import ClassVector, CurveConfig, DimensionMismatchError, solve_linear_system
 
 
@@ -166,6 +166,9 @@ class RayDecomposition(Frozen):
         return self.interval_at(u).negative_part_at(u, self.config.size)
 
     def to_json_dict(self) -> dict:
+        def texts(poly: Poly) -> list[str]:  # the coefficients as str() writes their Fractions
+            return [_quotient_str(x, poly.denominator) for x in poly.numerators]
+
         return {
             "ample": [str(c) for c in self.ample],
             "ray": [str(c) for c in self.ray],
@@ -178,18 +181,18 @@ class RayDecomposition(Frozen):
                     "right": str(iv.right),
                     "support": [self.config.basis[i] for i in iv.support],
                     "negative_coeffs": {
-                        self.config.basis[i]: [str(c) for c in poly.coeffs]
+                        self.config.basis[i]: texts(poly)
                         for i, poly in zip(iv.support, iv.negative_coeffs)
                     },
                     "positive_part": {
-                        name: [str(c) for c in poly.coeffs]
+                        name: texts(poly)
                         for name, poly in zip(self.config.basis, iv.positive_part)
                     },
                 }
                 for iv in self.intervals
             ],
             "volume": [
-                {"left": str(l), "right": str(r), "coeffs": [str(c) for c in p.coeffs]}
+                {"left": str(l), "right": str(r), "coeffs": texts(p)}
                 for l, r, p in self.volume.pieces
             ],
         }

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the package's exact integration and
 decomposition paths: integrals are checked by floating-point Simpson
-quadrature, polynomial arithmetic by a Poly with Fraction coefficients (the
-package's runs on integer numerators over one denominator), blow-up Gram
+quadrature, polynomial arithmetic and text by a Poly with Fraction coefficients
+(the package's runs on integer numerators over one denominator), blow-up Gram
 matrices by the Fraction formula (the package updates integer rows),
 definiteness by numpy eigenvalues, ray decompositions by enumerating every
 negative-definite subset of the basis and by the Poly-based chamber walk
@@ -24,6 +24,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Optional
 
 from kstab import (
@@ -355,6 +356,21 @@ def oracle_blow_up_gram(config, spec) -> list[list[Fraction]]:
     ]
     rows.append([o / (a * b) for o in orders] + [Fraction(-n, a * b)])
     return rows
+
+
+def oracle_poly_format(poly: Poly, var: str = "u") -> str:
+    """Poly.format as it was written on the Fraction coefficients, the reference for the
+    package's, which writes each coefficient from its int numerator."""
+    return FractionPoly(poly.coeffs).format(var)
+
+
+def bench_chain_fixture(seed: int, k: int) -> dict:
+    """The benchmark's frozen chain fixture of k curves, run from the source of
+    bench/chains.py, which is only read (no bytecode cache is written next to it)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "chains.py"
+    chains = {"__name__": "bench_chains"}
+    exec(compile(path.read_text(), str(path), "exec"), chains)
+    return chains["chain_fixture"](seed, k)["fixture"]
 
 
 def oracle_served_at(x, n: int):

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kstab.arith import (
@@ -18,7 +18,7 @@ from kstab.arith import (
     poly_eval,
     rat,
 )
-from tests._oracles import FractionPoly, simpson, simpson_matches
+from tests._oracles import FractionPoly, oracle_poly_format, simpson, simpson_matches
 
 F = Fraction
 
@@ -73,6 +73,28 @@ def test_poly_format():
     assert p.format() == "2/3 - 4/3*u - 2/3*u^2"
     assert Poly().format() == "0"
     assert Poly([0, 1]).format() == "u"
+
+
+# coefficients of every sign, many of magnitude 1, over denominators up to 10^30
+_format_coeffs = st.lists(
+    st.builds(
+        F,
+        st.sampled_from([0, 1, -1]) | st.integers(-(10**40), 10**40),
+        st.sampled_from([1, 2]) | st.integers(1, 10**30),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_format_coeffs, st.sampled_from(["u", "t"]))
+@example([], "u")
+@example([F(1), F(-1), F(1, 1), F(-1)], "u")
+@example([F(-3, 10**30), F(0), F(10**30 + 1, 10**30), F(-1)], "t")
+def test_poly_format_is_the_text_of_its_fraction_coefficients(coeffs, var):
+    """Poly.format writes each coefficient from its int numerator as the Fraction text does."""
+    p = Poly(coeffs)
+    assert p.format(var) == oracle_poly_format(p, var)
 
 
 def test_integrate_square_piece():

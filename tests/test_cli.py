@@ -14,10 +14,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import kstab.cli
-from kstab.catalog import VerificationReport
-from kstab.cli import _LINE_BREAKS, _json
+from kstab.catalog import CheckItem, VerificationReport
+from kstab.cli import _LINE_BREAKS, _json, _render_reports
 from tests._cli_runner import invoke
-from tests._oracles import random_chain_config
+from tests._oracles import bench_chain_fixture, random_chain_config
 
 
 def test_verify_single_fixed_family():
@@ -146,6 +146,12 @@ def test_names_with_escapes_reach_a_pipe_as_stored(tmp_path, locale):
 
 def test_importing_the_cli_leaves_click_out():
     code = "import sys, kstab.cli; sys.exit('click' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=_process_env()).returncode == 0
+
+
+def test_importing_the_cli_leaves_csv_out():
+    """csv is imported by the two commands that write it, not by every process."""
+    code = "import sys, kstab.cli; sys.exit('csv' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=_process_env()).returncode == 0
 
 
@@ -308,6 +314,31 @@ def test_the_json_writer_refuses_what_json_dumps_refuses(doc):
         _json(doc)
 
 
+def test_a_json_report_writes_each_item_as_json_dumps_does():
+    """_render_reports writes each distinct item once and reuses its text: the document is
+    json.dumps's wherever an item recurs, is equal to another, or has its own approximations."""
+    item = CheckItem("volume", "1/3", "1/3", True, "Thm 1")
+    twin = CheckItem(*[str(field) for field in item[:3]], True, "Thm 1")
+    assert twin == item and twin is not item
+    mismatch = CheckItem("volume", "1/3", "2/7", False, "Thm 1")
+    huge = "1" + "0" * 400
+    beyond = CheckItem("degree", huge, "3", False, "")
+    cases = [
+        [VerificationReport(1, 2, (item, item)), VerificationReport(1, 3, (item,)), VerificationReport(3, None, ())],
+        [VerificationReport(2, 0, (item, twin)), VerificationReport(2, 1, (twin,))],
+        [VerificationReport(2, 0, (item, mismatch)), VerificationReport(2, 1, (mismatch, item))],
+        [VerificationReport(3, None, (beyond, item, beyond))],
+    ]
+    for reports in cases:
+        text = _render_reports(reports, "json")
+        assert text == json.dumps({"reports": [r.to_json_dict() for r in reports]}, indent=1) + "\n"
+    items = json.loads(_render_reports(cases[2], "json"))["reports"][0]["items"]
+    approximations = [(i["expected_approx"], i["computed_approx"]) for i in items]
+    assert approximations == [("0.333333", "0.333333"), ("0.333333", "0.285714")]
+    first = json.loads(_render_reports(cases[3], "json"))["reports"][0]["items"][0]
+    assert "expected_approx" not in first and first["computed_approx"] == "3.000000"
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "--all", "--format", "json"],
     ["verify", "--family", "2", "--n", "1000000..1000040", "--format", "json"],
@@ -467,20 +498,11 @@ def _chain_fixture(seed: int, k: int) -> dict:
     return {"config": config.to_json_dict(), "ray": {"curve": ray_name}, "point": point}
 
 
-def _bench_chain_fixture(seed: int, k: int) -> dict:
-    """The benchmark's frozen chain fixture of k curves, run from the source of
-    bench/chains.py, which is only read (no bytecode cache is written next to it)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "chains.py"
-    chains = {"__name__": "bench_chains"}
-    exec(compile(path.read_text(), str(path), "exec"), chains)
-    return chains["chain_fixture"](seed, k)["fixture"]
-
-
 # the analyze fixtures a pinned command names
 PINNED_FIXTURES = {
     "README_FIXTURE": README_FIXTURE,
     **{f"CHAIN_{seed}_{k}": _chain_fixture(seed, k) for seed, k in ((0, 4), (2, 6), (1, 8), (4, 10))},
-    "BENCH_CHAIN_2_24": _bench_chain_fixture(2, 24),  # 23 blow-ups
+    "BENCH_CHAIN_2_24": bench_chain_fixture(2, 24),  # 23 blow-ups
 }
 
 # sha256 of the output bytes, pinned so that a refactor that changes any byte fails

@@ -406,3 +406,28 @@ def test_a_served_item_at_n_is_the_item_of_its_fractions(family_id):
             expected = oracle_served_at(item.expected, n)
             computed = expected if item.computed is None else oracle_served_at(item.computed, n)
             assert item.at(n) == catalog_module._item(item.label, expected, computed, item.anchor), (n, item.label)
+
+
+@pytest.mark.parametrize("family_id", PARAMETRIC)
+def test_a_served_n_builds_no_fraction_but_its_volume_pieces_endpoints(family_id, monkeypatch):
+    """Numbers and polynomial texts are written from ints: at n = 10^6 + 1 .. 10^6 + 10, the only
+    Fractions built are the endpoints of the volume profiles' pieces, two a piece."""
+    catalog = _fresh(family_id)
+    verify(catalog, family_id, 10**6)
+    profiles = [
+        x for item in catalog.plans[family_id].items if isinstance(item, plan._Served)
+        for x in (item.expected, item.computed) if isinstance(x, tuple)
+    ]
+    assert profiles
+    built, new = [], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for n in range(10**6 + 1, 10**6 + 11):
+        verify(catalog, family_id, n)
+    monkeypatch.undo()
+    assert catalog.plan_counts["n served"] == 10
+    assert len(built) <= 10 * 2 * sum(map(len, profiles))

@@ -19,15 +19,17 @@ from kstab import (
     zariski_decompose_at,
 )
 from kstab.arith import PiecewisePoly, Poly
-from kstab.catalog import default_n_values, eval_expr
+from kstab.catalog import default_n_values, eval_expr, load_fixture
 from kstab.invariants import FlagSupportError, az_s_w, beta, k_basis_bound, s_invariant
 from kstab.surface import ClassVector, DimensionMismatchError
 from kstab.zariski import InconsistentConfigError, NotPseudoeffectiveError, RayNeverEffectiveError
 from tests._oracles import (
+    bench_chain_fixture,
     decompose_ray_by_subsets,
     oracle_chamber_end,
     oracle_decompose_ray,
     oracle_is_negative_definite,
+    oracle_poly_format,
     oracle_positive_on,
     oracle_quadratic_negative_on,
     oracle_smallest_rational_root,
@@ -293,6 +295,34 @@ def test_ray_must_live_on_the_basis():
     for coords in ([1], [1, 0, 5]):
         with pytest.raises(DimensionMismatchError, match=f"^vector of length {len(coords)} against basis of size 2$"):
             decompose_ray(LR, LR.anticanonical, ClassVector(coords))
+
+
+@pytest.mark.parametrize("seed, answered", [(1, [5, 7, 8, 10]), (2, [4, 5, 7]), (3, [6, 7, 8, 9, 10])])
+def test_coefficient_texts_are_the_texts_of_their_fractions_on_the_benchmark_chains(seed, answered):
+    """to_json_dict writes each coefficient from its int numerator, and format each polynomial:
+    both are the Fraction texts, on every ray of the benchmark's chains that decomposes."""
+    def texts(poly):
+        return [str(c) for c in poly.coeffs]
+
+    decomposed = []
+    for k in range(4, 11):
+        doc = bench_chain_fixture(seed, k)
+        base, blowups = load_fixture(f"chain {seed}/{k}", doc)
+        config = blowups[-1].upstairs if blowups else base
+        try:
+            rd = decompose_ray(config, config.anticanonical, config.basis_vector(doc["ray"]["curve"]))
+        except ValueError:  # an irrational threshold, which the benchmark counts as refused
+            continue
+        decomposed.append(k)
+        out = rd.to_json_dict()
+        for iv, iv_out in zip(rd.intervals, out["intervals"], strict=True):
+            negative = {rd.config.basis[i]: texts(poly) for i, poly in zip(iv.support, iv.negative_coeffs)}
+            assert iv_out["negative_coeffs"] == negative
+            assert iv_out["positive_part"] == {name: texts(p) for name, p in zip(rd.config.basis, iv.positive_part)}
+            assert all(p.format() == oracle_poly_format(p) for p in (*iv.negative_coeffs, *iv.positive_part))
+        assert [piece["coeffs"] for piece in out["volume"]] == [texts(p) for _, _, p in rd.volume.pieces]
+        assert rd.volume.format() == "; ".join(f"[{l}, {r}]: {oracle_poly_format(p)}" for l, r, p in rd.volume.pieces)
+    assert decomposed == answered
 
 
 def test_ray_serializes_to_json():
