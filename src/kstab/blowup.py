@@ -3,12 +3,13 @@
 Extracting the exceptional curve of a weighted blow-up with weights (a, b)
 over a 1/n-quotient point changes the intersection numbers by an explicit
 rational correction, applied as an integer update of the stored Gram rows
-(d, G); the pullback map embeds the downstairs lattice isometrically into
-the upstairs one, orthogonal to the new exceptional curve.
+(d, G).  The pullback, on ints as well, embeds the downstairs lattice
+isometrically into the upstairs one, orthogonal to the new exceptional curve.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -64,12 +65,6 @@ class BlowupSpec(Frozen):
         orders = tuple(sorted((k, rat(v)) for k, v in curve_orders.items()))
         return cls(center, tuple(weights), orders, exceptional)
 
-    def order_of(self, curve: str) -> Fraction:
-        for name, w in self.curve_orders:
-            if name == curve:
-                return w
-        return Fraction(0)
-
 
 class BlowupResult(NamedTuple):
     """Upstairs configuration plus the pullback bookkeeping."""
@@ -83,8 +78,9 @@ class BlowupResult(NamedTuple):
         """pullback(v) = sum v_i (strict transform of C_i + (w_i/n) E)."""
         if len(v) != self.downstairs.size:
             raise ValueError("vector does not live on the downstairs basis")
-        orders = [self.spec.order_of(name) for name in self.downstairs.basis]
-        return _pullback(v, orders, self.spec.center.order)
+        orders = dict(self.spec.curve_orders)
+        o, s = over_common_denominator([orders.get(name, 0) for name in self.downstairs.basis])
+        return _pullback(v, o, s * self.spec.center.order)
 
 
 def transform_config(config: CurveConfig, spec: BlowupSpec) -> BlowupResult:
@@ -95,42 +91,34 @@ def transform_config(config: CurveConfig, spec: BlowupSpec) -> BlowupResult:
     """
     n = spec.center.order
     a, b = spec.weights
+    orders = dict(spec.curve_orders)
     if spec.exceptional in config.basis:
         raise BlowupSpecError(f"name {spec.exceptional!r} already in basis")
-    for name, _ in spec.curve_orders:
+    for name in orders:
         if name not in config.basis:
             raise BlowupSpecError(f"curve order given for unknown curve {name!r}")
     if n > 1:
-        recorded = next(
-            (rec for rec in config.singular_points if rec.point == spec.center), None
-        )
+        recorded = next((rec for rec in config.singular_points if rec.point == spec.center), None)
         if recorded is None:
-            raise BlowupSpecError(
-                f"center {spec.center} is not a recorded singular point"
-            )
+            raise BlowupSpecError(f"center {spec.center} is not a recorded singular point")
         for name, _ in recorded.multiplicities:
-            if spec.order_of(name) == 0:
-                raise BlowupSpecError(
-                    f"missing vanishing order for curve {name!r} through the center"
-                )
+            if orders.get(name, 0) == 0:
+                raise BlowupSpecError(f"missing vanishing order for curve {name!r} through the center")
 
-    orders = [spec.order_of(name) for name in config.basis]
     # over d q, q = s^2 n a b (g = G / d, o = O / s): g_ij - o_i o_j / (n a b) is
     # G_ij q - d O_i O_j, E.C_i = o_i / (a b) is d s n O_i and E^2 = -n / (a b) is -d s^2 n^2
     den, g = config.integer_gram
-    o, s = over_common_denominator(orders)
+    o, s = over_common_denominator([orders.get(name, 0) for name in config.basis])
     q = s * s * n * a * b
     e_row = [den * s * n * w for w in o]
     rows = [[x * q - den * w * v for x, v in zip(row, o)] + [e] for row, w, e in zip(g, o, e_row)]
     rows.append(e_row + [-den * s * s * n * n])
 
-    points = tuple(
-        rec for rec in config.singular_points if rec.point != spec.center
-    )
+    points = tuple(rec for rec in config.singular_points if rec.point != spec.center)
     upstairs = CurveConfig(
         basis=tuple(config.basis) + (spec.exceptional,),
         integer_gram=(den * q, rows),
-        anticanonical=_pullback(config.anticanonical, orders, n),
+        anticanonical=_pullback(config.anticanonical, o, s * n),
         singular_points=points,
     )
     return BlowupResult(
@@ -141,9 +129,10 @@ def transform_config(config: CurveConfig, spec: BlowupSpec) -> BlowupResult:
     )
 
 
-def _pullback(v: ClassVector, orders: list[Fraction], n: int) -> ClassVector:
-    """v followed by its E coefficient sum v_i w_i / n, w_i the vanishing orders at the center."""
-    return ClassVector(list(v) + [sum((c * w for c, w in zip(v, orders)), Fraction(0)) / n])
+def _pullback(v: ClassVector, o: list[int], sn: int) -> ClassVector:
+    """v and its E coefficient sum v_i w_i / n, w = o / s the orders at the center and sn = s n, on ints."""
+    a, t = over_common_denominator(v)
+    return ClassVector([*v, ratio(sum(map(operator.mul, a, o)), t * sn)])
 
 
 def _validate_weights(n: int, a: int, b: int) -> None:

@@ -212,7 +212,8 @@ class CurveConfig(Frozen):
             raise ValueError("gram matrix must be symmetric")
         if len(self.anticanonical) != k:
             raise DimensionMismatchError("anticanonical length does not match basis")
-        if self.pairing(self.anticanonical, self.anticanonical) <= 0:
+        a, _ = over_common_denominator(self.anticanonical)  # A = a / t: A.A has the sign of a.(G a), d > 0
+        if sum(map(operator.mul, a, self._gram_times(a))) <= 0:
             raise ValueError("anticanonical class must have positive self-intersection")
 
     @classmethod
@@ -323,10 +324,11 @@ class CurveConfig(Frozen):
 
     def to_json_dict(self) -> dict:
         den, gram = self.integer_gram
+        a, t = over_common_denominator(self.anticanonical)
         return {
             "basis": list(self.basis),
             "gram": [[_quotient_str(x, den) for x in row] for row in gram],
-            "anticanonical": [str(c) for c in self.anticanonical],
+            "anticanonical": [_quotient_str(x, t) for x in a],
             "singular_points": [
                 {
                     "label": rec.point.label,

@@ -26,6 +26,7 @@ bench gates).
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -205,22 +206,23 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
     ``ray`` is the class being subtracted (usually a single basis curve).
     A chamber that fails its certificate raises InconsistentConfigError.
     """
-    if config.pairing(ample, ample) <= 0:
+    k, (den, gram) = config.size, config.integer_gram
+    if len(ample) != k:
+        raise DimensionMismatchError(f"vectors of length {len(ample)}, {len(ample)} against basis of size {k}")
+    # scale (A - uE) = a + u e on ints; G a + u G e = scale d (A - uE).C_i is the right-hand side, G a gives A's signs
+    ints, scale = over_common_denominator([*ample, *ray])
+    a, e = ints[:k], [-x for x in ints[k:]]
+    ga = config._gram_times(a)
+    if sum(map(operator.mul, a, ga)) <= 0:
         raise ValueError("ample class must have positive self-intersection")
-    ample_dot = config.basis_pairings(ample)
-    for name, q in zip(config.basis, ample_dot):
-        if q < 0:
+    for name, x in zip(config.basis, ga):
+        if x < 0:
             raise ValueError(f"ample class is not nef: negative against {name}")
     if ray.is_zero():
         raise ValueError("ray class must be nonzero")
-    if len(ray) != config.size:
-        raise DimensionMismatchError(f"vector of length {len(ray)} against basis of size {config.size}")
-
-    k, (den, gram) = config.size, config.integer_gram
-    # scale (A - uE) = a + u e on ints; then G a + u G e = scale d (A - uE).C_i, the right-hand side
-    ints, scale = over_common_denominator([*ample, *ray])
-    a, e = ints[:k], [-x for x in ints[k:]]
-    rhs = [Poly.from_integers(form, scale) for form in zip(config._gram_times(a), config._gram_times(e))]
+    if len(ray) != k:
+        raise DimensionMismatchError(f"vector of length {len(ray)} against basis of size {k}")
+    rhs = [Poly.from_integers(form, scale) for form in zip(ga, config._gram_times(e))]
     support, coeffs = [], []  # the negative support, and its coefficients as polynomials in u
     intervals: list[RayInterval] = []
     vol_pieces: list[tuple[Fraction, Fraction, Poly]] = []

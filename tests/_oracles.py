@@ -4,7 +4,7 @@ Everything here deliberately avoids the package's exact integration and
 decomposition paths: integrals are checked by floating-point Simpson
 quadrature, polynomial arithmetic and text by a Poly with Fraction coefficients
 (the package's runs on integer numerators over one denominator), blow-up Gram
-matrices by the Fraction formula (the package updates integer rows),
+matrices and pullbacks by the Fraction formulas (the package works on int rows),
 definiteness by numpy eigenvalues, ray decompositions by enumerating every
 negative-definite subset of the basis and by the Poly-based chamber walk
 (the package's walk decides on integer linear forms), linear algebra by a
@@ -349,13 +349,30 @@ def oracle_blow_up_gram(config, spec) -> list[list[Fraction]]:
     the exceptional curve E in o_i / (a b), and E^2 = -n / (a b).
     """
     n, (a, b) = spec.center.order, spec.weights
-    orders = [spec.order_of(name) for name in config.basis]
+    orders = [_order_of(spec, name) for name in config.basis]
     rows = [
         [g - o * w / (n * a * b) for g, w in zip(row, orders)] + [o / (a * b)]
         for row, o in zip(config.gram, orders)
     ]
     rows.append([o / (a * b) for o in orders] + [Fraction(-n, a * b)])
     return rows
+
+
+def oracle_pullback(config, spec, v) -> list[Fraction]:
+    """The pullback of v along a weighted blow-up, on Fractions: v + (sum v_i w_i / n) E, with
+    w_i the vanishing orders at the center and n its order (the package sums on ints)."""
+    orders = [_order_of(spec, name) for name in config.basis]
+    return [*v, sum((c * w for c, w in zip(v, orders)), Fraction(0)) / spec.center.order]
+
+
+def oracle_square(config, v) -> Fraction:
+    """v.v through the Fraction view of the Gram matrix, entry by entry."""
+    return sum((a * g * b for row, a in zip(config.gram, v) for g, b in zip(row, v)), Fraction(0))
+
+
+def _order_of(spec, curve: str) -> Fraction:
+    """The vanishing order spec gives curve at its center, 0 where it gives none."""
+    return next((w for name, w in spec.curve_orders if name == curve), Fraction(0))
 
 
 def oracle_poly_format(poly: Poly, var: str = "u") -> str:

@@ -16,9 +16,9 @@ from kstab import (
     transform_config,
 )
 from kstab.blowup import BlowupSpecError
-from kstab.catalog import instantiate, load_catalog
+from kstab.catalog import default_n_values, instantiate, load_catalog
 from tests import _oracles
-from tests._oracles import oracle_blow_up_gram, random_chain_config
+from tests._oracles import oracle_blow_up_gram, oracle_pullback, oracle_square, random_chain_config
 
 F = Fraction
 
@@ -101,7 +101,7 @@ def test_pullback_isometry_and_orthogonality():
     result = transform_config(config, BlowupSpec.make(point, (4, 3), {"L1": 3, "L2": 3}))
     up = result.upstairs
     e = up.basis_vector("E")
-    assert up.anticanonical == result.pullback(config.anticanonical)
+    assert list(up.anticanonical) == oracle_pullback(config, result.spec, config.anticanonical)
     assert up.pairing(e, e) == exceptional_self_intersection(5, 4, 3)
     rng = random.Random(7)
     for _ in range(25):
@@ -208,7 +208,8 @@ def _assert_matches_fraction_formula(result):
     assert CurveConfig.from_json_dict(up.to_json_dict()) == up
 
 
-def test_upstairs_gram_matches_the_fraction_formula_on_random_chains(monkeypatch):
+def _recorded_random_chain_blowups(monkeypatch) -> list:
+    """Every blow-up of 100 random chains of 0 to 31 stages, as transform_config returned it."""
     results = []
 
     def recording(config, spec):
@@ -219,7 +220,11 @@ def test_upstairs_gram_matches_the_fraction_formula_on_random_chains(monkeypatch
     rng = random.Random("integer-blow-up")
     sizes = [random_chain_config(rng, stages=i % 32)[0].size for i in range(100)]
     assert max(sizes) == 32 and len(results) == sum(sizes) - len(sizes)
-    for result in results:
+    return results
+
+
+def test_upstairs_gram_matches_the_fraction_formula_on_random_chains(monkeypatch):
+    for result in _recorded_random_chain_blowups(monkeypatch):
         _assert_matches_fraction_formula(result)
 
 
@@ -245,3 +250,48 @@ def test_upstairs_gram_matches_the_fraction_formula_at_fractional_orders():
     result = transform_config(config, BlowupSpec.make(point, (4, 3), {"L1": F(3, 2), "L2": F(5, 3)}))
     _assert_matches_fraction_formula(result)
     assert result.upstairs.gram[0][1] == F(2, 5) - F(3, 2) * F(5, 3) / 60
+
+
+# -- the integer pullback against the Fraction formula -------------------------
+
+
+def _assert_pullback_matches_the_fraction_formula(result, rng):
+    down, up, spec = result.downstairs, result.upstairs, result.spec
+    expected = oracle_pullback(down, spec, down.anticanonical)
+    assert list(up.anticanonical) == expected
+    assert all(type(c) is F for c in up.anticanonical)
+    assert oracle_square(up, up.anticanonical) == oracle_square(down, down.anticanonical) > 0
+    assert result.pullback(down.anticanonical) == ClassVector(expected)
+    for _ in range(3):
+        v = ClassVector(F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(down.size))
+        assert list(result.pullback(v)) == oracle_pullback(down, spec, v)
+
+
+def test_pullback_matches_the_fraction_formula_on_random_chains(monkeypatch):
+    rng = random.Random("integer-pullback")
+    for result in _recorded_random_chain_blowups(monkeypatch):
+        _assert_pullback_matches_the_fraction_formula(result, rng)
+
+
+def test_pullback_matches_the_fraction_formula_on_every_catalog_blowup():
+    catalog, rng = load_catalog(), random.Random("catalog-pullback")
+    checked = 0
+    for entry in catalog.families:
+        for n in default_n_values(entry):
+            for result in instantiate(catalog, entry.family_id, n).blowups.values():
+                _assert_pullback_matches_the_fraction_formula(result, rng)
+                checked += 1
+    assert checked == 11 + 2 + 1 + 2 + 1 + 1 + 1  # family 1 at its 11 default n, then families 3, 4, 5, 7, 9, 10
+
+
+def test_pullback_matches_the_fraction_formula_at_fractional_orders_and_polarization():
+    point = QuotientSingularity(5, (4, 3), "p_z")
+    config = CurveConfig.make(
+        basis=["L1", "L2", "M"],
+        gram=[[F(-7, 20), F(2, 5), 0], [F(2, 5), F(-7, 20), 0], [0, 0, F(3, 7)]],
+        anticanonical=[F(2, 3), F(5, 7), F(-1, 2)],
+        singular_points=[SingularPointRecord.make(point, {"L1": 1, "L2": 1})],
+    )
+    result = transform_config(config, BlowupSpec.make(point, (4, 3), {"L1": F(3, 2), "L2": F(5, 3)}))
+    _assert_pullback_matches_the_fraction_formula(result, random.Random(5))
+    assert result.upstairs.anticanonical[-1] == (F(2, 3) * F(3, 2) + F(5, 7) * F(5, 3)) / 5

@@ -692,6 +692,22 @@ def _fixture_with_unknown_curve_order(tmp_path):
     return _readme_fixture_with(tmp_path, lambda doc: doc["blowups"][0].update(curve_orders={"Z": "1"}))
 
 
+def _fixture_with_anticanonical(tmp_path, gram, anticanonical):
+    doc = json.loads(json.dumps(FAMILY3_FIXTURE))
+    doc["config"].update(gram=gram, anticanonical=anticanonical)
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    return ["analyze", "--input", str(path)]
+
+
+def _fixture_with_zero_square_anticanonical(tmp_path):
+    return _fixture_with_anticanonical(tmp_path, [["0", "1"], ["1", "-1"]], ["1/2", "0"])
+
+
+def _fixture_with_negative_square_anticanonical(tmp_path):
+    return _fixture_with_anticanonical(tmp_path, FAMILY3_FIXTURE["config"]["gram"], ["1/2", "-1/3"])
+
+
 def _fixture_with_float_blowup_weight(tmp_path):
     return _readme_fixture_with(tmp_path, lambda doc: doc["blowups"][0].update(weights=[1.5, 5]))
 
@@ -985,6 +1001,8 @@ NAMED_IN_ERROR = {
     "_fixture_with_deeply_nested_gram": "fixture.json: config 'config' gram: expression '((((",
     "_catalog_with_deeply_nested_unary_minus": "family 1: config 'pencil' gram: expression '----",
     "_fixture_with_line_break_in_label": "fixture.json: center p\\nz: 1/13(2,5) is not a recorded singular point",
+    "_fixture_with_zero_square_anticanonical": "fixture.json: anticanonical class must have positive self-intersection",
+    "_fixture_with_negative_square_anticanonical": "fixture.json: anticanonical class must have positive self-intersection",
     "_fixture_with_superscript_ample": "ray.ample: cannot parse expression '1\u00b2' at position 0",
     "_fixture_with_4301_digit_log_discrepancy": "log_discrepancy: cannot parse expression '1111",
     "_catalog_with_5000_digit_integer": "catalog.json is not valid JSON: Exceeds the limit (4300 digits)",
@@ -1019,6 +1037,8 @@ NAMED_IN_ERROR = {
         _fixture_with_float_blowup_weight,
         _fixture_with_decimal_text,
         _fixture_with_unknown_curve_order,
+        _fixture_with_zero_square_anticanonical,
+        _fixture_with_negative_square_anticanonical,
         _catalog_with_check_field("pairing", "kind", ["pairing"]),
         _catalog_with_check_field("pairing", "name", 3),
         _catalog_with_check_field("pairing", "config", 3),

@@ -110,6 +110,33 @@ def test_config_requires_symmetric_gram_and_big_polarization():
         CurveConfig.make(["A", "B"], [[1, 0], [1, 1]], [1, 0])
     with pytest.raises(ValueError):
         CurveConfig.make(["A"], [[-1]], [1])
+    # fractional polarizations with A.A = 0, -1/6, -1/3 and -4/245
+    for gram, anticanonical in [
+        ([[0, 1], [1, -1]], [F(1, 2), 0]),
+        ([[F(-2, 3), 2], [2, F(-2, 3)]], [F(1, 2), 0]),
+        ([[0, 1], [1, 0]], [F(1, 2), F(-1, 3)]),
+        ([[F(1, 3), F(1, 2)], [F(1, 2), F(-1, 5)]], [0, F(2, 7)]),
+    ]:
+        with pytest.raises(ValueError, match="^anticanonical class must have positive self-intersection$") as exc:
+            CurveConfig.make(["A", "B"], gram, anticanonical)
+        assert type(exc.value) is ValueError
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_config_accepts_a_polarization_exactly_when_its_fraction_square_is_positive(data):
+    k = data.draw(st.integers(1, 5))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    upper = {(i, j): data.draw(entries) for i in range(k) for j in range(i, k)}
+    gram = [[upper[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
+    anticanonical = data.draw(st.lists(st.one_of(entries, WIDE_ENTRIES), min_size=k, max_size=k))
+    square = sum((a * g * b for row, a in zip(gram, anticanonical) for g, b in zip(row, anticanonical)), F(0))
+    if square > 0:
+        config = CurveConfig.make([f"C{i}" for i in range(k)], gram, anticanonical)
+        assert config.to_json_dict()["anticanonical"] == [str(F(c)) for c in anticanonical]
+    else:
+        with pytest.raises(ValueError, match="^anticanonical class must have positive self-intersection$"):
+            CurveConfig.make([f"C{i}" for i in range(k)], gram, anticanonical)
 
 
 def test_integer_gram_is_square_over_a_positive_denominator_in_lowest_terms():

@@ -291,6 +291,28 @@ def test_ray_rejects_zero_ray():
         decompose_ray(config, config.anticanonical, ClassVector([0]))
 
 
+def test_ray_entry_refusals_keep_their_types_messages_and_order():
+    # Z.Z = 2, Z.C = 1, C.C = -2; each case breaks its own rule and every later one
+    config = CurveConfig.make(["Z", "C"], [[2, 1], [1, -2]], [1, 0])
+    zero = ClassVector([0, 0, 0])  # the zero class, on the wrong basis
+    cases = [
+        (ClassVector([F(1, 2)]), zero, DimensionMismatchError, "vectors of length 1, 1 against basis of size 2"),
+        (ClassVector([F(1, 3), 0, F(1, 5)]), zero, DimensionMismatchError, "vectors of length 3, 3 against basis of size 2"),
+        (ClassVector([0, F(1, 2)]), zero, ValueError, "ample class must have positive self-intersection"),
+        (ClassVector([F(1, 2), F(1, 2)]), zero, ValueError, "ample class is not nef: negative against C"),
+        (ClassVector([F(1, 3), 0]), zero, ValueError, "ray class must be nonzero"),
+        (ClassVector([F(1, 3), 0]), ClassVector([F(1, 2)]), DimensionMismatchError, "vector of length 1 against basis of size 2"),
+    ]
+    for ample, ray, error, message in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+            decompose_ray(config, ample, ray)
+        assert type(exc.value) is error
+    # A.A = 0 with A nef: refused as not big, on the integer square
+    flat = CurveConfig.make(["Z", "C"], [[0, 1], [1, -1]], [1, 1])
+    with pytest.raises(ValueError, match="^ample class must have positive self-intersection$"):
+        decompose_ray(flat, ClassVector([F(1, 2), 0]), flat.basis_vector("C"))
+
+
 def test_ray_must_live_on_the_basis():
     for coords in ([1], [1, 0, 5]):
         with pytest.raises(DimensionMismatchError, match=f"^vector of length {len(coords)} against basis of size 2$"):
