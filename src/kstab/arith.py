@@ -81,15 +81,31 @@ def over_common_denominator(values, den: int = 1) -> tuple[list, int]:
 
 
 class Frozen:
-    """An immutable value with named fields, which its class's own ``__init__`` sets with
-    ``object.__setattr__``; the class's ``_fields`` give ``==`` (between values of one class),
-    ``hash`` and the repr ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
-    AttributeError; a ``functools.cached_property`` writes to the instance's ``__dict__``."""
+    """An immutable value with named fields.  ``__init__`` takes one value for each field of
+    the class's ``_fields``, by position or by name, and raises TypeError naming the fields if
+    one is missing or extra; a class that checks its values or has defaults calls it once.  The
+    fields give ``==`` (between values of one class), ``hash`` and the repr ``Name(field=value,
+    ...)``.  Assigning or deleting an attribute raises AttributeError; a
+    ``functools.cached_property`` writes to the instance's ``__dict__``."""
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         cls._values = operator.attrgetter(*cls._fields)  # _values(value): the tuple of its fields (two or more)
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if len(values) + len(named) != len(fields) or named and named.keys() != set(fields[len(values):]):
+            raise TypeError(
+                f"{type(self).__qualname__} takes the fields ({', '.join(fields)}), "
+                f"got {len(values)} by position and ({', '.join(named)}) by name"
+            )
+        # one by one and in field order, not through vars(self): on CPython 3.11 a materialised
+        # instance __dict__ makes each later attribute read about three times slower
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+        for name in fields[len(values):]:
+            object.__setattr__(self, name, named[name])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -113,10 +129,6 @@ class _Min(Frozen):
     no number, no tuple and no sequence: arithmetic on it raises TypeError."""
 
     _fields = ("first", "second")
-
-    def __init__(self, first, second):
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
 
 
 def minimum(a, b):

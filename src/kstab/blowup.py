@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .arith import Frozen, RationalLike, coprime, over_common_denominator, rat, ratio
-from .surface import ClassVector, CurveConfig, QuotientSingularity
+from .surface import ClassVector, CurveConfig, DimensionMismatchError, QuotientSingularity
 
 
 class BlowupSpecError(ValueError):
@@ -44,10 +44,7 @@ class BlowupSpec(Frozen):
     _fields = ("center", "weights", "curve_orders", "exceptional")
 
     def __init__(self, center: QuotientSingularity, weights: tuple[int, int], curve_orders: tuple, exceptional="E"):
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "curve_orders", curve_orders)
-        object.__setattr__(self, "exceptional", exceptional)
+        super().__init__(center, weights, curve_orders, exceptional)
         a, b = weights
         _validate_weights(center.order, a, b)
         for name, w in curve_orders:
@@ -77,7 +74,7 @@ class BlowupResult(NamedTuple):
     def pullback(self, v: ClassVector) -> ClassVector:
         """pullback(v) = sum v_i (strict transform of C_i + (w_i/n) E)."""
         if len(v) != self.downstairs.size:
-            raise ValueError("vector does not live on the downstairs basis")
+            raise DimensionMismatchError(f"vector of length {len(v)} against basis of size {self.downstairs.size}")
         orders = dict(self.spec.curve_orders)
         o, s = over_common_denominator([orders.get(name, 0) for name in self.downstairs.basis])
         return _pullback(v, o, s * self.spec.center.order)
@@ -125,7 +122,7 @@ def transform_config(config: CurveConfig, spec: BlowupSpec) -> BlowupResult:
         downstairs=config,
         upstairs=upstairs,
         spec=spec,
-        log_discrepancy_e=log_discrepancy_of_e(n, a, b),
+        log_discrepancy_e=ratio(a + b, n),  # log_discrepancy_of_e, whose weight check BlowupSpec made
     )
 
 

@@ -16,7 +16,6 @@ import operator
 import os
 from collections import Counter
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -248,14 +247,10 @@ class Catalog(Frozen):
     def __init__(
         self, version: int, families: tuple[FamilyEntry, ...], non_ke_quintuples: tuple[Mapping, ...], source: str
     ):
-        object.__setattr__(self, "version", version)
-        object.__setattr__(self, "families", families)
-        object.__setattr__(self, "non_ke_quintuples", non_ke_quintuples)
-        object.__setattr__(self, "source", source)
+        super().__init__(version, families, non_ke_quintuples, source)
         # family id -> the plan that serves its n (None where none could be built), and what
         # the plans did, neither compared nor in the repr: see kstab.plan
-        object.__setattr__(self, "plans", {})
-        object.__setattr__(self, "plan_counts", Counter())
+        vars(self).update(plans={}, plan_counts=Counter())
 
     def family(self, family_id: int) -> FamilyEntry:
         for entry in self.families:
@@ -268,11 +263,11 @@ class Catalog(Frozen):
         return [e.family_id for e in self.families]
 
 
-def read_json(where: str, file) -> object:
-    """The JSON document in file, a Path or a package resource; a CatalogError naming where
-    if it cannot be read or is not UTF-8 JSON."""
+def read_json(where: str, path: Path) -> object:
+    """The JSON document at path; a CatalogError naming where if it cannot be read or is not
+    UTF-8 JSON."""
     try:
-        return json.loads(file.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise CatalogError(f"{where} cannot be read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -286,7 +281,7 @@ def load_catalog(path: Optional[str | Path] = None) -> Catalog:
     if path is None:
         path = os.environ.get("KSTAB_CATALOG") or None
     source = "embedded" if path is None else str(path)
-    file = resources.files("kstab").joinpath("data/catalog.json") if path is None else Path(path)
+    file = Path(__file__).with_name("data") / "catalog.json" if path is None else Path(path)
     doc = read_json(f"catalog at {source}", file)
     malformed = f"catalog at {source} is malformed: "
     _check(f"{malformed}the document", doc, _OBJECT)

@@ -35,8 +35,7 @@ class Quintuple(Frozen):
     _fields = ("weights", "degree")
 
     def __init__(self, weights: tuple[int, int, int, int], degree: int):
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "degree", degree)
+        super().__init__(weights, degree)
         if len(self.weights) != 4 or any(w <= 0 for w in self.weights):
             raise ValueError("weights must be four positive integers")
         if list(self.weights) != sorted(self.weights):
@@ -65,16 +64,9 @@ class Quintuple(Frozen):
         return f"S_{self.degree} in P{self.weights}"
 
 
-def index_of(q: Quintuple) -> int:
-    return q.index
-
-
-def is_well_formed(q: Quintuple) -> bool:
-    return q.is_well_formed()
-
-
-def ambient_pairing(q: Quintuple, m: int, k: int) -> Fraction:
-    return q.ambient_pairing(m, k)
+index_of = Quintuple.index.fget
+is_well_formed = Quintuple.is_well_formed
+ambient_pairing = Quintuple.ambient_pairing
 
 
 class QuotientSingularity(Frozen):
@@ -83,9 +75,7 @@ class QuotientSingularity(Frozen):
     _fields = ("order", "local_weights", "label")
 
     def __init__(self, order: int, local_weights: tuple[int, int], label: str = ""):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "local_weights", local_weights)
-        object.__setattr__(self, "label", label)
+        super().__init__(order, local_weights, label)
         a, b = self.local_weights
         if self.order < 1 or a < 1 or b < 1:
             raise ValueError("order and local weights must be positive")
@@ -194,9 +184,6 @@ class CurveConfig(Frozen):
     _fields = ("basis", "integer_gram", "anticanonical", "singular_points")
 
     def __init__(self, basis: tuple[str, ...], integer_gram: tuple, anticanonical: ClassVector, singular_points=()):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "anticanonical", anticanonical)
-        object.__setattr__(self, "singular_points", singular_points)
         k = len(basis)
         if len(set(basis)) != k or k == 0:
             raise ValueError("basis names must be nonempty and distinct")
@@ -207,7 +194,7 @@ class CurveConfig(Frozen):
         if g != 1:
             den, gram = den // g, [[x // g for x in row] for row in gram]
         gram = tuple(map(tuple, gram))
-        object.__setattr__(self, "integer_gram", (den, gram))
+        super().__init__(basis, (den, gram), anticanonical, singular_points)
         if gram != tuple(zip(*gram)):
             raise ValueError("gram matrix must be symmetric")
         if len(self.anticanonical) != k:
@@ -352,12 +339,8 @@ class CurveConfig(Frozen):
         return config
 
 
-def config_pairing(c: CurveConfig, v, w) -> Fraction:
-    return c.pairing(v, w)
-
-
-def is_negative_definite(c: CurveConfig, subset: Sequence[int]) -> bool:
-    return c.is_negative_definite(subset)
+config_pairing = CurveConfig.pairing
+is_negative_definite = CurveConfig.is_negative_definite
 
 
 def solve_linear_system(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> list:

@@ -121,18 +121,6 @@ class RayDecomposition(Frozen):
 
     _fields = ("config", "ample", "ray", "intervals", "nef_threshold", "tau", "volume")
 
-    def __init__(
-        self, config: CurveConfig, ample: ClassVector, ray: ClassVector, intervals: tuple[RayInterval, ...],
-        nef_threshold: Fraction, tau: Fraction, volume: PiecewisePoly,
-    ):
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "ample", ample)
-        object.__setattr__(self, "ray", ray)
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "nef_threshold", nef_threshold)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "volume", volume)
-
     @cached_property
     def volume_integral(self) -> Fraction:
         """The integral of the volume over [0, tau], computed once per ray."""

@@ -15,8 +15,10 @@ from kstab import (
     log_discrepancy_of_e,
     transform_config,
 )
+from kstab import blowup
 from kstab.blowup import BlowupSpecError
-from kstab.catalog import default_n_values, instantiate, load_catalog
+from kstab.catalog import default_n_values, instantiate, load_catalog, load_fixture
+from kstab.surface import DimensionMismatchError
 from tests import _oracles
 from tests._oracles import oracle_blow_up_gram, oracle_pullback, oracle_square, random_chain_config
 
@@ -63,6 +65,14 @@ def test_transform_weighted_order13():
     assert up.pairing(up.basis_vector("E"), up.basis_vector("E")) == F(-13, 10)
     assert result.log_discrepancy_e == F(7, 13)
     assert result.pullback(ClassVector([2])) == ClassVector([2, F(20, 13)])
+
+
+def test_pullback_refuses_a_vector_off_the_downstairs_basis():
+    point = QuotientSingularity(13, (2, 5), "p_z")
+    result = transform_config(_hyperplane_config(F(1, 52), point, 10), BlowupSpec.make(point, (2, 5), {"C_x": 10}))
+    with pytest.raises(DimensionMismatchError) as info:
+        result.pullback(ClassVector([1, 2]))
+    assert str(info.value) == "vector of length 2 against basis of size 1"
 
 
 def test_transform_weighted_order7():
@@ -295,3 +305,12 @@ def test_pullback_matches_the_fraction_formula_at_fractional_orders_and_polariza
     result = transform_config(config, BlowupSpec.make(point, (4, 3), {"L1": F(3, 2), "L2": F(5, 3)}))
     _assert_pullback_matches_the_fraction_formula(result, random.Random(5))
     assert result.upstairs.anticanonical[-1] == (F(2, 3) * F(3, 2) + F(5, 7) * F(5, 3)) / 5
+
+
+def test_loading_a_chain_checks_each_blowups_weights_once(monkeypatch):
+    calls = []
+    validate = blowup._validate_weights
+    monkeypatch.setattr(blowup, "_validate_weights", lambda *args: calls.append(args) or validate(*args))
+    _, results = load_fixture("chain", _oracles.bench_chain_fixture(1, 10))
+    assert len(results) == 9
+    assert calls == [(r.spec.center.order, *r.spec.weights) for r in results]

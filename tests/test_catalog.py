@@ -1,8 +1,12 @@
 """Catalog loading, instantiation, and exact verification."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -572,3 +576,16 @@ def test_family1_blowup_gram_matches_stored_expectations():
     assert up.pairing(up.basis_vector("C1"), up.basis_vector("C2")) == 0
     assert up.pairing(up.basis_vector("C1"), up.basis_vector("F")) == 1
     assert up.pairing(up.basis_vector("F"), up.basis_vector("F")) == -1
+
+
+def test_the_embedded_catalog_is_read_without_importlib_resources():
+    code = (
+        "import sys\n"
+        "from kstab.catalog import load_catalog\n"
+        "print(load_catalog().family_ids, 'importlib.resources' in sys.modules)"
+    )
+    src = str(Path(catalog_module.__file__).resolve().parent.parent)
+    env = {name: value for name, value in os.environ.items() if name != "KSTAB_CATALOG"}
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
+                         env={**env, "PYTHONPATH": src}, cwd=src)
+    assert out.stdout == f"{CATALOG.family_ids} False\n"

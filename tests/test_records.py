@@ -2,7 +2,9 @@
 
 Each sample is compared with a frozen dataclass of the same name and fields, built here
 with the same values: ``==`` and ``hash`` follow the fields, the repr is the dataclass's,
-and assigning an attribute raises AttributeError.  No class is generated at import.
+and assigning an attribute raises AttributeError.  No class is generated at import.  A
+``Frozen`` value is built from its fields by position or by name; a missing or extra field
+raises TypeError, and deleting a field raises AttributeError.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import kstab
-from kstab.arith import _Min
+from kstab.arith import Frozen, _Min
 from kstab.blowup import BlowupSpec, transform_config
 from kstab.catalog import _compile, instantiate, load_catalog, verify
 from kstab.cli import _json
@@ -112,6 +114,45 @@ def test_assigning_an_attribute_raises(name):
 def test_the_repr_is_the_dataclass_repr(name):
     x, _, _ = SAMPLES[name]
     assert repr(x) == repr(_as_dataclass(x))
+
+
+FROZEN = [name for name, (x, _, _) in SAMPLES.items() if isinstance(x, Frozen)]
+
+
+def test_every_frozen_class_has_a_sample():
+    assert {cls.__qualname__ for cls in Frozen.__subclasses__()} == set(FROZEN)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_a_frozen_value_is_built_from_its_fields_by_name_or_by_position(name):
+    x, _, _ = SAMPLES[name]
+    by_name = type(x)(**dict(zip(x._fields, _values(x))))
+    assert by_name == _twin(x) == x and _values(by_name) == _values(x)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_a_missing_or_extra_field_raises_type_error(name):
+    x, _, _ = SAMPLES[name]
+    values, named = _values(x), dict(zip(x._fields, _values(x)))
+    del named[x._fields[0]]  # a field with no default
+    for args, kwargs in [((), named), ((*values, None), {}), (values, {"extra": None})]:
+        with pytest.raises(TypeError):
+            type(x)(*args, **kwargs)
+
+
+def test_the_type_error_names_the_fields():
+    for args, kwargs in [((1,), {}), ((1, 2, 3), {}), ((1,), {"first": 2}), ((1,), {"third": 2})]:
+        with pytest.raises(TypeError, match=r"_Min takes the fields \(first, second\)"):
+            _Min(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_deleting_a_field_raises(name):
+    x, field, _ = SAMPLES[name]
+    value = getattr(x, field)
+    with pytest.raises(AttributeError):
+        delattr(x, field)
+    assert getattr(x, field) is value
 
 
 def test_min_is_no_tuple_and_no_number():
