@@ -81,12 +81,14 @@ def over_common_denominator(values, den: int = 1) -> tuple[list, int]:
 
 
 class Frozen:
-    """An immutable value with named fields.  ``__init__`` takes one value for each field of
-    the class's ``_fields``, by position or by name, and raises TypeError naming the fields if
-    one is missing or extra; a class that checks its values or has defaults calls it once.  The
-    fields give ``==`` (between values of one class), ``hash`` and the repr ``Name(field=value,
-    ...)``.  Assigning or deleting an attribute raises AttributeError; a
-    ``functools.cached_property`` writes to the instance's ``__dict__``."""
+    """An immutable value with named fields: kstab's one record type.  A record is no tuple and
+    no sequence: it is not indexed, unpacked or added, and JSON does not write it as an array.
+    ``__init__`` takes one value for each field of the class's ``_fields``, by position or by
+    name, and raises TypeError naming the fields if one is missing or extra; a class that
+    checks its values or has defaults calls it once.  The fields give ``==`` (between values of
+    one class), ``hash`` and the repr ``Name(field=value, ...)``.  Assigning or deleting an
+    attribute raises AttributeError; a ``functools.cached_property`` writes to the instance's
+    ``__dict__``."""
 
     _fields: tuple[str, ...] = ()
 

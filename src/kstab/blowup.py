@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .arith import Frozen, RationalLike, coprime, over_common_denominator, rat, ratio
 from .surface import ClassVector, CurveConfig, DimensionMismatchError, QuotientSingularity
@@ -63,13 +63,10 @@ class BlowupSpec(Frozen):
         return cls(center, tuple(weights), orders, exceptional)
 
 
-class BlowupResult(NamedTuple):
+class BlowupResult(Frozen):
     """Upstairs configuration plus the pullback bookkeeping."""
 
-    downstairs: CurveConfig
-    upstairs: CurveConfig
-    spec: BlowupSpec
-    log_discrepancy_e: Fraction
+    _fields = ("downstairs", "upstairs", "spec", "log_discrepancy_e")
 
     def pullback(self, v: ClassVector) -> ClassVector:
         """pullback(v) = sum v_i (strict transform of C_i + (w_i/n) E)."""

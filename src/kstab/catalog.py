@@ -17,7 +17,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, Optional
 
 from .arith import Frozen, PiecewisePoly, Poly, _Min, is_integer, minimum, rat
 from .blowup import BlowupResult, BlowupSpec, transform_config
@@ -83,13 +83,12 @@ def _compile(text: str):
 _N = "n"  # the parameter, in a parse tree
 
 
-class _Chain(NamedTuple):
+class _Chain(Frozen):
     """first op1 x1 op2 x2 ..., a run of + and - (or of * and /) evaluated left to
     right in one loop; first is its longest prefix without n, folded, and rest holds
     the (op, node) pairs after it."""
 
-    first: object
-    rest: tuple
+    _fields = ("first", "rest")
 
 
 def _at(node, n):
@@ -202,11 +201,10 @@ def _eval_int(expr, n: Optional[int]) -> int:
 # -- catalog loading -----------------------------------------------------------
 
 
-class FamilyEntry(NamedTuple):
+class FamilyEntry(Frozen):
     """One catalog row: raw (un-instantiated) family data."""
 
-    family_id: int
-    data: Mapping
+    _fields = ("family_id", "data")
 
     @property
     def parameter(self) -> Optional[Mapping]:
@@ -347,15 +345,12 @@ def _walk_structures(where: str, configs: Mapping, blowups: list) -> set:
 # -- instantiation -------------------------------------------------------------
 
 
-class FamilyInstance(NamedTuple):
+class FamilyInstance(Frozen):
     """A family with every parametric expression evaluated at a concrete n.
-    ``stages`` maps each config a check may name (``blowup:<name>`` is a blow-up's upstairs)."""
+    ``stages`` maps each config a check may name (``blowup:<name>`` is a blow-up's upstairs)
+    to its CurveConfig, and ``blowups`` each blow-up's name to its BlowupResult."""
 
-    entry: FamilyEntry
-    n: Optional[int]
-    quintuple: Quintuple
-    stages: Mapping[str, CurveConfig]
-    blowups: Mapping[str, BlowupResult]
+    _fields = ("entry", "n", "quintuple", "stages", "blowups")
 
     def config(self, ref: str) -> CurveConfig:
         if ref not in self.stages:
@@ -437,7 +432,8 @@ def load_fixture(where: str, doc) -> tuple[CurveConfig, list[BlowupResult]]:
     """The config of an ``analyze`` fixture and its blow-ups, read as a
     one-family document at n = None where blow-up i, named i, is based on
     blow-up i - 1 and the first on the config.  Its ray and point are checked
-    against the basis of the last stage.  where names the fixture in errors."""
+    against the basis of the last stage; a point or log_discrepancy needs a ray.
+    where names the fixture in errors."""
     _check(where, doc, _OBJECT)
     _walk(f"{where}: ", doc, _FIXTURE)
     blowups = [
@@ -448,6 +444,9 @@ def load_fixture(where: str, doc) -> tuple[CurveConfig, list[BlowupResult]]:
     stages, results = _build_structures(where, data, None)
     basis = stages[f"blowup:{len(blowups) - 1}" if blowups else "config"].basis
     ray, point = doc.get("ray"), doc.get("point")
+    for field in ("point", "log_discrepancy"):
+        if ray is None and doc.get(field) is not None:
+            raise CatalogError(f"{where}: {field} needs a ray")
     if ray is not None:
         if ray.get("curve") not in basis:
             raise CatalogError(f"{where}: ray.curve {ray.get('curve')!r} must be a basis curve")
@@ -483,12 +482,11 @@ def _build_config(at: str, data: Mapping, n: Optional[int]) -> CurveConfig:
 # -- verification --------------------------------------------------------------
 
 
-class CheckItem(NamedTuple):
-    name: str
-    expected: str
-    computed: str
-    match: bool
-    anchor: str
+class CheckItem(Frozen):
+    """One line of a report: a check's name, its expected and computed values as text,
+    whether they match, and its anchor in the paper."""
+
+    _fields = ("name", "expected", "computed", "match", "anchor")
 
     def to_json_dict(self) -> dict:
         out = {
@@ -529,10 +527,10 @@ def _approx(text: str) -> Optional[str]:
         return None
 
 
-class VerificationReport(NamedTuple):
-    family_id: int
-    n: Optional[int]
-    items: tuple[CheckItem, ...]
+class VerificationReport(Frozen):
+    """A family's CheckItems at n, in catalog order (n is None for a fixed family)."""
+
+    _fields = ("family_id", "n", "items")
 
     @property
     def overall(self) -> bool:
@@ -748,16 +746,16 @@ def _identity_items(instance, check, rays):
         yield f"{name}: {label}", eval_expr(expect[key], instance.n), functools.partial(coefficient, key)
 
 
-class _Kind(NamedTuple):
+class _Kind(Frozen):
     """How a check kind is read.  ``items(instance, check, rays)`` gives
     ``(label, expected, compute)`` for each item the check reports, in report
     order: ``expected`` is the stored expectation, evaluated (a Fraction, a
     bool or a volume profile), and ``compute()`` recomputes it.  Work that
     several items share (a ray, a flag's s_w, an identity's pair_with) runs
-    once per check."""
+    once per check.  ``fields`` is the table of the fields its checks read, walked
+    by _walk."""
 
-    fields: dict  # the table of the fields its checks read, walked by _walk
-    items: Callable
+    _fields = ("fields", "items")
 
 
 # -- the JSON that kstab reads -------------------------------------------------------

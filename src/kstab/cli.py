@@ -264,8 +264,6 @@ def _write_json(x, out: list, newline: str) -> None:
                 _write_json(v, out, inner)
             separator = "," + inner
         out.append(newline + "}")
-    elif isinstance(x, tuple) and type(x) is not tuple:  # a record, a NamedTuple: json.dumps would write a list
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
     else:  # an empty list or object, a float, or what json.dumps refuses with its own TypeError
         out.append(json.dumps(x))
 

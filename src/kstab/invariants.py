@@ -8,9 +8,9 @@ parts), evaluated exactly over [0, tau].
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
-from .arith import Poly, RationalLike, minimum, rat
+from .arith import Frozen, Poly, RationalLike, minimum, rat
 from .surface import QuotientSingularity
 from .zariski import RayDecomposition
 
@@ -76,12 +76,10 @@ def az_s_w(
     return 2 * total / rd.ample_square
 
 
-class DeltaBoundReport(NamedTuple):
+class DeltaBoundReport(Frozen):
     """Local stability-threshold lower bound min(1/S(Y), A_Y(p)/S_W)."""
 
-    point_label: str
-    one_over_s_y: Fraction
-    a_over_s_w: Fraction
+    _fields = ("point_label", "one_over_s_y", "a_over_s_w")
 
     @property
     def delta_lower(self) -> Fraction:

@@ -37,10 +37,10 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .arith import PiecewisePoly, Poly, RationalFunction, _Min, _poly_at, _poly_mul, _quotient_str, _rational_function
-from .arith import _trim, over_common_denominator, ratio
+from .arith import Frozen, _trim, over_common_denominator, ratio
 from .catalog import Catalog, CheckItem, FamilyEntry, FamilyInstance, VerificationReport, _item, _pointwise
 from .catalog import _values, instantiate
 
@@ -75,10 +75,12 @@ def planned_report(catalog: Catalog, entry: FamilyEntry, n: int) -> Optional[Ver
     return report
 
 
-class _Plan(NamedTuple):
-    family_id: int
-    guards: tuple  # ((test, arguments), the answers test(arguments, n) may give at a served n)
-    items: tuple  # a CheckItem where it is the same at every n, else a _Served
+class _Plan(Frozen):
+    """A family's report at every n its guards admit.  ``guards`` holds ((test, arguments),
+    the answers test(arguments, n) may give at a served n); ``items`` a CheckItem where it is
+    the same at every n, else a _Served."""
+
+    _fields = ("family_id", "guards", "items")
 
     def report(self, n: int) -> Optional[VerificationReport]:
         if any(test(args, n) not in answers for (test, args), answers in self.guards):
@@ -87,13 +89,10 @@ class _Plan(NamedTuple):
         return VerificationReport(self.family_id, n, items)
 
 
-class _Served(NamedTuple):
+class _Served(Frozen):
     """An item whose frozen values change with n; computed is None where it is expected."""
 
-    label: str
-    anchor: str
-    expected: object
-    computed: object
+    _fields = ("label", "anchor", "expected", "computed")
 
     def at(self, n: int) -> CheckItem:
         expected = _at(self.expected, n)

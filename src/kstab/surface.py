@@ -20,7 +20,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .arith import Frozen, Poly, RationalLike, _quotient_str, coprime, gcd, over_common_denominator, rat, ratio
 
@@ -92,16 +92,15 @@ class QuotientSingularity(Frozen):
         return f"{name}: 1/{self.order}({self.local_weights[0]},{self.local_weights[1]})"
 
 
-class SingularPointRecord(NamedTuple):
+class SingularPointRecord(Frozen):
     """A quotient point together with the incident basis curves.
 
-    ``multiplicities`` maps curve names to the local (weighted) intersection
-    data the catalog assigns to that curve at the point; curves absent from
-    the map do not pass through the point.
+    ``multiplicities`` holds (curve name, local (weighted) intersection) pairs,
+    the data the catalog assigns to that curve at the point, sorted by name;
+    curves absent from it do not pass through the point.
     """
 
-    point: QuotientSingularity
-    multiplicities: tuple[tuple[str, Fraction], ...] = ()
+    _fields = ("point", "multiplicities")
 
     @classmethod
     def make(cls, point: QuotientSingularity, mults: Mapping[str, RationalLike] | None = None):

@@ -29,7 +29,7 @@ import math
 import operator
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .arith import Frozen, PiecewisePoly, Poly, RationalLike, _quotient_str, isqrt, over_common_denominator, rat, ratio
 from .surface import ClassVector, CurveConfig, DimensionMismatchError, solve_linear_system
@@ -95,19 +95,16 @@ def zariski_decompose_at(
     return p_vec, n_vec
 
 
-class RayInterval(NamedTuple):
-    """One stretch [left, right] of the ray with a fixed negative support.
+class RayInterval(Frozen):
+    """One stretch [left, right] of the ray with a fixed negative support, a tuple of
+    basis indices.
 
     ``negative_coeffs`` holds the support curves' coefficients as polynomials
     in u (degree <= 1); ``positive_part`` is P(u) coordinate-wise, one linear
     polynomial per basis curve.
     """
 
-    left: Fraction
-    right: Fraction
-    support: tuple[int, ...]
-    negative_coeffs: tuple[Poly, ...]
-    positive_part: tuple[Poly, ...]
+    _fields = ("left", "right", "support", "negative_coeffs", "positive_part")
 
     def negative_part_at(self, u: RationalLike, size: int) -> ClassVector:
         return _support_vector(size, self.support, [poly(u) for poly in self.negative_coeffs])

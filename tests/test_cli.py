@@ -318,7 +318,7 @@ def test_a_json_report_writes_each_item_as_json_dumps_does():
     """_render_reports writes each distinct item once and reuses its text: the document is
     json.dumps's wherever an item recurs, is equal to another, or has its own approximations."""
     item = CheckItem("volume", "1/3", "1/3", True, "Thm 1")
-    twin = CheckItem(*[str(field) for field in item[:3]], True, "Thm 1")
+    twin = CheckItem(*[str(field) for field in (item.name, item.expected, item.computed)], True, "Thm 1")
     assert twin == item and twin is not item
     mismatch = CheckItem("volume", "1/3", "2/7", False, "Thm 1")
     huge = "1" + "0" * 400
@@ -883,6 +883,15 @@ def _fixture_with_empty_point(tmp_path):
     return _readme_fixture_with(tmp_path, lambda doc: doc.update(point={}))
 
 
+def _fixture_with_point_and_no_ray(tmp_path):
+    point = {"a_value": "1/0", "multiplicities": {}}
+    return _readme_fixture_with(tmp_path, lambda doc: (doc.pop("ray"), doc.update(point=point)))
+
+
+def _fixture_with_log_discrepancy_and_no_ray(tmp_path):
+    return _readme_fixture_with(tmp_path, lambda doc: (doc.pop("ray"), doc.update(log_discrepancy="1/0")))
+
+
 def _fixture_with_deeply_nested_gram(tmp_path):
     deep = "(" * 3000 + "1/52" + ")" * 3000
     return _readme_fixture_with(tmp_path, lambda doc: doc["config"].update(gram=[[deep]]))
@@ -990,6 +999,8 @@ NAMED_IN_ERROR = {
     "_catalog_with_identity_without_pair_with": ": pair_with must be an object of expressions",
     "_fixture_with_empty_ray": "fixture.json: ray.curve None must be a basis curve",
     "_fixture_with_empty_point": "fixture.json: point.a_value must be an expression",
+    "_fixture_with_point_and_no_ray": "fixture.json: point needs a ray\n",
+    "_fixture_with_log_discrepancy_and_no_ray": "fixture.json: log_discrepancy needs a ray\n",
     "_catalog_with_boolean_version": "version must be an integer",
     "_catalog_without_ke": "family 3 ke must be a string",
     "_catalog_with_text_parameter_min": "family 1 parameter must be an object with an integer min",
@@ -1099,6 +1110,8 @@ NAMED_IN_ERROR = {
         _fixture_with_line_break_in_label,
         _fixture_with_empty_ray,
         _fixture_with_empty_point,
+        _fixture_with_point_and_no_ray,
+        _fixture_with_log_discrepancy_and_no_ray,
         _fixture_with_superscript_ample,
         _fixture_with_4301_digit_log_discrepancy,
         _catalog_with_5000_digit_integer,

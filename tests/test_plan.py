@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kstab import catalog as catalog_module
 from kstab import plan
 from kstab.arith import RationalFunction, _Min, minimum
-from kstab.catalog import _CHECK_KINDS, Catalog, CatalogError, FamilyEntry, eval_expr, load_catalog, verify, verify_pointwise
+from kstab.catalog import _CHECK_KINDS, _Kind, Catalog, CatalogError, FamilyEntry, eval_expr, load_catalog, verify, verify_pointwise
 from tests._oracles import oracle_served_at
 from tests.test_catalog import _well_formed
 
@@ -240,7 +240,7 @@ def test_the_plan_follows_a_changed_pointwise_rule(monkeypatch):
         items = negdef.items(instance, check, rays)
         return [(label, expected, lambda compute=compute: not compute()) for label, expected, compute in items]
 
-    monkeypatch.setitem(_CHECK_KINDS, "negdef", negdef._replace(items=negated))
+    monkeypatch.setitem(_CHECK_KINDS, "negdef", _Kind(negdef.fields, negated))
     for family_id in (1, 2):
         lo = CATALOG.family(family_id).minimum_n
         catalog = _fresh(family_id)

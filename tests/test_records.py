@@ -1,10 +1,12 @@
-"""kstab's value classes keep the semantics of frozen dataclasses without being dataclasses.
+"""kstab's value classes keep the semantics of frozen dataclasses without being dataclasses
+or tuples.
 
 Each sample is compared with a frozen dataclass of the same name and fields, built here
 with the same values: ``==`` and ``hash`` follow the fields, the repr is the dataclass's,
 and assigning an attribute raises AttributeError.  No class is generated at import.  A
 ``Frozen`` value is built from its fields by position or by name; a missing or extra field
-raises TypeError, and deleting a field raises AttributeError.
+raises TypeError, and deleting a field raises AttributeError.  A value cannot be added to
+another or indexed.
 """
 
 import dataclasses
@@ -19,9 +21,10 @@ import pytest
 import kstab
 from kstab.arith import Frozen, _Min
 from kstab.blowup import BlowupSpec, transform_config
-from kstab.catalog import _compile, instantiate, load_catalog, verify
+from kstab.catalog import _CHECK_KINDS, _compile, instantiate, load_catalog, verify
 from kstab.cli import _json
 from kstab.invariants import delta_lower_bound, s_invariant
+from kstab.plan import _Served
 from kstab.zariski import decompose_ray
 
 CATALOG = load_catalog()
@@ -31,10 +34,15 @@ POINT = CONFIG.singular_points[0]
 BLOWUP = transform_config(CONFIG, BlowupSpec.make(POINT.point, (1, 1), dict(POINT.multiplicities)))
 RAY = decompose_ray(CONFIG, CONFIG.anticanonical, CONFIG.basis_vector(CONFIG.basis[0]))
 REPORT = verify(CATALOG, 2, 0)
+PLAN = CATALOG.plans[2]  # built by the first verify of family 2
 
 # one sample of each class, with a field to change and a value for it that the class accepts
 SAMPLES = {
     "_Min": (_compile("min(n,3)"), "second", Fraction(4)),
+    "_Chain": (_compile("1+n"), "first", Fraction(2)),
+    "_Kind": (_CHECK_KINDS["negdef"], "items", _CHECK_KINDS["ambient"].items),
+    "_Plan": (PLAN, "family_id", 99),
+    "_Served": (next(item for item in PLAN.items if isinstance(item, _Served)), "label", "other"),
     "BlowupSpec": (BLOWUP.spec, "exceptional", "F"),
     "BlowupResult": (BLOWUP, "log_discrepancy_e", Fraction(7)),
     "FamilyEntry": (INSTANCE.entry, "family_id", 99),
@@ -78,12 +86,13 @@ def test_every_former_dataclass_has_a_sample():
     assert {type(x).__qualname__ for x, _, _ in SAMPLES.values()} == set(SAMPLES)
 
 
-def test_importing_kstab_defines_no_dataclass():
+def test_importing_kstab_defines_no_dataclass_and_no_tuple_class():
     code = (
         "import dataclasses, sys, kstab.cli, kstab.plan\n"
         "print(sorted(f'{m.__name__}.{v.__qualname__}' for m in list(sys.modules.values())\n"
         "      if m.__name__.startswith('kstab') for v in vars(m).values()\n"
-        "      if isinstance(v, type) and v.__module__ == m.__name__ and dataclasses.is_dataclass(v)))"
+        "      if isinstance(v, type) and v.__module__ == m.__name__\n"
+        "      and (dataclasses.is_dataclass(v) or issubclass(v, tuple))))"
     )
     src = str(Path(kstab.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
@@ -155,11 +164,14 @@ def test_deleting_a_field_raises(name):
     assert getattr(x, field) is value
 
 
-def test_min_is_no_tuple_and_no_number():
-    node = _compile("min(n,3)")
-    assert type(node) is _Min and not isinstance(node, tuple)
+@pytest.mark.parametrize("name", SAMPLES)
+def test_a_value_is_no_tuple_and_no_number(name):
+    x, _, _ = SAMPLES[name]
+    assert not isinstance(x, tuple)
     with pytest.raises(TypeError):
-        node + node
+        x + x
+    with pytest.raises(TypeError):
+        x[0]
 
 
 def test_a_record_is_no_json_array():
