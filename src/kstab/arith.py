@@ -81,19 +81,28 @@ def over_common_denominator(values, den: int = 1) -> tuple[list, int]:
 
 
 class Frozen:
-    """An immutable value with named fields: kstab's one record type.  A record is no tuple and
-    no sequence: it is not indexed, unpacked or added, and JSON does not write it as an array.
-    ``__init__`` takes one value for each field of the class's ``_fields``, by position or by
-    name, and raises TypeError naming the fields if one is missing or extra; a class that
-    checks its values or has defaults calls it once.  The fields give ``==`` (between values of
-    one class), ``hash`` and the repr ``Name(field=value, ...)``.  Assigning or deleting an
-    attribute raises AttributeError; a ``functools.cached_property`` writes to the instance's
-    ``__dict__``."""
+    """An immutable value with named fields: the base of every kstab value, record or number.
+    Assigning or deleting an attribute raises AttributeError.  The fields give ``==`` (between
+    values of one class), ``hash`` and the repr ``Name(field=value, ...)``.
 
+    A record is no tuple, no sequence and no number: it is not indexed, unpacked or added, and
+    JSON does not write it as an array.  ``__init__`` takes one value for each field of the
+    class's ``_fields``, by position or by name, and raises TypeError naming the fields if one
+    is missing or extra; a class that checks its values or has defaults calls it once.  A
+    record keeps an instance ``__dict__``, where a ``functools.cached_property`` writes.
+
+    A number (Poly, PiecewisePoly, RationalFunction, ClassVector) declares
+    ``__slots__ = _fields`` and has no ``__dict__``.  It keeps its own constructors, arithmetic
+    and repr, and builds its values with ``object.__setattr__``; Poly (equal to an equal int or
+    Fraction) and RationalFunction (whose ``==`` kstab.plan calls on a Guarded) keep their own
+    ``==``."""
+
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._values = operator.attrgetter(*cls._fields)  # _values(value): the tuple of its fields (two or more)
+        # _values(value): the tuple of its fields, or with one field the field's value
+        cls._values = operator.attrgetter(*cls._fields)
 
     def __init__(self, *values, **named):
         fields = self._fields
@@ -151,7 +160,7 @@ class DomainMismatchError(ValueError):
     """Two piecewise polynomials do not cover the same total interval."""
 
 
-class Poly:
+class Poly(Frozen):
     """Univariate polynomial with rational coefficients, lowest degree first.
 
     A Poly is stored as a tuple of int ``numerators`` over one positive int
@@ -163,7 +172,7 @@ class Poly:
     are read.
     """
 
-    __slots__ = ("numerators", "denominator")
+    __slots__ = _fields = ("numerators", "denominator")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         _normalise(self, *over_common_denominator([rat(c) for c in coeffs]))
@@ -174,9 +183,6 @@ class Poly:
         poly = object.__new__(cls)
         _normalise(poly, list(numerators), denominator)
         return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def constant(cls, c: RationalLike) -> "Poly":
@@ -211,8 +217,7 @@ class Poly:
             return self == Poly.constant(other)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(("Poly", self.numerators, self.denominator))
+    __hash__ = Frozen.__hash__  # a class that defines __eq__ is otherwise unhashable
 
     def __neg__(self) -> "Poly":
         return Poly.from_integers([-x for x in self.numerators], self.denominator)
@@ -332,7 +337,7 @@ def poly_eval(p: Poly, x: RationalLike) -> Fraction:
     return p(x)
 
 
-class PiecewisePoly:
+class PiecewisePoly(Frozen):
     """Polynomial pieces on contiguous rational intervals.
 
     Pieces are (left, right, poly) with left < right and piece[i].right ==
@@ -340,7 +345,7 @@ class PiecewisePoly:
     on construction so equal functions compare equal.
     """
 
-    __slots__ = ("pieces",)
+    __slots__ = _fields = ("pieces",)
 
     def __init__(self, pieces: Iterable[tuple[RationalLike, RationalLike, Poly]]):
         normalized: list[tuple[Fraction, Fraction, Poly]] = []
@@ -363,9 +368,6 @@ class PiecewisePoly:
             raise ValueError("a piecewise polynomial needs at least one piece")
         object.__setattr__(self, "pieces", tuple(normalized))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PiecewisePoly is immutable")
-
     @classmethod
     def single(cls, left: RationalLike, right: RationalLike, poly: Poly) -> "PiecewisePoly":
         return cls([(left, right, poly)])
@@ -381,14 +383,6 @@ class PiecewisePoly:
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         return tuple([p[0] for p in self.pieces] + [self.right])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PiecewisePoly):
-            return self.pieces == other.pieces
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("PiecewisePoly", self.pieces))
 
     def piece_at(self, x: RationalLike) -> tuple[Fraction, Fraction, Poly]:
         x = rat(x)
@@ -469,7 +463,7 @@ def piecewise_combine(f: PiecewisePoly, g: PiecewisePoly, op: str) -> PiecewiseP
     return f.combine(g, op)
 
 
-class RationalFunction:
+class RationalFunction(Frozen):
     """An exact rational function p(n) / q(n) of one integer parameter n.
 
     p and q are int coefficient tuples, lowest degree first, with no trailing
@@ -479,7 +473,7 @@ class RationalFunction:
     at an integer n are Fractions, one per evaluation.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = _fields = ("num", "den")
 
     def __init__(self, num: Iterable[int] = (), den: Iterable[int] = (1,)):
         """num / den in normal form."""
@@ -499,9 +493,6 @@ class RationalFunction:
             num, den = [x // c for x in num], [x // c for x in den]
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", tuple(den))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     @classmethod
     def constant(cls, c: RationalLike) -> "RationalFunction":
@@ -529,8 +520,7 @@ class RationalFunction:
             return self.num == other.num and self.den == other.den
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(("RationalFunction", self.num, self.den))
+    __hash__ = Frozen.__hash__
 
     def __neg__(self) -> "RationalFunction":
         return _rational_function([-x for x in self.num], self.den)

@@ -332,7 +332,7 @@ def _walk_structures(where: str, configs: Mapping, blowups: list) -> set:
         at = f"{where}: config {name!r}"
         _walk(f"{at} ", cfg, _CONFIG)
         for point in cfg.get("singular_points", []):
-            _walk(f"{at} singular point ", point, _SINGULAR_POINT)
+            _walk(f"{at} singular point ", point, _SINGULAR_POINT, cfg["basis"])
     stages = set(configs)
     for spec in blowups:
         at = f"{where}: blow-up {spec.get('name')!r}"
@@ -810,7 +810,8 @@ _EXPRESSIONS = (lambda x, *_: _is_exprs(x), "a list of expressions", True)
 _GRAM = (lambda x, *_: isinstance(x, list) and all(map(_is_exprs, x)), "a list of rows of expressions", True)
 _CLASS = (lambda x, *_: _is_class(x), "an object of expressions", True)
 _CURVES = (lambda x, *_: isinstance(x, list) and all(isinstance(c, str) for c in x), "a list of curve names", True)
-# a class of an analyze fixture, whose names are the basis of its last stage
+# a class whose names are basis curves: of a singular point's config, or of an analyze
+# fixture's last stage
 _OVER_BASIS = (lambda x, obj, basis: _is_class(x, basis), "an object of expressions over basis curves", False)
 
 _DOCUMENT = {
@@ -841,7 +842,7 @@ _FAMILY = {
 }
 _CONFIG = {"basis": _CURVES, "gram": _GRAM, "anticanonical": _EXPRESSIONS, "singular_points": _optional(_OBJECTS)}
 _POINT = {"order": _EXPRESSION, "weights": _INTEGER_PAIR, "label": _optional(_STRING)}
-_SINGULAR_POINT = {**_POINT, "multiplicities": _optional(_CLASS)}
+_SINGULAR_POINT = {**_POINT, "multiplicities": _OVER_BASIS}
 _BLOWUP = {
     "name": _STRING,
     "base": (lambda x, spec, stages: isinstance(x, str) and x in stages, "a config or an earlier 'blowup:<name>'", True),

@@ -114,16 +114,13 @@ class SingularPointRecord(Frozen):
         return Fraction(0)
 
 
-class ClassVector:
+class ClassVector(Frozen):
     """Rational coefficient vector over a curve-configuration basis."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike]):
         object.__setattr__(self, "coeffs", tuple(rat(c) for c in coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassVector is immutable")
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -133,14 +130,6 @@ class ClassVector:
 
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ClassVector):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("ClassVector", self.coeffs))
 
     def __add__(self, other: "ClassVector") -> "ClassVector":
         if len(self) != len(other):

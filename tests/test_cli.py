@@ -684,6 +684,14 @@ def _fixture_with_string_multiplicities(tmp_path):
     )
 
 
+def _fixture_with_multiplicity_off_the_basis(tmp_path):
+    def corrupt(doc):
+        doc["config"]["singular_points"][0].update(multiplicities={"Nope": "10"})
+        doc.update(blowups=[], ray={"curve": "C_x"})
+
+    return _readme_fixture_with(tmp_path, corrupt)
+
+
 def _fixture_with_decimal_text(tmp_path):
     return _readme_fixture_with(tmp_path, lambda doc: doc["config"].update(gram=[["0.5"]]))
 
@@ -800,6 +808,13 @@ def _catalog_with_zero_denominator_in_config(tmp_path):
         family["configs"]["lr"]["gram"][0][1] = family["configs"]["lr"]["gram"][1][0] = "1/0"
 
     return _exported_catalog_with(tmp_path, corrupt, family_id=3)
+
+
+def _catalog_with_multiplicity_off_the_basis(tmp_path):
+    def corrupt(family):
+        family["configs"]["cx"]["singular_points"][0].update(multiplicities={"Nope": "1"})
+
+    return _exported_catalog_with(tmp_path, corrupt, family_id=2)
 
 
 def _catalog_with_n_in_fixed_family_config(tmp_path):
@@ -969,6 +984,12 @@ NAMED_IN_ERROR = {
     "_catalog_with_flag_expect_misspelt": "expect must be an object of expressions keyed by s_w, delta",
     "_catalog_with_flag_expect_volume": "expect must be an object of expressions keyed by s_w, delta",
     "_catalog_with_identity_expect_x": "expect must be an object of expressions keyed by const and the names in params",
+    "_fixture_with_multiplicity_off_the_basis": (
+        "fixture.json: config 'config' singular point multiplicities must be an object of expressions over basis curves"
+    ),
+    "_catalog_with_multiplicity_off_the_basis": (
+        "family 2: config 'cx' singular point multiplicities must be an object of expressions over basis curves"
+    ),
     "_catalog_with_n_in_fixed_family_config": "family 3: config 'lr' gram: expression 'n' needs the parameter n",
     "_catalog_with_n_in_fixed_family_weights": "family 3 weights: expression 'n' needs the parameter n",
     "_catalog_with_repeated_family_id": "family 3 id must be unique",
@@ -1045,6 +1066,7 @@ NAMED_IN_ERROR = {
         _fixture_with_list_curve_orders,
         _fixture_with_list_exceptional,
         _fixture_with_string_multiplicities,
+        _fixture_with_multiplicity_off_the_basis,
         _fixture_with_float_blowup_weight,
         _fixture_with_decimal_text,
         _fixture_with_unknown_curve_order,
@@ -1086,6 +1108,7 @@ NAMED_IN_ERROR = {
         _catalog_with_top_level_field("non_ke_quintuples", "", "text_non_ke_quintuples"),
         _catalog_with_zero_denominator_in_config,
         _catalog_with_zero_denominator_in_blowup,
+        _catalog_with_multiplicity_off_the_basis,
         _catalog_with_n_in_fixed_family_config,
         _catalog_with_n_in_fixed_family_weights,
         _catalog_with_repeated_family_id,

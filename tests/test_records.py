@@ -1,12 +1,12 @@
-"""kstab's value classes keep the semantics of frozen dataclasses without being dataclasses
-or tuples.
+"""kstab's record classes keep the semantics of frozen dataclasses without being dataclasses
+or tuples, and every value class, record or number, is a ``Frozen``.
 
-Each sample is compared with a frozen dataclass of the same name and fields, built here
-with the same values: ``==`` and ``hash`` follow the fields, the repr is the dataclass's,
-and assigning an attribute raises AttributeError.  No class is generated at import.  A
-``Frozen`` value is built from its fields by position or by name; a missing or extra field
-raises TypeError, and deleting a field raises AttributeError.  A value cannot be added to
-another or indexed.
+Each record sample is compared with a frozen dataclass of the same name and fields, built
+here with the same values: ``==`` and ``hash`` follow the fields and the repr is the
+dataclass's.  No class is generated at import.  A record is built from its fields by
+position or by name; a missing or extra field raises TypeError.  A record cannot be added to
+another or indexed.  Assigning or deleting a field of any value, record or number, raises
+AttributeError, and a number has no instance ``__dict__``.
 """
 
 import dataclasses
@@ -19,12 +19,12 @@ from pathlib import Path
 import pytest
 
 import kstab
-from kstab.arith import Frozen, _Min
+from kstab.arith import Frozen, Poly, RationalFunction, _Min
 from kstab.blowup import BlowupSpec, transform_config
 from kstab.catalog import _CHECK_KINDS, _compile, instantiate, load_catalog, verify
 from kstab.cli import _json
 from kstab.invariants import delta_lower_bound, s_invariant
-from kstab.plan import _Served
+from kstab.plan import _guarded, _Run, _Served
 from kstab.zariski import decompose_ray
 
 CATALOG = load_catalog()
@@ -58,6 +58,15 @@ SAMPLES = {
     "RayInterval": (RAY.intervals[0], "right", RAY.intervals[0].right + 1),
     "RayDecomposition": (RAY, "tau", RAY.tau + 1),
 }
+# one value of each number class, as SAMPLES; a number keeps its own constructors and repr
+NUMBERS = {
+    "Poly": (Poly([1, Fraction(1, 2)]), "denominator", 3),
+    "PiecewisePoly": (RAY.volume, "pieces", ()),
+    "RationalFunction": (RationalFunction((1, 2), (3,)), "num", (5,)),
+    "Guarded": (_guarded(RationalFunction.variable(), _Run(3, 2)), "run", None),
+    "ClassVector": (CONFIG.anticanonical, "coeffs", ()),
+}
+VALUES = {**SAMPLES, **NUMBERS}
 
 
 def _values(x) -> tuple:
@@ -73,6 +82,12 @@ def _as_dataclass(x):
     """A frozen dataclass of x's class name and fields, holding x's values."""
     cls = dataclasses.make_dataclass(type(x).__qualname__, x._fields, frozen=True)
     return cls(*_values(x))
+
+
+def _field_names(x) -> list:
+    """x's fields, and a slot that a subclass adds to them (Guarded's run)."""
+    slots = [name for cls in reversed(type(x).__mro__) for name in getattr(cls, "__slots__", ())]
+    return list(dict.fromkeys([*x._fields, *slots]))
 
 
 def _hash(x):
@@ -110,13 +125,33 @@ def test_equal_fields_give_equal_values_and_hashes(name):
     assert changed != x and not changed == x
 
 
-@pytest.mark.parametrize("name", SAMPLES)
+@pytest.mark.parametrize("name", VALUES)
 def test_assigning_an_attribute_raises(name):
-    x, field, value = SAMPLES[name]
-    for attr in (field, "new_attribute"):
+    x, field, value = VALUES[name]
+    fields = _field_names(x)
+    before = [getattr(x, f) for f in fields]
+    for attr in (*fields, "new_attribute"):
         with pytest.raises(AttributeError):
             setattr(x, attr, value)
-    assert getattr(x, field) != value
+    assert field in fields and getattr(x, field) != value and not hasattr(x, "new_attribute")
+    assert all(getattr(x, f) is v for f, v in zip(fields, before))
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_deleting_a_field_raises(name):
+    x, _, _ = VALUES[name]
+    fields = _field_names(x)
+    before = [getattr(x, f) for f in fields]
+    for attr in fields:
+        with pytest.raises(AttributeError):
+            delattr(x, attr)
+    assert all(getattr(x, f) is v for f, v in zip(fields, before))
+
+
+@pytest.mark.parametrize("name", NUMBERS)
+def test_a_number_is_frozen_and_has_no_instance_dict(name):
+    x, _, _ = NUMBERS[name]
+    assert type(x).__qualname__ == name and isinstance(x, Frozen) and not hasattr(x, "__dict__")
 
 
 @pytest.mark.parametrize("name", SAMPLES)
@@ -129,7 +164,8 @@ FROZEN = [name for name, (x, _, _) in SAMPLES.items() if isinstance(x, Frozen)]
 
 
 def test_every_frozen_class_has_a_sample():
-    assert {cls.__qualname__ for cls in Frozen.__subclasses__()} == set(FROZEN)
+    numbers = {"Poly", "PiecewisePoly", "RationalFunction", "ClassVector"}  # Guarded subclasses RationalFunction
+    assert {cls.__qualname__ for cls in Frozen.__subclasses__()} == set(FROZEN) | numbers
 
 
 @pytest.mark.parametrize("name", FROZEN)
@@ -153,15 +189,6 @@ def test_the_type_error_names_the_fields():
     for args, kwargs in [((1,), {}), ((1, 2, 3), {}), ((1,), {"first": 2}), ((1,), {"third": 2})]:
         with pytest.raises(TypeError, match=r"_Min takes the fields \(first, second\)"):
             _Min(*args, **kwargs)
-
-
-@pytest.mark.parametrize("name", FROZEN)
-def test_deleting_a_field_raises(name):
-    x, field, _ = SAMPLES[name]
-    value = getattr(x, field)
-    with pytest.raises(AttributeError):
-        delattr(x, field)
-    assert getattr(x, field) is value
 
 
 @pytest.mark.parametrize("name", SAMPLES)
