@@ -93,9 +93,9 @@ class Frozen:
 
     A number (Poly, PiecewisePoly, RationalFunction, ClassVector) declares
     ``__slots__ = _fields`` and has no ``__dict__``.  It keeps its own constructors, arithmetic
-    and repr, and builds its values with ``object.__setattr__``; Poly (equal to an equal int or
-    Fraction) and RationalFunction (whose ``==`` kstab.plan calls on a Guarded) keep their own
-    ``==``."""
+    and repr, and builds its values with ``object.__setattr__``.  Only Poly keeps its own
+    ``==``: it equals an equal int or Fraction, hashes as one where it is a constant, and
+    compares coefficients over Q(n) without a guard."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -211,13 +211,21 @@ class Poly(Frozen):
         return bool(self.numerators)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.numerators == other.numerators and self.denominator == other.denominator
+        """Equal coefficients, an int or Fraction taken as a constant; a coefficient over Q(n)
+        is equal only as the same function of n, a comparison that leaves no guard (kstab.plan)."""
         if isinstance(other, (int, Fraction)):
-            return self == Poly.constant(other)
-        return NotImplemented
+            other = Poly.constant(other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        x, y = self.numerators, other.numerators
+        return len(x) == len(y) and self.denominator == other.denominator and all(
+            _parts(c) == _parts(d) if isinstance(c, RationalFunction) or isinstance(d, RationalFunction) else c == d
+            for c, d in zip(x, y)
+        )
 
-    __hash__ = Frozen.__hash__  # a class that defines __eq__ is otherwise unhashable
+    def __hash__(self) -> int:
+        # a constant hashes as the int or Fraction it equals
+        return hash(self.coefficient(0)) if len(self.numerators) <= 1 else Frozen.__hash__(self)
 
     def __neg__(self) -> "Poly":
         return Poly.from_integers([-x for x in self.numerators], self.denominator)
@@ -360,7 +368,7 @@ class PiecewisePoly(Frozen):
                     raise ValueError(
                         f"pieces are not contiguous at {normalized[-1][1]} vs {left}"
                     )
-                if _same_poly(normalized[-1][2], poly):
+                if normalized[-1][2] == poly:
                     prev = normalized.pop()
                     left = prev[0]
             normalized.append((left, right, poly))
@@ -436,21 +444,10 @@ class PiecewisePoly(Frozen):
         return f"PiecewisePoly({self.format()})"
 
 
-def _same_poly(a: Poly, b: Poly) -> bool:
-    """a == b, where coefficients over Q(n) are equal only as the same function of n: a
-    comparison that decides nothing at any one n, and so leaves no guard (kstab.plan)."""
-    x, y = a.numerators, b.numerators
-    if len(x) != len(y) or a.denominator != b.denominator:
-        return False
-    return all(
-        RationalFunction.__eq__(_function(c), _function(d))
-        if isinstance(c, RationalFunction) or isinstance(d, RationalFunction) else c == d
-        for c, d in zip(x, y)
-    )
-
-
-def _function(c) -> "RationalFunction":
-    return c if isinstance(c, RationalFunction) else RationalFunction.constant(c)
+def _parts(c) -> tuple:
+    """A number's normal form (num, den) over Q(n), an int or Fraction as a constant."""
+    f = c if isinstance(c, RationalFunction) else RationalFunction.constant(c)
+    return f.num, f.den
 
 
 def piecewise_integrate(f: PiecewisePoly, a: RationalLike, b: RationalLike) -> Fraction:
@@ -515,13 +512,6 @@ class RationalFunction(Frozen):
         s = _poly_at(self.num, n) * _poly_at(self.den, n)
         return (s > 0) - (s < 0)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    __hash__ = Frozen.__hash__
-
     def __neg__(self) -> "RationalFunction":
         return _rational_function([-x for x in self.num], self.den)
 
@@ -535,7 +525,8 @@ class RationalFunction(Frozen):
         )
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
+        # RationalFunction's own operators, never a subclass's (kstab.plan.Guarded records guards)
+        return RationalFunction.__add__(self, RationalFunction.__neg__(other))
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         if not (self.num and other.num):

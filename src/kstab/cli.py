@@ -198,7 +198,8 @@ def _write(stream, text: str) -> None:
         stream.flush()
 
 
-def _parse_n_values(text: Optional[str]) -> Optional[list[int]]:
+def _parse_n_values(text: Optional[str]) -> Optional[range]:
+    """The n of --n as a range, read lazily whatever its size; None without --n."""
     if text is None:
         return None
     try:
@@ -207,8 +208,8 @@ def _parse_n_values(text: Optional[str]) -> Optional[list[int]]:
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+            return range(lo, hi + 1)
+        return range(int(text), int(text) + 1)
     except ValueError:
         raise _UsageError(f"--n expects an integer or a..b range, got {text!r}")
 
@@ -343,9 +344,9 @@ def cmd_verify(family, all_families, n_text, fmt, output, catalog_path):
             entry = catalog.family(fid)
         except CatalogError as exc:
             raise _UsageError(str(exc))
-        values = n_values if n_values is not None else default_n_values(entry)
-        if all_families and n_values is not None:
-            values = [v for v in n_values if entry.parametric and v >= entry.minimum_n] or default_n_values(entry)
+        values = n_values if n_values is not None and not all_families else default_n_values(entry)
+        if all_families and n_values is not None and entry.parametric:  # the range from the family's minimum on
+            values = range(max(n_values.start, entry.minimum_n), n_values.stop) or values
         for n in values:
             try:
                 check_parameter(entry, n)

@@ -224,10 +224,6 @@ def _guarded(x: RF, run: _Run) -> "Guarded":
     return out
 
 
-def _difference(a: RF, b: RF) -> RF:
-    return RF.__add__(a, RF.__neg__(b))
-
-
 def _operator(op, unit=None, reflected=False):
     """op on a Guarded number and any number (on its left where reflected), passing over the
     int unit (x op unit = x)."""
@@ -251,7 +247,7 @@ def _comparison(signs: frozenset):
 
     def compare(self, other):
         x = _lift(other)
-        return NotImplemented if x is None else self.run.test(self.run.apply(_difference, self, x), signs)
+        return NotImplemented if x is None else self.run.test(self.run.apply(RF.__sub__, self, x), signs)
 
     return compare
 
@@ -269,7 +265,7 @@ class Guarded(RationalFunction):
 
     __add__ = __radd__ = _operator(RF.__add__, 0)
     __mul__ = __rmul__ = _operator(RF.__mul__, 1)
-    __sub__, __rsub__ = _operator(_difference, 0), _operator(_difference, reflected=True)
+    __sub__, __rsub__ = _operator(RF.__sub__, 0), _operator(RF.__sub__, reflected=True)
     __truediv__, __rtruediv__ = _operator(RF.__truediv__, 1), _operator(RF.__truediv__, reflected=True)
     __floordiv__, __rfloordiv__ = __truediv__, __rtruediv__
     __lt__, __le__, __eq__, __ne__, __ge__, __gt__ = map(_comparison, (NEG, NONPOS, NIL, NONZERO, NONNEG, POS))
@@ -298,7 +294,7 @@ class Guarded(RationalFunction):
     def minimum(self, a, b):
         """min(a, b) for ``arith.minimum``, self one of them: the one min() takes at every n >= lo
         (b only where it is smaller) where the coefficients show it, else a _Min node."""
-        x = _difference(_lift(b), _lift(a))
+        x = RF.__sub__(_lift(b), _lift(a))
         signs = _possible_signs(x.num, x.den, self.run.lo)
         if -1 not in signs:
             return a

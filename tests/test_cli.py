@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,22 @@ def test_verify_all_with_range_exits_zero():
     assert result.exit_code == 0
     sections = [line for line in result.output.splitlines() if line.startswith("== family")]
     assert len({s.split(",")[0] for s in sections}) == 10
+
+
+def test_a_huge_range_is_read_lazily():
+    """--n a..b is never built as a list: with 1 GiB of address space, a range of 10^11 n gives
+    --all the report of its part from each family's minimum on, and a single family the usage
+    error of its first n."""
+    def run(args):
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        return subprocess.run([sys.executable, "-m", "kstab.cli", *args], capture_output=True, encoding="utf-8",
+                              env=_process_env(), preexec_fn=limit)
+
+    huge, small = run(["verify", "--all", "--n=-100000000000..3"]), run(["verify", "--all", "--n", "0..3"])
+    assert (huge.returncode, huge.stdout, huge.stderr) == (0, small.stdout, small.stderr)
+    single = run(["verify", "--family", "1", "--n=-100000000000..3"])
+    assert single.returncode == 2
+    assert single.stderr.splitlines()[-1] == "Error: family 1 needs n >= 2, got -100000000000"
 
 
 def test_verify_json_reports_round_trip():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kstab import catalog as catalog_module
 from kstab import plan
-from kstab.arith import RationalFunction, _Min, minimum
+from kstab.arith import Poly, RationalFunction, _Min, minimum
 from kstab.catalog import _CHECK_KINDS, _Kind, Catalog, CatalogError, FamilyEntry, eval_expr, load_catalog, verify, verify_pointwise
 from tests._oracles import oracle_served_at
 from tests.test_catalog import _well_formed
@@ -255,6 +255,17 @@ def test_a_divisor_that_uses_n_is_guarded_to_stay_nonzero():
     # n - 5 and 2n - 6 (kept as n - 3) may vanish; 1, 2 and the recorded n + 1 never do
     sign = RationalFunction.sign_at
     assert run.guards == {(sign, RationalFunction((-5, 1))): plan.NONZERO, (sign, RationalFunction((-3, 1))): plan.NONZERO}
+
+
+def test_polys_over_q_of_n_compare_as_functions_of_n_and_record_no_guard():
+    run = plan._Run(0, 0)  # at n0 = 0, n + 1 and 2n + 1 are both 1
+    n, three = (plan._guarded(f, run) for f in (RationalFunction.variable(), RationalFunction.constant(3)))
+    a, b, c = Poly([n + 1]), Poly([2 * n + 1]), Poly([n + n + 1])
+    d, e, f = Poly([three]), Poly([n, three]), Poly([n, 3])  # the symbolic run mixes ints and Guarded numbers
+    assert run.guards == {}
+    assert a != b and not a == b and b == c and e == f
+    assert d == 3 and d == Fraction(3) and d != 2 and d != a
+    assert run.guards == {}
 
 
 def _smooth_point_delta(text):

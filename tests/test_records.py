@@ -126,6 +126,29 @@ def test_equal_fields_give_equal_values_and_hashes(name):
 
 
 @pytest.mark.parametrize("name", VALUES)
+def test_a_value_equal_to_an_int_or_fraction_hashes_as_it(name):
+    x, _, _ = VALUES[name]
+    if type(x).__hash__ is None:  # a Guarded is unhashable, and its == records a guard
+        return
+    for c in (0, 1, 3, -2, Fraction(1, 2), Fraction(-7, 3)):
+        assert x != c or hash(x) == hash(c)
+
+
+def test_a_constant_poly_hashes_as_its_value():
+    assert {Poly.constant(3), 3} == {3} and {Poly.constant(3): "p"}[3] == "p"
+    assert hash(Poly(())) == hash(0) and hash(Poly.constant(Fraction(1, 2))) == hash(Fraction(1, 2))
+    for c in (0, 3, Fraction(-7, 3), Fraction(1, 2)):
+        assert Poly.constant(c) == c and hash(Poly.constant(c)) == hash(c)
+
+
+def test_a_rational_function_takes_frozen_equality_and_hash():
+    assert "__eq__" not in vars(RationalFunction) and "__hash__" not in vars(RationalFunction)
+    f = RationalFunction((1, 2), (3,))
+    assert f == RationalFunction((2, 4), (6,)) and hash(f) == hash(RationalFunction((2, 4), (6,)))
+    assert f != RationalFunction((1, 2)) and RationalFunction.constant(3) != 3
+
+
+@pytest.mark.parametrize("name", VALUES)
 def test_assigning_an_attribute_raises(name):
     x, field, value = VALUES[name]
     fields = _field_names(x)
