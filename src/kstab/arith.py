@@ -175,13 +175,14 @@ class Poly(Frozen):
     __slots__ = _fields = ("numerators", "denominator")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        _normalise(self, *over_common_denominator([rat(c) for c in coeffs]))
+        nums, den = over_common_denominator([rat(c) for c in coeffs])
+        _normalise(self, _trim(nums), den)
 
     @classmethod
     def from_integers(cls, numerators: Iterable[int], denominator: int) -> "Poly":
         """The polynomial (sum of numerators[i] * u^i) / denominator, for a nonzero denominator."""
         poly = object.__new__(cls)
-        _normalise(poly, list(numerators), denominator)
+        _normalise(poly, _trim(list(numerators)), denominator)
         return poly
 
     @classmethod
@@ -234,11 +235,7 @@ class Poly(Frozen):
         other = _as_poly(other)
         if not other.numerators:
             return self
-        a, b, den = self.numerators, other.numerators, self.denominator
-        if den != other.denominator:
-            g = math.gcd(den, other.denominator)
-            fa, fb = other.denominator // g, den // g
-            a, b, den = [x * fa for x in a], [y * fb for y in b], den * fa
+        a, b, den = _over_lcm(self, other)
         return Poly.from_integers(_poly_add(a, b), den)
 
     __radd__ = __add__
@@ -312,11 +309,10 @@ def _quotient_str(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def _normalise(poly: Poly, nums: list[int], den: int) -> None:
-    """Set poly to nums / den without trailing zeros, over a positive denominator
-    coprime to the numerators (nums is trimmed in place).  Where the numbers are
-    over Q(n), den is a unit of that field and is folded into the numerators."""
-    _trim(nums)
+def _normalise(value, nums: list[int], den: int) -> None:
+    """Set value's numerators and denominator (a Poly's or a ClassVector's) to nums / den
+    over a positive denominator coprime to the numerators.  Where the numbers are over
+    Q(n), den is a unit of that field and is folded into the numerators."""
     if type(den) is not int:
         nums, den = [ratio(x, den) for x in nums], 1
     elif den != 1:
@@ -328,8 +324,19 @@ def _normalise(poly: Poly, nums: list[int], den: int) -> None:
             nums, den, g = [ratio(x, den) for x in nums], 1, 1
         if g != 1:
             nums, den = [x // g for x in nums], den // g
-    object.__setattr__(poly, "numerators", tuple(nums))
-    object.__setattr__(poly, "denominator", den)
+    object.__setattr__(value, "numerators", tuple(nums))
+    object.__setattr__(value, "denominator", den)
+
+
+def _over_lcm(x, y) -> tuple[list, list, int]:
+    """(a, b, den): a and b the numerators of x and y (Polys or ClassVectors) over den, the
+    lcm of their denominators."""
+    a, b, den = x.numerators, y.numerators, x.denominator
+    if den != y.denominator:
+        g = math.gcd(den, y.denominator)
+        fa, fb = y.denominator // g, den // g
+        a, b, den = [v * fa for v in a], [v * fb for v in b], den * fa
+    return a, b, den
 
 
 def _as_poly(x) -> Poly:

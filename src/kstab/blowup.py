@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .arith import Frozen, RationalLike, coprime, over_common_denominator, rat, ratio
-from .surface import ClassVector, CurveConfig, DimensionMismatchError, QuotientSingularity
+from .surface import ClassVector, CurveConfig, DimensionMismatchError, QuotientSingularity, _as_vector
 
 
 class BlowupSpecError(ValueError):
@@ -68,8 +68,9 @@ class BlowupResult(Frozen):
 
     _fields = ("downstairs", "upstairs", "spec", "log_discrepancy_e")
 
-    def pullback(self, v: ClassVector) -> ClassVector:
+    def pullback(self, v: ClassVector | Sequence[RationalLike]) -> ClassVector:
         """pullback(v) = sum v_i (strict transform of C_i + (w_i/n) E)."""
+        v = _as_vector(v)
         if len(v) != self.downstairs.size:
             raise DimensionMismatchError(f"vector of length {len(v)} against basis of size {self.downstairs.size}")
         orders = dict(self.spec.curve_orders)
@@ -124,9 +125,10 @@ def transform_config(config: CurveConfig, spec: BlowupSpec) -> BlowupResult:
 
 
 def _pullback(v: ClassVector, o: list[int], sn: int) -> ClassVector:
-    """v and its E coefficient sum v_i w_i / n, w = o / s the orders at the center and sn = s n, on ints."""
-    a, t = over_common_denominator(v)
-    return ClassVector([*v, ratio(sum(map(operator.mul, a, o)), t * sn)])
+    """v and its E coefficient sum v_i w_i / n, w = o / s the orders at the center and sn = s n,
+    on ints: with v = a / t, every coefficient over t s n, E's numerator sum a_i o_i."""
+    a = v.numerators
+    return ClassVector.from_integers([*(x * sn for x in a), sum(map(operator.mul, a, o))], v.denominator * sn)
 
 
 def _validate_weights(n: int, a: int, b: int) -> None:

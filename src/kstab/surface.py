@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .arith import Frozen, Poly, RationalLike, _quotient_str, coprime, gcd, over_common_denominator, rat, ratio
+from .arith import Frozen, Poly, RationalLike, _normalise, _over_lcm, _quotient_str, coprime, gcd, over_common_denominator, rat, ratio
 
 
 class DimensionMismatchError(ValueError):
@@ -115,44 +115,69 @@ class SingularPointRecord(Frozen):
 
 
 class ClassVector(Frozen):
-    """Rational coefficient vector over a curve-configuration basis."""
+    """Rational coefficient vector over a curve-configuration basis.
 
-    __slots__ = _fields = ("coeffs",)
+    Stored as a ``Poly`` is: a tuple of int ``numerators`` over one positive
+    int ``denominator`` coprime to them, so each vector has one representation
+    and ``==`` and ``hash`` compare ints.  ``+``, ``-``, scalar ``*`` and
+    negation run on the ints; ``coeffs``, iteration and indexing build the
+    coefficients as Fractions where they are read.  Over Q(n) (``kstab.plan``)
+    the denominator is folded into the numerators, as for a Poly.
+    """
+
+    __slots__ = _fields = ("numerators", "denominator")
 
     def __init__(self, coeffs: Iterable[RationalLike]):
-        object.__setattr__(self, "coeffs", tuple(rat(c) for c in coeffs))
+        _normalise(self, *over_common_denominator([rat(c) for c in coeffs]))
+
+    @classmethod
+    def from_integers(cls, numerators: Iterable[int], denominator: int) -> "ClassVector":
+        """The vector numerators / denominator, for a nonzero denominator."""
+        vector = object.__new__(cls)
+        _normalise(vector, list(numerators), denominator)
+        return vector
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.denominator
+        return tuple(ratio(x, den) for x in self.numerators)
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self.numerators)
 
     def __iter__(self):
         return iter(self.coeffs)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
+        return ratio(self.numerators[i], self.denominator)
 
-    def __add__(self, other: "ClassVector") -> "ClassVector":
+    def __add__(self, other: "ClassVector | Sequence[RationalLike]") -> "ClassVector":
+        other = _as_vector(other)
         if len(self) != len(other):
             raise DimensionMismatchError("vector lengths differ")
-        return ClassVector(a + b for a, b in zip(self, other))
+        a, b, den = _over_lcm(self, other)
+        return ClassVector.from_integers(map(operator.add, a, b), den)
 
-    def __sub__(self, other: "ClassVector") -> "ClassVector":
-        if len(self) != len(other):
-            raise DimensionMismatchError("vector lengths differ")
-        return ClassVector(a - b for a, b in zip(self, other))
+    def __sub__(self, other: "ClassVector | Sequence[RationalLike]") -> "ClassVector":
+        return self + -_as_vector(other)
 
     def __rmul__(self, c: RationalLike) -> "ClassVector":
         c = rat(c)
-        return ClassVector(c * a for a in self)
+        p = c.numerator
+        return ClassVector.from_integers([p * x for x in self.numerators], c.denominator * self.denominator)
 
     def __neg__(self) -> "ClassVector":
-        return ClassVector(-a for a in self)
+        return ClassVector.from_integers([-x for x in self.numerators], self.denominator)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.numerators)
 
     def __repr__(self) -> str:
         return f"ClassVector({', '.join(map(str, self.coeffs))})"
+
+
+def _as_vector(x: ClassVector | Sequence[RationalLike]) -> ClassVector:
+    return x if isinstance(x, ClassVector) else ClassVector(x)
 
 
 class CurveConfig(Frozen):
@@ -187,7 +212,7 @@ class CurveConfig(Frozen):
             raise ValueError("gram matrix must be symmetric")
         if len(self.anticanonical) != k:
             raise DimensionMismatchError("anticanonical length does not match basis")
-        a, _ = over_common_denominator(self.anticanonical)  # A = a / t: A.A has the sign of a.(G a), d > 0
+        a = self.anticanonical.numerators  # A = a / t: A.A has the sign of a.(G a), d > 0
         if sum(map(operator.mul, a, self._gram_times(a))) <= 0:
             raise ValueError("anticanonical class must have positive self-intersection")
 
@@ -220,11 +245,13 @@ class CurveConfig(Frozen):
             if unknown:
                 raise KeyError(f"unknown curve names {sorted(unknown)}")
             return ClassVector(rat(values.get(name, 0)) for name in self.basis)
+        if len(values) != self.size:
+            raise DimensionMismatchError(f"vector of length {len(values)} against basis of size {self.size}")
         return ClassVector(values)
 
     def basis_vector(self, name: str) -> ClassVector:
         i = self.index_of(name)
-        return ClassVector(Fraction(int(j == i)) for j in range(self.size))
+        return ClassVector.from_integers([int(j == i) for j in range(self.size)], 1)
 
     @cached_property
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -233,32 +260,31 @@ class CurveConfig(Frozen):
         return tuple(tuple(Fraction(x, den) for x in row) for row in gram)
 
     def pairing(self, v: ClassVector | Sequence[RationalLike], w: ClassVector | Sequence[RationalLike]) -> Fraction:
-        v = v if isinstance(v, ClassVector) else ClassVector(v)
-        w = w if isinstance(w, ClassVector) else ClassVector(w)
+        v, w = _as_vector(v), _as_vector(w)
         if len(v) != self.size or len(w) != self.size:
             raise DimensionMismatchError(
                 f"vectors of length {len(v)}, {len(w)} against basis of size {self.size}"
             )
-        den, _ = self.integer_gram
-        a, scale_v = over_common_denominator(v)
-        b, scale_w = over_common_denominator(w)
-        total = sum(map(operator.mul, a, self._gram_times(b)))
-        return ratio(total, den * scale_v * scale_w)
+        total = sum(map(operator.mul, v.numerators, self._gram_times(w.numerators)))
+        return ratio(total, self.integer_gram[0] * v.denominator * w.denominator)
 
     def basis_pairings(self, coords: Sequence) -> list:
         """coords . C_j for every basis curve C_j, in basis order.
 
         The coordinates are all Polys, giving Polys, or all Fractions (a
-        ``ClassVector``, say), giving Fractions.  They are scaled to ints over
-        the lcm of their denominators once and multiplied by the integer Gram
-        matrix, once per polynomial degree; only the results become Polys or Fractions.
+        ``ClassVector``, say), giving Fractions.  A vector's int numerators, or
+        the Polys' scaled to the lcm of their denominators, are multiplied by
+        the integer Gram matrix, once per polynomial degree; only the results
+        become Fractions or Polys.
         """
         if len(coords) != self.size:
             raise DimensionMismatchError(f"vector of length {len(coords)} against basis of size {self.size}")
         den, _ = self.integer_gram
-        if not isinstance(coords[0], Poly):
-            ints, scale = over_common_denominator(coords)
-            return [ratio(t, den * scale) for t in self._gram_times(ints)]
+        if not isinstance(coords, ClassVector) and not isinstance(coords[0], Poly):
+            coords = ClassVector(coords)
+        if isinstance(coords, ClassVector):
+            scale = den * coords.denominator
+            return [ratio(t, scale) for t in self._gram_times(coords.numerators)]
         scale = math.lcm(*(c.denominator for c in coords))
         columns = [[x * (scale // c.denominator) for x in c.numerators] for c in coords]
         products = [
@@ -299,11 +325,11 @@ class CurveConfig(Frozen):
 
     def to_json_dict(self) -> dict:
         den, gram = self.integer_gram
-        a, t = over_common_denominator(self.anticanonical)
+        a = self.anticanonical
         return {
             "basis": list(self.basis),
             "gram": [[_quotient_str(x, den) for x in row] for row in gram],
-            "anticanonical": [_quotient_str(x, t) for x in a],
+            "anticanonical": [_quotient_str(x, a.denominator) for x in a.numerators],
             "singular_points": [
                 {
                     "label": rec.point.label,

@@ -31,8 +31,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import Frozen, PiecewisePoly, Poly, RationalLike, _quotient_str, isqrt, over_common_denominator, rat, ratio
-from .surface import ClassVector, CurveConfig, DimensionMismatchError, solve_linear_system
+from .arith import Frozen, PiecewisePoly, Poly, RationalLike, _over_lcm, _quotient_str, isqrt, rat, ratio
+from .surface import ClassVector, CurveConfig, DimensionMismatchError, _as_vector, solve_linear_system
 
 
 class NotPseudoeffectiveError(ValueError):
@@ -152,12 +152,12 @@ class RayDecomposition(Frozen):
         return self.interval_at(u).negative_part_at(u, self.config.size)
 
     def to_json_dict(self) -> dict:
-        def texts(poly: Poly) -> list[str]:  # the coefficients as str() writes their Fractions
-            return [_quotient_str(x, poly.denominator) for x in poly.numerators]
+        def texts(x) -> list[str]:  # a Poly's or ClassVector's coefficients as str() writes their Fractions
+            return [_quotient_str(c, x.denominator) for c in x.numerators]
 
         return {
-            "ample": [str(c) for c in self.ample],
-            "ray": [str(c) for c in self.ray],
+            "ample": texts(self.ample),
+            "ray": texts(self.ray),
             "nef_threshold": str(self.nef_threshold),
             "tau": str(self.tau),
             "breakpoints": [str(b) for b in self.breakpoints],
@@ -184,19 +184,22 @@ class RayDecomposition(Frozen):
         }
 
 
-def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> RayDecomposition:
+def decompose_ray(
+    config: CurveConfig, ample: ClassVector | Sequence[RationalLike], ray: ClassVector | Sequence[RationalLike]
+) -> RayDecomposition:
     """Decompose ample - u*ray for u in [0, tau], exactly.
 
     ``ample`` must be nef on the basis and big (positive self-intersection);
     ``ray`` is the class being subtracted (usually a single basis curve).
     A chamber that fails its certificate raises InconsistentConfigError.
     """
+    ample, ray = _as_vector(ample), _as_vector(ray)
     k, (den, gram) = config.size, config.integer_gram
-    if len(ample) != k:
-        raise DimensionMismatchError(f"vectors of length {len(ample)}, {len(ample)} against basis of size {k}")
+    if len(ample) != k or len(ray) != k:
+        raise DimensionMismatchError(f"vectors of length {len(ample)}, {len(ray)} against basis of size {k}")
     # scale (A - uE) = a + u e on ints; G a + u G e = scale d (A - uE).C_i is the right-hand side, G a gives A's signs
-    ints, scale = over_common_denominator([*ample, *ray])
-    a, e = ints[:k], [-x for x in ints[k:]]
+    a, e, scale = _over_lcm(ample, ray)
+    e = [-x for x in e]
     ga = config._gram_times(a)
     if sum(map(operator.mul, a, ga)) <= 0:
         raise ValueError("ample class must have positive self-intersection")
@@ -205,8 +208,6 @@ def decompose_ray(config: CurveConfig, ample: ClassVector, ray: ClassVector) -> 
             raise ValueError(f"ample class is not nef: negative against {name}")
     if ray.is_zero():
         raise ValueError("ray class must be nonzero")
-    if len(ray) != k:
-        raise DimensionMismatchError(f"vector of length {len(ray)} against basis of size {k}")
     rhs = [Poly.from_integers(form, scale) for form in zip(ga, config._gram_times(e))]
     support, coeffs = [], []  # the negative support, and its coefficients as polynomials in u
     intervals: list[RayInterval] = []

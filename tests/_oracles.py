@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's exact integration and
 decomposition paths: integrals are checked by floating-point Simpson
 quadrature, polynomial arithmetic and text by a Poly with Fraction coefficients
-(the package's runs on integer numerators over one denominator), blow-up Gram
+and class-vector arithmetic, pairings and pullbacks by a vector of Fractions
+(the package's run on integer numerators over one denominator), blow-up Gram
 matrices and pullbacks by the Fraction formulas (the package works on int rows),
 definiteness by numpy eigenvalues, ray decompositions by enumerating every
 negative-definite subset of the basis and by the Poly-based chamber walk
@@ -35,7 +36,7 @@ from kstab import (
 )
 from kstab.arith import PiecewisePoly, Poly, RationalFunction, RationalLike, _Min, minimum, rat
 from kstab.catalog import CatalogError, ParameterError
-from kstab.surface import ClassVector, solve_linear_system
+from kstab.surface import ClassVector, DimensionMismatchError, solve_linear_system
 from kstab.zariski import (
     InconsistentConfigError,
     RayDecomposition,
@@ -281,6 +282,74 @@ def _as_fraction_poly(x) -> FractionPoly:
     if isinstance(x, (int, Fraction)):
         return FractionPoly.constant(x)
     raise TypeError(f"cannot interpret {x!r} as a polynomial")
+
+
+# -- class vectors on Fractions ----------------------------------------------------
+
+
+class FractionClassVector:
+    """A class vector as a tuple of Fraction coefficients.
+
+    The package's ClassVector before it moved onto int numerators over one
+    common denominator, kept as the oracle for that arithmetic; its pairings
+    run through the Gram matrix's Fraction view and its pullback by the
+    Fraction formula.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[RationalLike]):
+        object.__setattr__(self, "coeffs", tuple(rat(c) for c in coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FractionClassVector is immutable")
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __iter__(self):
+        return iter(self.coeffs)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return self.coeffs[i]
+
+    def __eq__(self, other) -> bool:
+        return self.coeffs == other.coeffs if isinstance(other, FractionClassVector) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __add__(self, other: "FractionClassVector") -> "FractionClassVector":
+        if len(self) != len(other):
+            raise DimensionMismatchError("vector lengths differ")
+        return FractionClassVector(a + b for a, b in zip(self, other))
+
+    def __sub__(self, other: "FractionClassVector") -> "FractionClassVector":
+        if len(self) != len(other):
+            raise DimensionMismatchError("vector lengths differ")
+        return FractionClassVector(a - b for a, b in zip(self, other))
+
+    def __rmul__(self, c: RationalLike) -> "FractionClassVector":
+        c = rat(c)
+        return FractionClassVector(c * a for a in self)
+
+    def __neg__(self) -> "FractionClassVector":
+        return FractionClassVector(-a for a in self)
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def pairing(self, config, other: "FractionClassVector") -> Fraction:
+        """self . other, entry by entry through config's Fraction Gram matrix."""
+        return sum((a * g * b for row, a in zip(config.gram, self) for g, b in zip(row, other)), Fraction(0))
+
+    def basis_pairings(self, config) -> list[Fraction]:
+        """self . C_j for every basis curve C_j, one column of the Fraction Gram matrix each."""
+        return [sum((a * row[j] for row, a in zip(config.gram, self)), Fraction(0)) for j in range(config.size)]
+
+    def pullback(self, result) -> "FractionClassVector":
+        """The pullback along a BlowupResult, by the Fraction formula."""
+        return FractionClassVector(oracle_pullback(result.downstairs, result.spec, self))
 
 
 def assert_negative_definite_oracle(gram, expected: bool):

@@ -1,9 +1,12 @@
 """Weighted blow-up transforms and pullback bookkeeping."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstab import (
     BlowupSpec,
@@ -20,7 +23,8 @@ from kstab.blowup import BlowupSpecError
 from kstab.catalog import default_n_values, instantiate, load_catalog, load_fixture
 from kstab.surface import DimensionMismatchError
 from tests import _oracles
-from tests._oracles import oracle_blow_up_gram, oracle_pullback, oracle_square, random_chain_config
+from tests._oracles import FractionClassVector, oracle_blow_up_gram, oracle_pullback, oracle_square, random_chain_config
+from tests.test_surface import WIDE_ENTRIES, wide_configs
 
 F = Fraction
 
@@ -314,3 +318,27 @@ def test_loading_a_chain_checks_each_blowups_weights_once(monkeypatch):
     _, results = load_fixture("chain", _oracles.bench_chain_fixture(1, 10))
     assert len(results) == 9
     assert calls == [(r.spec.center.order, *r.spec.weights) for r in results]
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_configs(), st.data())
+def test_pullback_matches_the_fraction_tuple_oracle(config, data):
+    # a blow-up of a point of order n on some curves of a wide config, at drawn rational orders
+    n = data.draw(st.sampled_from([1, 2, 3, 5, 7]))
+    unit = st.integers(1, 12).filter(lambda x: math.gcd(x, n) == 1)
+    a = data.draw(unit)
+    b = data.draw(unit.filter(lambda x: math.gcd(x, a) == 1))
+    through = data.draw(st.lists(st.sampled_from(config.basis), min_size=1, unique=True))
+    orders = {name: data.draw(st.fractions(min_value=F(1, 12), max_value=40, max_denominator=12)) for name in through}
+    point = QuotientSingularity(n, (a, b), "p")
+    config = CurveConfig(config.basis, config.integer_gram, config.anticanonical,
+                         (SingularPointRecord.make(point, {name: 1 for name in through}),))
+    result = transform_config(config, BlowupSpec.make(point, data.draw(st.tuples(unit, unit)), orders))
+    down = FractionClassVector(config.anticanonical)
+    assert result.upstairs.anticanonical == ClassVector(down.pullback(result))
+    for _ in range(3):
+        xs = data.draw(st.lists(WIDE_ENTRIES, min_size=config.size, max_size=config.size))
+        got, expected = result.pullback(ClassVector(xs)), FractionClassVector(xs).pullback(result)
+        assert type(got) is ClassVector and got.coeffs == expected.coeffs
+        assert math.gcd(got.denominator, *got.numerators) == 1
+        assert result.pullback(xs) == got  # a sequence of rationals is taken as its vector

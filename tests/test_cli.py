@@ -584,6 +584,29 @@ def test_output_bytes_are_pinned(tmp_path, args, digest):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
+# analyze --format json on the benchmark's chain corpus, bench/chains.py seed 1 at k = 4..10:
+# (exit code, sha256 of stdout, stderr), three rays refused at an irrational threshold
+_REFUSED = (1, hashlib.sha256(b"").hexdigest(), "analysis failed: volume crosses zero at an irrational parameter\n")
+PINNED_CHAIN_CORPUS = {
+    4: _REFUSED,
+    5: (0, "efb80776d1420a89d39e8c4d847541a8c6432702845b960545aadf9379afca9d", ""),
+    6: _REFUSED,
+    7: (0, "132c56f5f6f5167fb0742d5ec59adb2183f3cdbe27c725e1406da9e0d67125c2", ""),
+    8: (0, "b998e13d6f59d3dd0bedeb142043585c1e25c47a11dbc999e94e92033b29a6b8", ""),
+    9: _REFUSED,
+    10: (0, "be68b712f68bd63b086c199cb386ad2b70e50e31de3669647d49cef8d45b530b", ""),
+}
+
+
+@pytest.mark.parametrize("k", PINNED_CHAIN_CORPUS)
+def test_analyze_bytes_of_the_benchmark_chain_corpus_are_pinned(tmp_path, k):
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(bench_chain_fixture(1, k)))
+    result = invoke(["analyze", "--input", str(fixture), "--format", "json"])
+    digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+    assert (result.exit_code, digest, result.stderr) == PINNED_CHAIN_CORPUS[k]
+
+
 def test_empty_ample_is_the_zero_class_on_both_paths(tmp_path):
     # an absent ample means the reference class; a given one, even {}, is used as given
     fixture = tmp_path / "fixture.json"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kstab import catalog as catalog_module
 from kstab import plan
+from kstab import ClassVector, CurveConfig
 from kstab.arith import Poly, RationalFunction, _Min, minimum
 from kstab.catalog import _CHECK_KINDS, _Kind, Catalog, CatalogError, FamilyEntry, eval_expr, load_catalog, verify, verify_pointwise
 from tests._oracles import oracle_served_at
@@ -266,6 +267,25 @@ def test_polys_over_q_of_n_compare_as_functions_of_n_and_record_no_guard():
     assert a != b and not a == b and b == c and e == f
     assert d == 3 and d == Fraction(3) and d != 2 and d != a
     assert run.guards == {}
+
+
+def test_class_vectors_over_q_of_n_fold_their_denominator_and_record_no_new_guard():
+    run, rf = plan._Run(3, 0), RationalFunction
+
+    def values(v):  # the coefficients as rational functions of n, compared without a guard
+        return [plan._frozen(x) for x in v]
+
+    n = plan._guarded(rf.variable(), run)
+    v = ClassVector([n, Fraction(1, 2)])  # over the lcm 2, a unit of Q(n): folded
+    assert v.denominator == 1 and run.guards == {}
+    w = ClassVector.from_integers([2, 4], n)  # over n itself: folded as well, n kept nonzero as by any divisor
+    assert w.denominator == 1 and run.guards == {(rf.sign_at, rf.variable()): plan.NONZERO}
+    assert values(v) == [rf.variable(), rf.constant(Fraction(1, 2))] and values(w) == [rf((2,), (0, 1)), rf((4,), (0, 1))]
+    assert values(v + w) == [rf((2, 0, 1), (0, 1)), rf((8, 1), (0, 2))] and values(-w) == [rf((-2,), (0, 1)), rf((-4,), (0, 1))]
+    assert values(3 * v - v) == [rf((0, 2)), rf.constant(1)]
+    config = CurveConfig.make(["A", "B"], [[1, 0], [0, -1]], [1, 0])
+    assert plan._frozen(config.pairing(v, v)) == rf((-1, 0, 4), (4,))  # n^2 - 1/4
+    assert run.guards == {(rf.sign_at, rf.variable()): plan.NONZERO}
 
 
 def _smooth_point_delta(text):

@@ -64,7 +64,7 @@ NUMBERS = {
     "PiecewisePoly": (RAY.volume, "pieces", ()),
     "RationalFunction": (RationalFunction((1, 2), (3,)), "num", (5,)),
     "Guarded": (_guarded(RationalFunction.variable(), _Run(3, 2)), "run", None),
-    "ClassVector": (CONFIG.anticanonical, "coeffs", ()),
+    "ClassVector": (CONFIG.anticanonical, "numerators", ()),
 }
 VALUES = {**SAMPLES, **NUMBERS}
 

@@ -1,6 +1,7 @@
 """Quintuple combinatorics and curve-configuration pairing arithmetic."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from kstab.arith import Poly
 from kstab.catalog import CatalogError, instantiate, load_catalog
 from kstab.surface import DimensionMismatchError, solve_linear_system
 from tests._oracles import (
+    FractionClassVector,
     FractionPoly,
     assert_negative_definite_oracle,
     oracle_is_negative_definite,
@@ -394,6 +396,46 @@ def test_basis_pairings_match_a_fraction_double_loop(config, data):
     assert got == [config.pairing(rationals, config.basis_vector(name)) for name in config.basis]
 
 
+@settings(max_examples=200, deadline=None)
+@given(wide_configs(), st.data())
+def test_class_vectors_match_the_fraction_tuple_oracle(config, data):
+    k = config.size
+    vectors = st.lists(WIDE_ENTRIES, min_size=k, max_size=k)
+    xs, ys, c = data.draw(vectors), data.draw(st.one_of(vectors, st.just([0] * k))), data.draw(WIDE_ENTRIES)
+    v, w, fv, fw = ClassVector(xs), ClassVector(ys), FractionClassVector(xs), FractionClassVector(ys)
+    # one stored form: int numerators over a positive denominator coprime to them
+    for x, fx in ((v, fv), (w, fw)):
+        assert all(type(n) is int for n in x.numerators) and type(x.denominator) is int and x.denominator > 0
+        assert math.gcd(x.denominator, *x.numerators) == 1
+        assert x.coeffs == fx.coeffs == tuple(x) == tuple(x[i] for i in range(k)) and len(x) == k
+        assert all(type(q) is F for q in x.coeffs)
+        assert x.is_zero() == fx.is_zero()
+    # == and hash follow the value, whatever numerators and denominator it was built from
+    m = data.draw(st.integers(-10**6, 10**6).filter(bool))
+    twin = ClassVector.from_integers([m * n for n in v.numerators], m * v.denominator)
+    assert twin == v and hash(twin) == hash(v) and twin.numerators == v.numerators
+    assert (v == w) == (fv == fw) and (v != w) == (fv != fw)
+    if v == w:
+        assert hash(v) == hash(w)
+    for got, expected in ((v + w, fv + fw), (v - w, fv - fw), (c * v, c * fv), (-v, -fv)):
+        assert type(got) is ClassVector and got == ClassVector(expected) and got.coeffs == expected.coeffs
+    assert config.pairing(v, w) == fv.pairing(config, fw)
+    assert config.basis_pairings(v) == fv.basis_pairings(config)
+
+
+def test_class_vector_examples():
+    assert ClassVector([F(1, 2), 1]) == ClassVector.from_integers([1, 2], 2) == ClassVector.from_integers([-3, -6], -6)
+    assert hash(ClassVector([F(1, 2), 1])) == hash(ClassVector.from_integers([1, 2], 2))
+    assert ClassVector([F(2, 4), F(3, 6)]).numerators == (1, 1) and ClassVector([F(1, 2), 1]).denominator == 2
+    assert ClassVector([0, 0]).denominator == 1 and ClassVector([0, 0]).is_zero()
+    assert repr(ClassVector([F(1, 2), -3])) == "ClassVector(1/2, -3)"
+    assert ClassVector([1, F(1, 3)]) + ClassVector([F(1, 2), F(2, 3)]) == ClassVector([F(3, 2), 1])
+    assert ClassVector([1, F(1, 3)]) + [F(1, 2), "2/3"] == ClassVector([F(3, 2), 1])  # a sequence is its vector
+    assert ClassVector([1, F(1, 3)]) - [1, 1] == ClassVector([0, F(-2, 3)])
+    with pytest.raises(DimensionMismatchError, match="^vector lengths differ$"):
+        ClassVector([1, 2]) - ClassVector([1])
+
+
 def test_kernel_edge_cases():
     # a zero leading entry: solving needs a row swap, definiteness fails at once
     assert solve_linear_system([[0, 1], [1, 0]], [F(2), F(3)]) == [3, 2]
@@ -415,10 +457,17 @@ def test_kernel_edge_cases():
 
 def test_vector_construction_and_basis_lookup():
     v = FAMILY5.vector({"L2": "1/2"})
-    assert v == ClassVector([0, F(1, 2)])
+    assert v == ClassVector([0, F(1, 2)]) == FAMILY5.vector([0, "1/2"])
     assert FAMILY5.basis_vector("L1") == ClassVector([1, 0])
     with pytest.raises(KeyError):
         FAMILY5.vector({"bogus": 1})
+
+
+def test_a_sequence_off_the_basis_size_is_no_vector():
+    # a mapping names its curves; a sequence must have one entry per basis curve
+    for values in ([1], [1, 2, 3], []):
+        with pytest.raises(DimensionMismatchError, match=f"^vector of length {len(values)} against basis of size 2$"):
+            FAMILY5.vector(values)
     with pytest.raises(KeyError):
         FAMILY5.index_of("bogus")
 

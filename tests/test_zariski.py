@@ -292,16 +292,18 @@ def test_ray_rejects_zero_ray():
 
 
 def test_ray_entry_refusals_keep_their_types_messages_and_order():
-    # Z.Z = 2, Z.C = 1, C.C = -2; each case breaks its own rule and every later one
+    # Z.Z = 2, Z.C = 1, C.C = -2; each case breaks its own rule and every later one, and both
+    # lengths are checked before anything else, in one error that names them
     config = CurveConfig.make(["Z", "C"], [[2, 1], [1, -2]], [1, 0])
-    zero = ClassVector([0, 0, 0])  # the zero class, on the wrong basis
+    zero, long_zero = ClassVector([0, 0]), ClassVector([0, 0, 0])  # the zero class, on the basis and off it
     cases = [
-        (ClassVector([F(1, 2)]), zero, DimensionMismatchError, "vectors of length 1, 1 against basis of size 2"),
-        (ClassVector([F(1, 3), 0, F(1, 5)]), zero, DimensionMismatchError, "vectors of length 3, 3 against basis of size 2"),
+        (ClassVector([F(1, 2)]), long_zero, DimensionMismatchError, "vectors of length 1, 3 against basis of size 2"),
+        (ClassVector([F(1, 3), 0, F(1, 5)]), zero, DimensionMismatchError, "vectors of length 3, 2 against basis of size 2"),
+        (ClassVector([0, F(1, 2)]), ClassVector([1]), DimensionMismatchError, "vectors of length 2, 1 against basis of size 2"),
+        (ClassVector([F(1, 3), 0]), long_zero, DimensionMismatchError, "vectors of length 2, 3 against basis of size 2"),
         (ClassVector([0, F(1, 2)]), zero, ValueError, "ample class must have positive self-intersection"),
         (ClassVector([F(1, 2), F(1, 2)]), zero, ValueError, "ample class is not nef: negative against C"),
         (ClassVector([F(1, 3), 0]), zero, ValueError, "ray class must be nonzero"),
-        (ClassVector([F(1, 3), 0]), ClassVector([F(1, 2)]), DimensionMismatchError, "vector of length 1 against basis of size 2"),
     ]
     for ample, ray, error, message in cases:
         with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
@@ -313,9 +315,15 @@ def test_ray_entry_refusals_keep_their_types_messages_and_order():
         decompose_ray(flat, ClassVector([F(1, 2), 0]), flat.basis_vector("C"))
 
 
+def test_a_ray_takes_sequences_of_rationals_as_its_classes():
+    rd = decompose_ray(LR, list(LR.anticanonical), list(LR.basis_vector("L")))
+    assert rd == decompose_ray(LR, LR.anticanonical, LR.basis_vector("L"))
+    assert type(rd.ample) is type(rd.ray) is ClassVector
+
+
 def test_ray_must_live_on_the_basis():
     for coords in ([1], [1, 0, 5]):
-        with pytest.raises(DimensionMismatchError, match=f"^vector of length {len(coords)} against basis of size 2$"):
+        with pytest.raises(DimensionMismatchError, match=f"^vectors of length 2, {len(coords)} against basis of size 2$"):
             decompose_ray(LR, LR.anticanonical, ClassVector(coords))
 
 
