@@ -91,9 +91,10 @@ class Frozen:
     is missing or extra; a class that checks its values or has defaults calls it once.  A
     record keeps an instance ``__dict__``, where a ``functools.cached_property`` writes.
 
-    A number (Poly, PiecewisePoly, RationalFunction, ClassVector) declares
-    ``__slots__ = _fields`` and has no ``__dict__``.  It keeps its own constructors, arithmetic
-    and repr, and builds its values with ``object.__setattr__``.  Only Poly keeps its own
+    A number (Poly, PiecewisePoly, RationalFunction, ClassVector) has its fields as
+    ``__slots__`` and no ``__dict__``; Poly and ClassVector share theirs and their stored
+    form (``_OverDenominator``).  A number keeps its own constructors, arithmetic and repr,
+    and builds its values with ``object.__setattr__``.  Only Poly keeps its own
     ``==``: it equals an equal int or Fraction, hashes as one where it is a constant, and
     compares coefficients over Q(n) without a guard."""
 
@@ -160,30 +161,71 @@ class DomainMismatchError(ValueError):
     """Two piecewise polynomials do not cover the same total interval."""
 
 
-class Poly(Frozen):
-    """Univariate polynomial with rational coefficients, lowest degree first.
-
-    A Poly is stored as a tuple of int ``numerators`` over one positive int
-    ``denominator``: coefficient i is numerators[i] / denominator.  There is
-    no trailing zero numerator and gcd(denominator, *numerators) == 1, so each
-    polynomial has exactly one representation (zero is () over 1) and ``==``
-    compares ints.  Arithmetic runs on these ints and normalises each result
-    with one gcd; ``coeffs`` builds the coefficients as Fractions where they
-    are read.
-    """
+class _OverDenominator(Frozen):
+    """Exact values stored as a tuple of int ``numerators`` over one positive int
+    ``denominator`` coprime to them: value i is numerators[i] / denominator, so each value has
+    one representation and ``==`` compares ints.  The base of Poly and ClassVector: it builds
+    the stored form, normalises it with one gcd, negates and scales it on the ints, and reads
+    it back as Fractions (``coeffs``) or as the text str() gives them (``_texts``).  Over Q(n)
+    (``kstab.plan``) the denominator is a unit and is folded into the numerators."""
 
     __slots__ = _fields = ("numerators", "denominator")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        nums, den = over_common_denominator([rat(c) for c in coeffs])
-        _normalise(self, _trim(nums), den)
+        self._normalise(*over_common_denominator([rat(c) for c in coeffs]))
 
     @classmethod
-    def from_integers(cls, numerators: Iterable[int], denominator: int) -> "Poly":
-        """The polynomial (sum of numerators[i] * u^i) / denominator, for a nonzero denominator."""
-        poly = object.__new__(cls)
-        _normalise(poly, _trim(list(numerators)), denominator)
-        return poly
+    def from_integers(cls, numerators: Iterable[int], denominator: int):
+        """The value numerators / denominator, for a nonzero denominator."""
+        value = object.__new__(cls)
+        value._normalise(list(numerators), denominator)
+        return value
+
+    def _normalise(self, nums: list[int], den: int) -> None:
+        """Set the fields to nums / den over a positive denominator coprime to the numerators."""
+        if type(den) is not int:
+            nums, den = [ratio(x, den) for x in nums], 1
+        elif den != 1:
+            if den < 0:
+                nums, den = [-x for x in nums], -den
+            try:
+                g = math.gcd(den, *nums)
+            except TypeError:  # numerators over Q(n)
+                nums, den, g = [ratio(x, den) for x in nums], 1, 1
+            if g != 1:
+                nums, den = [x // g for x in nums], den // g
+        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "denominator", den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The values as reduced Fractions (over Q(n), as the numbers themselves)."""
+        den = self.denominator
+        return tuple(ratio(x, den) for x in self.numerators)
+
+    def __neg__(self):
+        return self.from_integers([-x for x in self.numerators], self.denominator)
+
+    def _scaled(self, c):
+        """c times the value, for an int or Fraction c (or a number over Q(n), over 1)."""
+        p = c.numerator
+        return self.from_integers([p * x for x in self.numerators], c.denominator * self.denominator)
+
+    def _texts(self) -> list[str]:
+        """Each value as str() writes its Fraction, from the ints."""
+        den = self.denominator
+        return [_quotient_str(x, den) for x in self.numerators]
+
+
+class Poly(_OverDenominator):
+    """Univariate polynomial with rational coefficients, lowest degree first: coefficient i is
+    numerators[i] / denominator, with no trailing zero numerator (zero is () over 1).
+    Arithmetic runs on the ints and normalises each result with one gcd."""
+
+    __slots__ = ()
+
+    def _normalise(self, nums: list[int], den: int) -> None:
+        _OverDenominator._normalise(self, _trim(nums), den)
 
     @classmethod
     def constant(cls, c: RationalLike) -> "Poly":
@@ -193,12 +235,6 @@ class Poly(Frozen):
     @classmethod
     def variable(cls) -> "Poly":
         return cls.from_integers((0, 1), 1)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as reduced Fractions, lowest degree first, no trailing zeros."""
-        den = self.denominator
-        return tuple(Fraction(x, den) for x in self.numerators)
 
     @property
     def degree(self) -> int:
@@ -228,9 +264,6 @@ class Poly(Frozen):
         # a constant hashes as the int or Fraction it equals
         return hash(self.coefficient(0)) if len(self.numerators) <= 1 else Frozen.__hash__(self)
 
-    def __neg__(self) -> "Poly":
-        return Poly.from_integers([-x for x in self.numerators], self.denominator)
-
     def __add__(self, other) -> "Poly":
         other = _as_poly(other)
         if not other.numerators:
@@ -248,8 +281,7 @@ class Poly(Frozen):
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            return Poly.from_integers([x * p for x in self.numerators], self.denominator * q)
+            return self._scaled(other)
         other = _as_poly(other)
         return Poly.from_integers(_poly_mul(self.numerators, other.numerators), self.denominator * other.denominator)
 
@@ -307,25 +339,6 @@ def _quotient_str(num: int, den: int) -> str:
     """str(Fraction(num, den)) for den > 0, with one gcd and no Fraction."""
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
-
-
-def _normalise(value, nums: list[int], den: int) -> None:
-    """Set value's numerators and denominator (a Poly's or a ClassVector's) to nums / den
-    over a positive denominator coprime to the numerators.  Where the numbers are over
-    Q(n), den is a unit of that field and is folded into the numerators."""
-    if type(den) is not int:
-        nums, den = [ratio(x, den) for x in nums], 1
-    elif den != 1:
-        if den < 0:
-            nums, den = [-x for x in nums], -den
-        try:
-            g = math.gcd(den, *nums)
-        except TypeError:  # numerators over Q(n)
-            nums, den, g = [ratio(x, den) for x in nums], 1, 1
-        if g != 1:
-            nums, den = [x // g for x in nums], den // g
-    object.__setattr__(value, "numerators", tuple(nums))
-    object.__setattr__(value, "denominator", den)
 
 
 def _over_lcm(x, y) -> tuple[list, list, int]:

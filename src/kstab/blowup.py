@@ -136,3 +136,5 @@ def _validate_weights(n: int, a: int, b: int) -> None:
         raise BlowupSpecError("blow-up data must be positive integers")
     if not (coprime(a, n) and coprime(b, n)):
         raise BlowupSpecError(f"weights ({a},{b}) must be coprime to {n}")
+    if not coprime(a, b):  # (2, 4) would name the divisor of (1, 2), with wrong E^2 and A(E)
+        raise BlowupSpecError(f"weights ({a},{b}) must be coprime")

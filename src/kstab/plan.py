@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import PiecewisePoly, Poly, RationalFunction, _Min, _poly_at, _poly_mul, _quotient_str, _rational_function
-from .arith import Frozen, _trim, over_common_denominator, ratio
+from .arith import Frozen, _trim, over_common_denominator
 from .catalog import Catalog, CheckItem, FamilyEntry, FamilyInstance, VerificationReport, _item, _pointwise
 from .catalog import _values, instantiate
 
@@ -159,7 +159,7 @@ def _frozen(x):
         return _Min(_frozen(x.first), _frozen(x.second))
     if isinstance(x, PiecewisePoly):
         return tuple(
-            (_frozen(left), _frozen(right), tuple(_frozen(ratio(c, poly.denominator)) for c in poly.numerators))
+            (_frozen(left), _frozen(right), tuple(map(_frozen, poly.coeffs)))
             for left, right, poly in x.pieces
         )
     x = _lift(x)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .arith import Frozen, Poly, RationalLike, _normalise, _over_lcm, _quotient_str, coprime, gcd, over_common_denominator, rat, ratio
+from .arith import Frozen, Poly, RationalLike, _OverDenominator, _over_lcm, _quotient_str, coprime, gcd, over_common_denominator, rat, ratio
 
 
 class DimensionMismatchError(ValueError):
@@ -114,33 +114,16 @@ class SingularPointRecord(Frozen):
         return Fraction(0)
 
 
-class ClassVector(Frozen):
+class ClassVector(_OverDenominator):
     """Rational coefficient vector over a curve-configuration basis.
 
-    Stored as a ``Poly`` is: a tuple of int ``numerators`` over one positive
-    int ``denominator`` coprime to them, so each vector has one representation
-    and ``==`` and ``hash`` compare ints.  ``+``, ``-``, scalar ``*`` and
-    negation run on the ints; ``coeffs``, iteration and indexing build the
-    coefficients as Fractions where they are read.  Over Q(n) (``kstab.plan``)
-    the denominator is folded into the numerators, as for a Poly.
+    Stored as a ``Poly`` is (``arith._OverDenominator``): int ``numerators`` over one positive
+    int ``denominator`` coprime to them, so ``==`` and ``hash`` compare ints.  ``+``, ``-``,
+    scalar ``*`` and negation run on the ints; ``coeffs``, iteration and indexing build the
+    coefficients as Fractions where they are read.
     """
 
-    __slots__ = _fields = ("numerators", "denominator")
-
-    def __init__(self, coeffs: Iterable[RationalLike]):
-        _normalise(self, *over_common_denominator([rat(c) for c in coeffs]))
-
-    @classmethod
-    def from_integers(cls, numerators: Iterable[int], denominator: int) -> "ClassVector":
-        """The vector numerators / denominator, for a nonzero denominator."""
-        vector = object.__new__(cls)
-        _normalise(vector, list(numerators), denominator)
-        return vector
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        den = self.denominator
-        return tuple(ratio(x, den) for x in self.numerators)
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.numerators)
@@ -162,12 +145,7 @@ class ClassVector(Frozen):
         return self + -_as_vector(other)
 
     def __rmul__(self, c: RationalLike) -> "ClassVector":
-        c = rat(c)
-        p = c.numerator
-        return ClassVector.from_integers([p * x for x in self.numerators], c.denominator * self.denominator)
-
-    def __neg__(self) -> "ClassVector":
-        return ClassVector.from_integers([-x for x in self.numerators], self.denominator)
+        return self._scaled(rat(c))
 
     def is_zero(self) -> bool:
         return not any(self.numerators)
@@ -210,7 +188,9 @@ class CurveConfig(Frozen):
         super().__init__(basis, (den, gram), anticanonical, singular_points)
         if gram != tuple(zip(*gram)):
             raise ValueError("gram matrix must be symmetric")
-        if len(self.anticanonical) != k:
+        if not isinstance(anticanonical, ClassVector):
+            raise TypeError(f"anticanonical must be a ClassVector, not {type(anticanonical).__name__}")
+        if len(anticanonical) != k:
             raise DimensionMismatchError("anticanonical length does not match basis")
         a = self.anticanonical.numerators  # A = a / t: A.A has the sign of a.(G a), d > 0
         if sum(map(operator.mul, a, self._gram_times(a))) <= 0:
@@ -325,11 +305,10 @@ class CurveConfig(Frozen):
 
     def to_json_dict(self) -> dict:
         den, gram = self.integer_gram
-        a = self.anticanonical
         return {
             "basis": list(self.basis),
             "gram": [[_quotient_str(x, den) for x in row] for row in gram],
-            "anticanonical": [_quotient_str(x, a.denominator) for x in a.numerators],
+            "anticanonical": self.anticanonical._texts(),
             "singular_points": [
                 {
                     "label": rec.point.label,
@@ -362,29 +341,36 @@ def solve_linear_system(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> 
 
     A Poly right-hand side is split into one column per coefficient, so every
     coefficient is solved in the same elimination; the solution is a list of
-    Polys if any rhs entry is a Poly, else of Fractions.  Raises ValueError on
-    singular M.
+    Polys if any rhs entry is a Poly, else of Fractions.  Raises
+    DimensionMismatchError unless M is square with one rhs entry per row,
+    TypeError on an entry that ``rat`` refuses (a float, say) and ValueError
+    on singular M.
     """
+    n = len(matrix)
+    if len(rhs) != n or any(len(row) != n for row in matrix):
+        raise DimensionMismatchError(
+            f"matrix rows of lengths {[len(row) for row in matrix]} and {len(rhs)} right-hand sides for {n} unknowns"
+        )
     polys = any(isinstance(b, Poly) for b in rhs)
     if polys:
         rhs = [b if isinstance(b, Poly) else Poly.constant(b) for b in rhs]
         width = max(len(b.numerators) for b in rhs)
         tails = [(b.numerators + (0,) * (width - len(b.numerators)), b.denominator) for b in rhs]
     else:
-        tails = [((b.numerator,), b.denominator) for b in rhs]
+        tails = [((b.numerator,), b.denominator) for b in map(rat, rhs)]
     rows = []
     for row, (tail, tail_den) in zip(matrix, tails):
         if _INT.issuperset(map(type, row)):  # an int row is taken as it is, over the tail's denominator
             rows.append([*row, *tail] if tail_den == 1 else [x * tail_den for x in row] + list(tail))
         else:
-            ints, scale = over_common_denominator(row, tail_den)
+            ints, scale = over_common_denominator([rat(x) for x in row], tail_den)
             rows.append(ints + [t * (scale // tail_den) for t in tail])
     pivots, y = _eliminate(rows, swap_rows=True)
     if y is None:
         raise ValueError("singular linear system")
     det = pivots[-1] if pivots else 1
     if polys:
-        return [Poly.from_integers([col[i] for col in y], det) for i in range(len(matrix))]
+        return [Poly.from_integers([col[i] for col in y], det) for i in range(n)]
     return [Fraction(v, det) for v in y[0]] if y else []
 
 

@@ -31,7 +31,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import Frozen, PiecewisePoly, Poly, RationalLike, _over_lcm, _quotient_str, isqrt, rat, ratio
+from .arith import Frozen, PiecewisePoly, Poly, RationalLike, _over_lcm, isqrt, rat, ratio
 from .surface import ClassVector, CurveConfig, DimensionMismatchError, _as_vector, solve_linear_system
 
 
@@ -152,12 +152,9 @@ class RayDecomposition(Frozen):
         return self.interval_at(u).negative_part_at(u, self.config.size)
 
     def to_json_dict(self) -> dict:
-        def texts(x) -> list[str]:  # a Poly's or ClassVector's coefficients as str() writes their Fractions
-            return [_quotient_str(c, x.denominator) for c in x.numerators]
-
         return {
-            "ample": texts(self.ample),
-            "ray": texts(self.ray),
+            "ample": self.ample._texts(),
+            "ray": self.ray._texts(),
             "nef_threshold": str(self.nef_threshold),
             "tau": str(self.tau),
             "breakpoints": [str(b) for b in self.breakpoints],
@@ -167,18 +164,18 @@ class RayDecomposition(Frozen):
                     "right": str(iv.right),
                     "support": [self.config.basis[i] for i in iv.support],
                     "negative_coeffs": {
-                        self.config.basis[i]: texts(poly)
+                        self.config.basis[i]: poly._texts()
                         for i, poly in zip(iv.support, iv.negative_coeffs)
                     },
                     "positive_part": {
-                        name: texts(poly)
+                        name: poly._texts()
                         for name, poly in zip(self.config.basis, iv.positive_part)
                     },
                 }
                 for iv in self.intervals
             ],
             "volume": [
-                {"left": str(l), "right": str(r), "coeffs": texts(p)}
+                {"left": str(l), "right": str(r), "coeffs": p._texts()}
                 for l, r, p in self.volume.pieces
             ],
         }

@@ -48,6 +48,16 @@ def test_weights_must_be_coprime_to_order():
         log_discrepancy_of_e(6, 5, 3)
 
 
+def test_weights_with_a_common_factor_are_refused():
+    # (2, 4) names the divisor of (1, 2): E^2 = -1/2 and A(E) = 3, where these weights gave -1/8 and 6
+    for n, a, b in [(1, 2, 4), (1, 3, 3), (5, 2, 6), (7, 6, 9)]:
+        with pytest.raises(BlowupSpecError, match=rf"^weights \({a},{b}\) must be coprime$"):
+            exceptional_self_intersection(n, a, b)
+        with pytest.raises(BlowupSpecError):
+            BlowupSpec.make(QuotientSingularity(n, (1, 1)), (a, b), {})
+    assert exceptional_self_intersection(1, 1, 2) == F(-1, 2) and log_discrepancy_of_e(1, 1, 2) == 3
+
+
 def _hyperplane_config(square, point, order_of_curve):
     return CurveConfig.make(
         basis=["C_x"],
@@ -333,7 +343,8 @@ def test_pullback_matches_the_fraction_tuple_oracle(config, data):
     point = QuotientSingularity(n, (a, b), "p")
     config = CurveConfig(config.basis, config.integer_gram, config.anticanonical,
                          (SingularPointRecord.make(point, {name: 1 for name in through}),))
-    result = transform_config(config, BlowupSpec.make(point, data.draw(st.tuples(unit, unit)), orders))
+    weights = data.draw(st.tuples(unit, unit).filter(lambda w: math.gcd(*w) == 1))
+    result = transform_config(config, BlowupSpec.make(point, weights, orders))
     down = FractionClassVector(config.anticanonical)
     assert result.upstairs.anticanonical == ClassVector(down.pullback(result))
     for _ in range(3):

@@ -760,6 +760,17 @@ def _fixture_with_float_blowup_weight(tmp_path):
     return _readme_fixture_with(tmp_path, lambda doc: doc["blowups"][0].update(weights=[1.5, 5]))
 
 
+def _fixture_with_non_coprime_blowup_weights(tmp_path):
+    # (2, 4) at a smooth point names the divisor of (1, 2); it was answered as log discrepancy 6
+    fixture = {
+        "config": {"basis": ["C"], "gram": [["1/2"]], "anticanonical": ["2"]},
+        "blowups": [{"center": {"order": 1, "weights": [1, 1]}, "weights": [2, 4]}],
+    }
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(fixture))
+    return ["analyze", "--input", str(path)]
+
+
 def _exported_catalog(tmp_path, corrupt):
     """The path of an exported catalog after corrupt(doc) has changed it."""
     path = tmp_path / "catalog.json"
@@ -1077,6 +1088,7 @@ NAMED_IN_ERROR = {
     "_fixture_with_negative_square_anticanonical": "fixture.json: anticanonical class must have positive self-intersection",
     "_fixture_with_superscript_ample": "ray.ample: cannot parse expression '1\u00b2' at position 0",
     "_fixture_with_4301_digit_log_discrepancy": "log_discrepancy: cannot parse expression '1111",
+    "_fixture_with_non_coprime_blowup_weights": "fixture.json: weights (2,4) must be coprime",
     "_catalog_with_5000_digit_integer": "catalog.json is not valid JSON: Exceeds the limit (4300 digits)",
     "_fixture_with_100000_nested_arrays": "fixture.json is not valid JSON: maximum recursion depth exceeded",
     "_verify_output_in_a_missing_directory": "out.txt: No such file or directory",
@@ -1108,6 +1120,7 @@ NAMED_IN_ERROR = {
         _fixture_with_string_multiplicities,
         _fixture_with_multiplicity_off_the_basis,
         _fixture_with_float_blowup_weight,
+        _fixture_with_non_coprime_blowup_weights,
         _fixture_with_decimal_text,
         _fixture_with_unknown_curve_order,
         _fixture_with_zero_square_anticanonical,

@@ -124,6 +124,13 @@ def test_config_requires_symmetric_gram_and_big_polarization():
         assert type(exc.value) is ValueError
 
 
+def test_config_refuses_an_anticanonical_that_is_no_class_vector():
+    for anticanonical in ([1], (F(1),), "1"):
+        with pytest.raises(TypeError, match="^anticanonical must be a ClassVector, not "):
+            CurveConfig(("A",), (1, ((1,),)), anticanonical)
+    assert CurveConfig(("A",), (1, ((1,),)), ClassVector([1])).anticanonical == ClassVector([1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_config_accepts_a_polarization_exactly_when_its_fraction_square_is_positive(data):
@@ -265,6 +272,27 @@ def test_int_rows_solve_as_their_fraction_rows_do():
         assert solve_linear_system(matrix, rhs) == expected
         mixed = [row if i % 2 else [F(x) for x in row] for i, row in enumerate(matrix)]
         assert solve_linear_system(mixed, rhs) == expected
+
+
+def test_solve_linear_system_refuses_a_bad_shape_or_an_inexact_entry():
+    # each was answered before: [0], two of three values, [2], an IndexError
+    for matrix, rhs in [
+        ([[1, 0], [0, 1]], [F(1)]),
+        ([[1, 0], [0, 1]], [F(1), F(2), F(3)]),
+        ([[1, 2]], [F(1)]),
+        ([[1, 2], [3]], [F(1), F(2)]),
+        ([[F(1), 2], [3]], [Poly.variable(), F(2)]),
+    ]:
+        with pytest.raises(DimensionMismatchError):
+            solve_linear_system(matrix, rhs)
+    for matrix, rhs in [
+        ([[1.0, 0], [0, 1]], [F(1), F(2)]),
+        ([[F(1), 0], [0, 0.5]], [Poly.variable(), F(2)]),
+        ([[1, 0], [0, 1]], [1.5, F(2)]),
+        ([[1, 0], [0, 1]], [None, Poly.variable()]),
+    ]:
+        with pytest.raises(TypeError):
+            solve_linear_system(matrix, rhs)
 
 
 def test_solve_linear_system_rejects_singular_systems():
